@@ -3,7 +3,8 @@
 Subcommands: analyze (closed-form sweeps), simulate (trajectory/handover
 simulation), match (one matching instance with trace), verify (oracle
 suites with pass/fail summary), reproduce (all experiments). Exit status 0
-on success, 1 on failed verification, 2 on configuration errors.
+on success, 1 on failed verification, 2 on configuration errors and on
+deployments that cannot be packed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__, experiments, geometry, matching, oracle
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 from .experiments import EXPERIMENT_NAMES, run_experiment
-from .scenario import generate_scenario
+from .scenario import PackingFailure, generate_scenario
 
 DEFAULT_OUT_ENV = "MMWCACHE_OUT"
 
@@ -301,6 +302,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except PackingFailure as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
         return 2
 
 

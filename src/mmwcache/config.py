@@ -77,6 +77,17 @@ class ScenarioConfig:
 
     replications: int = 200
 
+    def __post_init__(self):
+        # `not (x > 0)` also rejects NaN
+        if not self.area_radius > 0.0:
+            raise ConfigError(
+                f"area_radius must be positive, got {self.area_radius!r}")
+        if self.n_sbs < 0:
+            raise ConfigError(f"n_sbs must be >= 0, got {self.n_sbs!r}")
+        if not self.min_intercell >= 0.0:
+            raise ConfigError(
+                f"min_intercell must be >= 0, got {self.min_intercell!r}")
+
     def canonical_text(self) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):

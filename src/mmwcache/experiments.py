@@ -180,8 +180,7 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
 
 def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
                       threads: int = 1) -> ExperimentResult:
-    cfg = replace(config, **{k: v for k, v in REGION_PRESET.items()
-                             if k in {f.name for f in dataclasses.fields(config)}})
+    cfg = _region_config(config)
     speeds = list(range(1, 17)) + [60.0 / 3.6]
     speeds = sorted(set(round(s, 4) for s in speeds))
     cols: Dict[str, List[float]] = {

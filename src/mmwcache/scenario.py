@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .geometry import BeamGeometry, CellDisk, Pose
-
-SPEED_OF_LIGHT = 299792458.0
+from .geometry import TWO_PI, BeamGeometry, CellDisk, Pose
+from .radio import SPEED_OF_LIGHT
 
 
 class PackingFailure(RuntimeError):
@@ -68,32 +67,35 @@ def uw_cell_radius(power_dbm: float, config: ScenarioConfig) -> float:
 
 def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
                       max_tries: int = 20000) -> Scenario:
-    """Place SBSs (min spacing enforced) and MUEs uniformly over the disk."""
+    """Place SBSs (min spacing enforced) and MUEs uniformly over the disk.
+
+    SBS positions are rejection-sampled: each try draws `uniform()` for the
+    radius and `uniform(0, 2*pi)` for the angle, and the candidate is kept
+    when `math.hypot` to every placed site is at least `min_intercell`.
+    The tries draw their doubles in blocks with `rng.random`, which yields
+    the same doubles in the same order as the scalar calls. Afterwards the
+    generator is rewound to its state before placement and advanced by
+    exactly `2 * tries` doubles, so every later draw (powers, anchors, MUE
+    poses) is the one the scalar sampler would make: the result is
+    bit-for-bit a function of (config, seed).
+    """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    positions: List[Tuple[float, float]] = []
-    tries = 0
-    while len(positions) < config.n_sbs:
-        tries += 1
-        if tries > max_tries:
-            raise PackingFailure(
-                f"could not place {config.n_sbs} SBSs with spacing "
-                f"{config.min_intercell} m in radius {config.area_radius} m")
-        r = config.area_radius * math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        candidate = (r * math.cos(phi), r * math.sin(phi))
-        if all(math.hypot(candidate[0] - p[0], candidate[1] - p[1])
-               >= config.min_intercell for p in positions):
-            positions.append(candidate)
+    positions = _place_sites(config, rng, max_tries)
 
     sbss = []
     beamwidth = math.radians(config.beamwidth_deg)
+    powers = config.sbs_powers_dbm
+    radii = {}
     for i, pos in enumerate(positions):
-        power = float(rng.choice(config.sbs_powers_dbm))
-        anchor = float(rng.uniform(0.0, 2.0 * math.pi))
+        # the same draws as rng.choice(powers) and rng.uniform(0, 2*pi)
+        power = float(powers[int(rng.integers(0, len(powers)))])
+        anchor = TWO_PI * rng.random()
+        radius = radii.get(power)
+        if radius is None:
+            radius = radii[power] = uw_cell_radius(power, config)
         sbss.append(SbsSite(
-            index=i, position=pos, power_dbm=power,
-            radius=uw_cell_radius(power, config),
+            index=i, position=pos, power_dbm=power, radius=radius,
             beams=BeamGeometry(sbs_position=pos, n_beams=config.n_beams,
                                beamwidth=beamwidth, anchor_angle=anchor)))
 
@@ -106,6 +108,51 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
             heading=float(rng.uniform(0.0, 2.0 * math.pi)),
             speed=float(rng.uniform(config.speed_min, config.speed_max))))
     return Scenario(config=config, sbss=tuple(sbss), mues=tuple(mues))
+
+
+def _place_sites(config: ScenarioConfig, rng: np.random.Generator,
+                 max_tries: int) -> List[Tuple[float, float]]:
+    """Rejection-sample the SBS positions; see `generate_scenario`."""
+    n_sbs, spacing = config.n_sbs, config.min_intercell
+    # A site can fail the spacing test only within `spacing` of the
+    # candidate in both coordinates. Each accepted site is listed in its
+    # grid cell and the 8 cells around it, so a candidate is tested only
+    # against the list of its own cell. The cells are a hair wider than
+    # `spacing` (a margin far above the rounding of `x / cell` for
+    # coordinates up to area_radius), so a site two cells away is always
+    # `spacing` or more away in one coordinate and passes the test. With
+    # spacing 0 the cells are 1e-9 * area_radius wide and every candidate
+    # passes, as before.
+    cell = spacing + 1e-9 * (config.area_radius + spacing)
+    near: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+    positions: List[Tuple[float, float]] = []
+    start = rng.bit_generator.state
+    # one block is usually enough; the overshoot is rewound below
+    block = 2 * n_sbs + 64
+    tries = 0
+    while len(positions) < n_sbs:
+        draws = rng.random(2 * block).tolist()
+        for k in range(0, 2 * block, 2):
+            tries += 1
+            if tries > max_tries:
+                raise PackingFailure(
+                    f"could not place {n_sbs} SBSs with spacing "
+                    f"{spacing} m in radius {config.area_radius} m")
+            r = config.area_radius * math.sqrt(draws[k])
+            phi = TWO_PI * draws[k + 1]
+            x, y = r * math.cos(phi), r * math.sin(phi)
+            gx, gy = math.floor(x / cell), math.floor(y / cell)
+            if all(math.hypot(x - px, y - py) >= spacing
+                   for px, py in near.get((gx, gy), ())):
+                positions.append((x, y))
+                for i in (gx - 1, gx, gx + 1):
+                    for j in (gy - 1, gy, gy + 1):
+                        near.setdefault((i, j), []).append((x, y))
+            if len(positions) == n_sbs:
+                break
+    rng.bit_generator.state = start
+    rng.random(2 * tries)
+    return positions
 
 
 # ---------------------------------------------------------------------------

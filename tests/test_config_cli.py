@@ -44,6 +44,14 @@ sbs_powers_dbm = 20, 30
         with pytest.raises(ConfigError):
             apply_overrides(ScenarioConfig(), ["seed"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("area_radius", 0.0), ("area_radius", float("nan")), ("n_sbs", -1),
+        ("min_intercell", -5.0)])
+    def test_invalid_scenario_values_name_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(**{key: value})
+        assert key in str(err.value)
+
     def test_digest_stability(self):
         assert ScenarioConfig(seed=1).digest() == ScenarioConfig(seed=1).digest()
         assert ScenarioConfig(seed=1).digest() != ScenarioConfig(seed=2).digest()
@@ -107,6 +115,18 @@ class TestCli:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         manifest = (out1 / "run-manifest.txt").read_text()
         assert "config_digest" in manifest and "seed = 11" in manifest
+
+    @pytest.mark.parametrize("setting,message", [
+        ("min_intercell=1000", "could not place 50 SBSs"),
+        ("area_radius=0", "area_radius"),
+        ("min_intercell=-5", "min_intercell"),
+        ("n_sbs=-1", "n_sbs")])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, setting, message):
+        rc = main(["simulate", "--seed", "1", "--set", setting,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "simulate_events.csv").exists()
 
     def test_seed_required_for_reproducible_commands(self, tmp_path):
         rc = main(["match", "--users", "4", "--out", str(tmp_path)])

@@ -1,10 +1,52 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mmwcache.config import ScenarioConfig
 from mmwcache import scenario as S
 from mmwcache import experiments as E
+
+
+def scalar_generate_scenario(config, seed):
+    """Reference sampler: one scalar draw per number, all-pairs spacing test.
+
+    Returns the scenario and the number of placement tries it took.
+    """
+    rng = np.random.default_rng(seed)
+    positions = []
+    tries = 0
+    while len(positions) < config.n_sbs:
+        tries += 1
+        r = config.area_radius * math.sqrt(rng.uniform())
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        candidate = (r * math.cos(phi), r * math.sin(phi))
+        if all(math.hypot(candidate[0] - p[0], candidate[1] - p[1])
+               >= config.min_intercell for p in positions):
+            positions.append(candidate)
+    sbss = []
+    beamwidth = math.radians(config.beamwidth_deg)
+    for i, pos in enumerate(positions):
+        power = float(rng.choice(config.sbs_powers_dbm))
+        anchor = float(rng.uniform(0.0, 2.0 * math.pi))
+        sbss.append(S.SbsSite(
+            index=i, position=pos, power_dbm=power,
+            radius=S.uw_cell_radius(power, config),
+            beams=S.BeamGeometry(sbs_position=pos, n_beams=config.n_beams,
+                                 beamwidth=beamwidth, anchor_angle=anchor)))
+    mues = []
+    for _ in range(config.n_mues):
+        r = config.area_radius * math.sqrt(rng.uniform())
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        mues.append(S.Pose(
+            x=r * math.cos(phi), y=r * math.sin(phi),
+            heading=float(rng.uniform(0.0, 2.0 * math.pi)),
+            speed=float(rng.uniform(config.speed_min, config.speed_max))))
+    return S.Scenario(config=config, sbss=tuple(sbss), mues=tuple(mues)), tries
+
+
+REGION = E._region_config(ScenarioConfig())
 
 
 class TestGeneration:
@@ -15,14 +57,32 @@ class TestGeneration:
         assert a.snapshot_text() == b.snapshot_text()
 
     def test_default_packing_succeeds(self):
-        cfg = ScenarioConfig(seed=2)
-        scn = S.generate_scenario(cfg)
-        assert len(scn.sbss) == 50
-        positions = [s.position for s in scn.sbss]
-        for i in range(len(positions)):
-            for j in range(i + 1, len(positions)):
-                d = math.dist(positions[i], positions[j])
-                assert d >= cfg.min_intercell - 1e-9
+        for cfg in (ScenarioConfig(seed=2), replace(REGION, seed=2)):
+            scn = S.generate_scenario(cfg)
+            assert len(scn.sbss) == 50
+            positions = [s.position for s in scn.sbss]
+            for i in range(len(positions)):
+                for j in range(i + 1, len(positions)):
+                    (xi, yi), (xj, yj) = positions[i], positions[j]
+                    assert math.hypot(xj - xi, yj - yi) >= cfg.min_intercell
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(), REGION, ScenarioConfig(min_intercell=0.0),
+        ScenarioConfig(n_mues=5)], ids=["default", "region", "no_spacing",
+                                        "five_mues"])
+    def test_matches_scalar_sampler(self, cfg):
+        for seed in range(500):
+            ref, _ = scalar_generate_scenario(cfg, seed)
+            scn = S.generate_scenario(cfg, seed=seed)
+            # the dataclass repr prints every field, each float exactly
+            assert repr(scn) == repr(ref), seed
+
+    def test_try_accounting(self):
+        _, tries = scalar_generate_scenario(REGION, 3)
+        assert tries > 50
+        S.generate_scenario(REGION, seed=3, max_tries=tries)
+        with pytest.raises(S.PackingFailure):
+            S.generate_scenario(REGION, seed=3, max_tries=tries - 1)
 
     def test_infeasible_packing_raises(self):
         cfg = ScenarioConfig(seed=2, n_sbs=2, min_intercell=1000.0)
