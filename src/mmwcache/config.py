@@ -87,6 +87,18 @@ class ScenarioConfig:
         if not self.min_intercell >= 0.0:
             raise ConfigError(
                 f"min_intercell must be >= 0, got {self.min_intercell!r}")
+        if not self.speed_min >= 0.0:
+            raise ConfigError(
+                f"speed_min must be >= 0, got {self.speed_min!r}")
+        if not self.speed_min <= self.speed_max:
+            raise ConfigError(
+                f"speed_min ({self.speed_min!r}) must not exceed speed_max "
+                f"({self.speed_max!r})")
+        if not self.play_rate > 0.0:
+            raise ConfigError(
+                f"play_rate must be positive, got {self.play_rate!r}")
+        if self.quota < 1:
+            raise ConfigError(f"quota must be >= 1, got {self.quota!r}")
 
     def canonical_text(self) -> str:
         lines = []

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import caching, matching
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .matching import (GameInstance, MueState, PlayerKind, SbsState,
                        dynamic_match, sbs_id, signaling_overhead)
 from .radio import ChannelParams, LinkBudget, instantaneous_rate
@@ -272,6 +272,9 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
                           speed: Optional[float],
                           rng: np.random.Generator) -> RegionInstance:
     """Users entering a focal cell with onward candidates from the field."""
+    if config.n_sbs < 1:
+        raise ConfigError(
+            f"n_sbs must be >= 1 for a region instance, got {config.n_sbs!r}")
     scn = generate_scenario(config, seed=int(rng.integers(2 ** 31)))
     focal = min(scn.sbss, key=lambda s: math.hypot(*s.position))
     others = [s for s in scn.sbss if s.index != focal.index]

@@ -277,16 +277,28 @@ def hof_probability(speed: float, t_mts: float, cell_radius: float) -> float:
     clamps to 1.0 with a RuntimeWarning instead of raising, so batch sweeps
     over high speeds and small cells do not abort.
     """
+    probability = hof_probability_clamped(speed, t_mts, cell_radius)
+    if speed * t_mts / (2.0 * cell_radius) > 1.0:
+        warnings.warn(
+            f"v*t_mts = {speed * t_mts:g} exceeds the cell diameter "
+            f"{2 * cell_radius:g}; HOF probability clamped to 1",
+            RuntimeWarning, stacklevel=2)
+    return probability
+
+
+def hof_probability_clamped(speed: float, t_mts: float,
+                            cell_radius: float) -> float:
+    """`hof_probability` without the warning: out of domain it is 1.0.
+
+    For callers that clamp on purpose, such as the matching game, whose
+    users may be too fast for a cell; it touches no warning state.
+    """
     if speed < 0.0 or t_mts < 0.0:
         raise ValueError("speed and t_mts must be nonnegative")
     if cell_radius <= 0.0:
         raise ValueError("cell_radius must be positive")
     ratio = speed * t_mts / (2.0 * cell_radius)
     if ratio > 1.0:
-        warnings.warn(
-            f"v*t_mts = {speed * t_mts:g} exceeds the cell diameter "
-            f"{2 * cell_radius:g}; HOF probability clamped to 1",
-            RuntimeWarning, stacklevel=2)
         return 1.0
     return (2.0 / math.pi) * math.asin(ratio)
 

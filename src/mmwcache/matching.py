@@ -9,20 +9,28 @@ blocking through a constrained second-period deferred acceptance. Exhaustive
 blocking scans over the same preference primitives verify both stability
 notions.
 
+Scores are tabulated once per call: each public entry point builds a
+private table (`_Scores`) of the game's utilities and plan keys, fills it on
+first use and drops it when it returns. The public utility functions compute
+through the same code, so a tabulated value equals the direct one bit for
+bit.
+
 Determinism: all tie-breaking is lexicographic in (utility, player index),
 so identical instances yield identical matchings. One matching computation
-owns its instance; concurrent games share nothing.
+owns its instance and its table, and touches no process-wide state (HOF
+clamps silently instead of through the warnings machinery), so concurrent
+games share nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .geometry import hof_probability
+from .geometry import hof_probability_clamped
 
 
 class PlayerKind(enum.Enum):
@@ -138,27 +146,12 @@ class GameInstance:
 
 def mue_utility(u: int, k: int, instance: GameInstance) -> float:
     """User-side utility of an SBS: threshold margin over HOF probability."""
-    mue = instance.mues[u]
-    sbs = instance.sbss[k]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
-    return instance.phi_scale * (mue.p_th - hof) + instance.phi_shift
+    return _Scores(instance).phi(u, k)
 
 
 def sbs_utility(u: int, k: int, instance: GameInstance) -> float:
     """BS-side utility of a user: scan interval minus cached playback time."""
-    mue = instance.mues[u]
-    gamma = instance.scan_interval - mue.segments / instance.play_rate
-    return instance.gamma_scale * gamma + instance.gamma_shift
-
-
-def _phi_zero(instance: GameInstance) -> float:
-    return instance.phi_shift
-
-
-def _gamma_zero(instance: GameInstance) -> float:
-    return instance.gamma_shift
+    return _Scores(instance).gamma(u)
 
 
 def _coast_distance(instance: GameInstance, u: int) -> float:
@@ -184,20 +177,6 @@ def _covered_p2(instance: GameInstance, u: int,
     return _coast_distance(instance, u) >= mue.gap1 + mue.gap2
 
 
-def _period_payoff(instance: GameInstance, u: int, slot: Optional[PlayerId],
-                   covered: bool, period: int) -> float:
-    if slot is None:
-        if covered:
-            value = (instance.covered_payoff if period == 1
-                     else instance.future_covered_payoff)
-        else:
-            value = instance.shortfall_penalty
-        return instance.phi_scale * value + instance.phi_shift
-    if slot.kind == PlayerKind.SBS:
-        return mue_utility(u, slot.index, instance)
-    return instance.phi_scale * instance.mbs_payoff + instance.phi_shift
-
-
 def plan_score(instance: GameInstance, u: int, first: Optional[PlayerId],
                second: Optional[PlayerId]) -> float:
     """Additive two-period score of an (attempted or realized) outcome.
@@ -206,10 +185,7 @@ def plan_score(instance: GameInstance, u: int, first: Optional[PlayerId],
     projected period-2 one (the latter rides on the realized drain), hence
     the separate covered payoffs.
     """
-    p1 = _period_payoff(instance, u, first, _covered_p1(instance, u), 1)
-    p2 = _period_payoff(instance, u, second,
-                        _covered_p2(instance, u, first), 2)
-    return p1 + p2
+    return _Scores(instance).score(u, first, second)
 
 
 def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
@@ -222,19 +198,137 @@ def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
 
 def plan_key(instance: GameInstance, u: int, plan: Plan) -> tuple:
     """Total order over plans: higher score first, then SBS-early/low-index."""
-    score = plan_score(instance, u, plan.first, plan.second)
-    return (-score,) + _slot_rank(plan.first) + _slot_rank(plan.second)
+    return _Scores(instance).key(u, plan.first, plan.second)
 
 
 def mue_prefers(instance: GameInstance, u: int, a: Plan, b: Plan) -> bool:
     """Strict preference of plan/outcome a over b for user u."""
-    return plan_key(instance, u, a) < plan_key(instance, u, b)
+    scores = _Scores(instance)
+    return scores.key(u, a.first, a.second) < scores.key(u, b.first, b.second)
 
 
 def bs_prefers_mue(instance: GameInstance, k: int, u: int, w: int) -> bool:
     """Strict preference of SBS k for user u over user w."""
-    gu, gw = sbs_utility(u, k, instance), sbs_utility(w, k, instance)
-    return gu > gw or (gu == gw and u < w)
+    return _Scores(instance).bs_prefers(u, w)
+
+
+def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
+    """Sorted users per SBS index of one period's association map."""
+    rosters: Dict[int, List[int]] = {}
+    for u in sorted(mu):
+        slot = mu[u]
+        if slot is not None and slot.kind == PlayerKind.SBS:
+            rosters.setdefault(slot.index, []).append(u)
+    return rosters
+
+
+class _Scores:
+    """The utilities and plan keys of one game, tabulated for one call.
+
+    Every public entry point builds its own table and drops it when it
+    returns, so nothing outlives the call and concurrent games share
+    nothing. Entries are filled on first use: the threshold margin
+    p_th - HOF and phi per (user, SBS), gamma per user and the key of each
+    (user, plan). The public utilities compute through a one-use table, so
+    there is a single scoring definition. Built with a matching, the table
+    also holds that matching's sorted per-(period, SBS) rosters.
+    """
+
+    def __init__(self, instance: GameInstance,
+                 matching: Optional[DynamicMatching] = None):
+        self.instance = instance
+        self.sbs = [sbs_id(k) for k in range(len(instance.sbss))]
+        self.phi0 = instance.phi_shift       # phi of a zero margin
+        self.gamma0 = instance.gamma_shift   # gamma of a zero margin
+        self.mbs_payoff = (instance.phi_scale * instance.mbs_payoff
+                           + instance.phi_shift)
+        self._margin: Dict[Tuple[int, int], float] = {}
+        self._phi: Dict[Tuple[int, int], float] = {}
+        self._gamma: Dict[int, float] = {}
+        self._keys: Dict[tuple, tuple] = {}
+        self._rosters = ({} if matching is None else
+                         {1: _sbs_rosters(matching.mu1),
+                          2: _sbs_rosters(matching.mu2)})
+
+    def margin(self, u: int, k: int) -> float:
+        """Threshold margin p_th - HOF of user u in SBS k, unscaled."""
+        value = self._margin.get((u, k))
+        if value is None:
+            mue = self.instance.mues[u]
+            hof = hof_probability_clamped(mue.speed, self.instance.t_mts,
+                                          self.instance.sbss[k].radius)
+            value = self._margin[(u, k)] = mue.p_th - hof
+        return value
+
+    def phi(self, u: int, k: int) -> float:
+        value = self._phi.get((u, k))
+        if value is None:
+            instance = self.instance
+            value = self._phi[(u, k)] = (
+                instance.phi_scale * self.margin(u, k) + instance.phi_shift)
+        return value
+
+    def gamma(self, u: int) -> float:
+        value = self._gamma.get(u)
+        if value is None:
+            instance = self.instance
+            playback = instance.mues[u].segments / instance.play_rate
+            value = self._gamma[u] = (
+                instance.gamma_scale * (instance.scan_interval - playback)
+                + instance.gamma_shift)
+        return value
+
+    def bs_prefers(self, u: int, w: int) -> bool:
+        """Strict preference of any BS for user u over user w."""
+        gu, gw = self.gamma(u), self.gamma(w)
+        return gu > gw or (gu == gw and u < w)
+
+    def worst(self, members: List[int]) -> int:
+        """The member every BS ranks last."""
+        return min(members, key=lambda w: (self.gamma(w), -w))
+
+    def _cache_payoff(self, covered: bool, period: int) -> float:
+        instance = self.instance
+        if covered:
+            value = (instance.covered_payoff if period == 1
+                     else instance.future_covered_payoff)
+        else:
+            value = instance.shortfall_penalty
+        return instance.phi_scale * value + instance.phi_shift
+
+    def _bs_payoff(self, u: int, slot: PlayerId) -> float:
+        if slot.kind == PlayerKind.SBS:
+            return self.phi(u, slot.index)
+        return self.mbs_payoff
+
+    def score(self, u: int, first: Optional[PlayerId],
+              second: Optional[PlayerId]) -> float:
+        """plan_score; a cache slot's coverage is evaluated only for it."""
+        instance = self.instance
+        if first is None:
+            p1 = self._cache_payoff(_covered_p1(instance, u), 1)
+        else:
+            p1 = self._bs_payoff(u, first)
+        if second is None:
+            p2 = self._cache_payoff(_covered_p2(instance, u, first), 2)
+        else:
+            p2 = self._bs_payoff(u, second)
+        return p1 + p2
+
+    def key(self, u: int, first: Optional[PlayerId],
+            second: Optional[PlayerId]) -> tuple:
+        """plan_key of the plan (first, second); the ranks name the plan."""
+        ranks = _slot_rank(first) + _slot_rank(second)
+        memo = (u,) + ranks
+        value = self._keys.get(memo)
+        if value is None:
+            value = self._keys[memo] = (
+                (-self.score(u, first, second),) + ranks)
+        return value
+
+    def members(self, period: int, k: int) -> List[int]:
+        """Sorted users of SBS k in the period, in the table's matching."""
+        return self._rosters[period].get(k, [])
 
 
 # ---------------------------------------------------------------------------
@@ -272,49 +366,63 @@ def plan_universe(instance: GameInstance, u: int) -> List[Plan]:
     are generated only when the margin is small enough for the macro to
     admit the user in period 2.
     """
+    return _plan_universe(_Scores(instance), u)
+
+
+def _plan_universe(scores: _Scores, u: int) -> List[Plan]:
+    instance, phi, sbs = scores.instance, scores.phi, scores.sbs
     mue = instance.mues[u]
-    phi0 = _phi_zero(instance)
     eps = instance.phi_scale * instance.epsilon + instance.phi_shift
-    cand1 = [k for k in mue.cand1 if mue_utility(u, k, instance) >= phi0]
-    cand2 = [k for k in mue.cand2 if mue_utility(u, k, instance) >= phi0]
+    cand1 = [k for k in mue.cand1 if phi(u, k) >= scores.phi0]
+    cand2 = [k for k in mue.cand2 if phi(u, k) >= scores.phi0]
     plans: List[Plan] = []
     for k in cand1:
-        plans.append(Plan(sbs_id(k), None))
-        if mue_utility(u, k, instance) < eps:
-            plans.append(Plan(sbs_id(k), MBS))
+        plans.append(Plan(sbs[k], None))
+        if phi(u, k) < eps:
+            plans.append(Plan(sbs[k], MBS))
         for k2 in cand2:
             if k2 == k or instance.allow_cross_sbs_plans:
-                plans.append(Plan(sbs_id(k), sbs_id(k2)))
+                plans.append(Plan(sbs[k], sbs[k2]))
     for k2 in cand2:
-        plans.append(Plan(None, sbs_id(k2)))
+        plans.append(Plan(None, sbs[k2]))
     plans.append(Plan(None, MBS))
     return plans
 
 
 def build_preferences(instance: GameInstance) -> Preferences:
     """Rank every player's options; drop plans not beating the self plan."""
+    scores = _Scores(instance)
     mue_profiles = []
+    # per user: SBS indices in a first and a second slot of a listed plan
+    firsts: List[set] = []
+    seconds: List[set] = []
     for u in range(len(instance.mues)):
-        self_key = plan_key(instance, u, SELF_PLAN)
-        listed = [p for p in plan_universe(instance, u)
-                  if plan_key(instance, u, p) < self_key]
-        listed.sort(key=lambda p: plan_key(instance, u, p))
+        self_key = scores.key(u, None, None)
+        keyed = [(scores.key(u, p.first, p.second), p)
+                 for p in _plan_universe(scores, u)]
+        keyed = [pair for pair in keyed if pair[0] < self_key]
+        keyed.sort(key=itemgetter(0))
+        listed = [p for _, p in keyed]
         mue_profiles.append(PreferenceProfile(owner=mue_id(u),
                                               ranked_plans=tuple(listed)))
+        firsts.append({p.first.index for p in listed
+                       if p.first is not None
+                       and p.first.kind == PlayerKind.SBS})
+        seconds.append({p.second.index for p in listed
+                        if p.second is not None
+                        and p.second.kind == PlayerKind.SBS})
 
-    gamma0 = _gamma_zero(instance)
+    acceptable = [u for u in range(len(instance.mues))
+                  if not scores.gamma(u) < scores.gamma0]
     sbs_profiles = []
     for k in range(len(instance.sbss)):
         masks: Dict[int, Tuple[bool, bool]] = {}
-        for u, prof in enumerate(mue_profiles):
-            if sbs_utility(u, k, instance) < gamma0:
-                continue
-            p1 = any(p.first == sbs_id(k) for p in prof.ranked_plans)
-            p2 = any(p.second == sbs_id(k) for p in prof.ranked_plans)
+        for u in acceptable:
+            p1, p2 = k in firsts[u], k in seconds[u]
             if p1 or p2:
                 masks[u] = (p1, p2)
-        ranked = sorted(masks, key=lambda u: (-sbs_utility(u, k, instance), u))
-        sbs_profiles.append(BsPreference(owner=sbs_id(k),
+        ranked = sorted(masks, key=lambda u: (-scores.gamma(u), u))
+        sbs_profiles.append(BsPreference(owner=scores.sbs[k],
                                          ranked_mues=tuple(ranked),
                                          period_masks=masks))
 
@@ -322,8 +430,7 @@ def build_preferences(instance: GameInstance) -> Preferences:
     for u, prof in enumerate(mue_profiles):
         if any(p.second == MBS for p in prof.ranked_plans):
             mbs_masks[u] = (False, True)
-    mbs_ranked = sorted(mbs_masks,
-                        key=lambda u: (-sbs_utility(u, 0, instance), u))
+    mbs_ranked = sorted(mbs_masks, key=lambda u: (-scores.gamma(u), u))
     mbs_profile = BsPreference(owner=MBS, ranked_mues=tuple(mbs_ranked),
                                period_masks=mbs_masks)
     return Preferences(tuple(mue_profiles), tuple(sbs_profiles), mbs_profile)
@@ -403,9 +510,9 @@ class DynamicMatching:
             mu = self.mu1 if period == 1 else self.mu2
             if sorted(mu) != list(range(len(instance.mues))):
                 raise ValueError("matching must cover every MUE exactly once")
+            rosters = _sbs_rosters(mu)
             for k in range(len(instance.sbss)):
-                members = self.members(period, sbs_id(k))
-                if len(members) > instance.sbss[k].quota:
+                if len(rosters.get(k, [])) > instance.sbss[k].quota:
                     raise ValueError(
                         f"quota violated at SBS {k} period {period}")
 
@@ -463,17 +570,10 @@ def deferred_acceptance(instance: GameInstance,
     cell. The output admits no single-period blocking pair.
     """
     prefs = preferences or build_preferences(instance)
+    scores = _Scores(instance)
     trace = MatchTrace()
-    rank_lists: List[List[int]] = []
-    for u, prof in enumerate(prefs.mue_profiles):
-        seen: List[int] = []
-        for plan in prof.ranked_plans:
-            if plan.first is not None and plan.first.kind == PlayerKind.SBS:
-                if plan.first.index not in seen:
-                    seen.append(plan.first.index)
-        rank_lists.append(seen)
+    rank_lists = [_first_sbs_order(prof) for prof in prefs.mue_profiles]
 
-    gamma0 = _gamma_zero(instance)
     pointers = [0] * len(instance.mues)
     held: Dict[int, List[int]] = {k: [] for k in range(len(instance.sbss))}
     matched: Dict[int, Optional[int]] = {u: None for u in range(len(instance.mues))}
@@ -489,17 +589,17 @@ def deferred_acceptance(instance: GameInstance,
                 k = rank_lists[u][pointers[u]]
                 pointers[u] += 1
                 active = True
-                accepted = _da_offer(instance, held, matched, u, k, gamma0)
+                accepted = _da_offer(scores, held, matched, u, k)
                 trace.proposals.append(ProposalRecord(
                     stage=1, round=trace.rounds, mue=u,
-                    plan=Plan(sbs_id(k), None), accepted=accepted))
+                    plan=Plan(scores.sbs[k], None), accepted=accepted))
                 if accepted:
                     break
 
     mu: Dict[int, Optional[PlayerId]] = {}
     for u in range(len(instance.mues)):
         if matched[u] is not None:
-            mu[u] = sbs_id(matched[u])
+            mu[u] = scores.sbs[matched[u]]
         elif instance.mues[u].segments / instance.play_rate >= instance.scan_interval:
             mu[u] = None
         else:
@@ -507,19 +607,28 @@ def deferred_acceptance(instance: GameInstance,
     return mu, trace
 
 
-def _da_offer(instance: GameInstance, held: Dict[int, List[int]],
-              matched: Dict[int, Optional[int]], u: int, k: int,
-              gamma0: float) -> bool:
+def _first_sbs_order(profile: PreferenceProfile) -> List[int]:
+    """SBS indices in the first slots of a ranking, best first, no repeats."""
+    seen: List[int] = []
+    for plan in profile.ranked_plans:
+        if plan.first is not None and plan.first.kind == PlayerKind.SBS:
+            if plan.first.index not in seen:
+                seen.append(plan.first.index)
+    return seen
+
+
+def _da_offer(scores: _Scores, held: Dict[int, List[int]],
+              matched: Dict[int, Optional[int]], u: int, k: int) -> bool:
     """Offer user u to SBS k; displace the worst member if it improves k."""
-    if sbs_utility(u, k, instance) < gamma0:
+    if scores.gamma(u) < scores.gamma0:
         return False
     roster = held[k]
-    if len(roster) < instance.sbss[k].quota:
+    if len(roster) < scores.instance.sbss[k].quota:
         roster.append(u)
         matched[u] = k
         return True
-    worst = min(roster, key=lambda w: (sbs_utility(w, k, instance), -w))
-    if bs_prefers_mue(instance, k, u, worst):
+    worst = scores.worst(roster)
+    if scores.bs_prefers(u, worst):
         roster.remove(worst)
         matched[worst] = None
         roster.append(u)
@@ -533,14 +642,11 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                                 ) -> List[Tuple[int, int]]:
     """Classic blocking pairs (user, SBS) of a single-period matching."""
     prefs = build_preferences(instance)
-    gamma0 = _gamma_zero(instance)
+    scores = _Scores(instance)
+    rosters = _sbs_rosters(mu)
     blocking = []
     for u in range(len(instance.mues)):
-        acceptable = []
-        for plan in prefs.mue_profiles[u].ranked_plans:
-            if plan.first is not None and plan.first.kind == PlayerKind.SBS:
-                if plan.first.index not in acceptable:
-                    acceptable.append(plan.first.index)
+        acceptable = _first_sbs_order(prefs.mue_profiles[u])
         current = mu[u]
         current_rank = (acceptable.index(current.index)
                         if current is not None and current.kind == PlayerKind.SBS
@@ -548,11 +654,11 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
         for rank, k in enumerate(acceptable):
             if rank >= current_rank:
                 break
-            members = sorted(w for w, b in mu.items() if b == sbs_id(k))
+            members = rosters.get(k, [])
             if len(members) < instance.sbss[k].quota:
-                if sbs_utility(u, k, instance) > gamma0:
+                if scores.gamma(u) > scores.gamma0:
                     blocking.append((u, k))
-            elif any(bs_prefers_mue(instance, k, u, w) for w in members):
+            elif any(scores.bs_prefers(u, w) for w in members):
                 blocking.append((u, k))
     return blocking
 
@@ -569,18 +675,19 @@ def dynamic_match(instance: GameInstance,
                   preferences: Optional[Preferences] = None) -> MatchResult:
     """Two-stage plan matching: ex ante stage then period-2 repair."""
     prefs = preferences or build_preferences(instance)
+    scores = _Scores(instance)
     trace = MatchTrace()
-    held = _stage_one(instance, prefs, trace)
+    held = _stage_one(scores, prefs, trace)
     ex_ante = _matching_from_plans(instance, held)
-    _period1_fallback(instance, ex_ante)
+    _period1_fallback(scores, ex_ante)
     matching = ex_ante.copy()
-    _stage_two(instance, prefs, matching, trace)
+    _stage_two(scores, matching, trace)
     matching.validate(instance)
     return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace,
                        preferences=prefs)
 
 
-def _stage_one(instance: GameInstance, prefs: Preferences,
+def _stage_one(scores: _Scores, prefs: Preferences,
                trace: MatchTrace) -> Dict[int, Plan]:
     """Plan proposals with tentative acceptance until no plan is rejected.
 
@@ -593,8 +700,8 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
     to an assignment in which every standing rejection is justified against
     the final rosters.
     """
+    instance = scores.instance
     n_mues = len(instance.mues)
-    gamma0 = _gamma_zero(instance)
     profiles = [list(p.ranked_plans) for p in prefs.mue_profiles]
     rejected: List[set] = [set() for _ in range(n_mues)]
     held: Dict[int, Plan] = {}
@@ -605,7 +712,7 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
     proposals = 0
 
     def slot_members(k: int, period: int) -> List[int]:
-        slot = sbs_id(k)
+        slot = scores.sbs[k]
         return [w for w, plan in held.items()
                 if plan.slots()[period - 1] == slot]
 
@@ -644,15 +751,14 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
                 if slot is None or slot.kind != PlayerKind.SBS:
                     continue
                 k = slot.index
-                if sbs_utility(u, k, instance) < gamma0:
+                if scores.gamma(u) < scores.gamma0:
                     accepted = False
                     break
                 members = [w for w in slot_members(k, period) if w != u]
                 if len(members) < instance.sbss[k].quota:
                     continue
-                worst = min(members,
-                            key=lambda w: (sbs_utility(w, k, instance), -w))
-                if bs_prefers_mue(instance, k, u, worst):
+                worst = scores.worst(members)
+                if scores.bs_prefers(u, worst):
                     victims.append(worst)
                 else:
                     accepted = False
@@ -689,64 +795,58 @@ def _matching_from_plans(instance: GameInstance,
     return DynamicMatching(mu1, mu2)
 
 
-def _period1_fallback(instance: GameInstance,
-                      matching: DynamicMatching) -> None:
+def _period1_fallback(scores: _Scores, matching: DynamicMatching) -> None:
     """Send cache-poor unmatched users to the macro cell for period 1."""
+    instance = scores.instance
     for u in range(len(instance.mues)):
         if matching.mu1[u] is not None:
             continue
         playback = instance.mues[u].segments / instance.play_rate
         if playback >= instance.scan_interval:
             continue
-        current = plan_score(instance, u, None, matching.mu2[u])
-        rerouted = plan_score(instance, u, MBS, matching.mu2[u])
+        current = scores.score(u, None, matching.mu2[u])
+        rerouted = scores.score(u, MBS, matching.mu2[u])
         if rerouted > current:
             matching.mu1[u] = MBS
 
 
-def _mbs_admits_p2(instance: GameInstance, u: int,
+def _mbs_admits_p2(scores: _Scores, u: int,
                    first: Optional[PlayerId]) -> bool:
     """Macro period-2 admission rule."""
+    instance = scores.instance
     if first is not None and first.kind == PlayerKind.SBS:
-        mue = instance.mues[u]
-        sbs = instance.sbss[first.index]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
-        return (mue.p_th - hof) < instance.epsilon
+        return scores.margin(u, first.index) < instance.epsilon
     if first is not None and first.kind == PlayerKind.MBS:
         return True
     playback = instance.mues[u].segments / instance.play_rate
     return playback < instance.scan_interval
 
 
-def _stage_two(instance: GameInstance, prefs: Preferences,
-               matching: DynamicMatching, trace: MatchTrace) -> None:
+def _stage_two(scores: _Scores, matching: DynamicMatching,
+               trace: MatchTrace) -> None:
     """Period-2 deferred acceptance among users still unmatched in period 2.
 
     Options are the period-2 partners consistent with the realized period-1
     assignment: candidate SBSs with remaining quota and the macro cell under
     its admission rule. Period-2 members held from stage one are immutable.
     """
-    gamma0 = _gamma_zero(instance)
+    instance = scores.instance
     participants = [u for u in range(len(instance.mues))
                     if matching.mu2[u] is None]
     options: Dict[int, List[PlayerId]] = {}
     for u in participants:
         first = matching.mu1[u]
-        self_key = plan_key(instance, u, Plan(first, None))
-        opts = []
-        for k in instance.mues[u].cand2:
-            if mue_utility(u, k, instance) < _phi_zero(instance):
-                continue
-            opts.append(sbs_id(k))
-        if _mbs_admits_p2(instance, u, first):
+        self_key = scores.key(u, first, None)
+        opts = [scores.sbs[k] for k in instance.mues[u].cand2
+                if not scores.phi(u, k) < scores.phi0]
+        if _mbs_admits_p2(scores, u, first):
             opts.append(MBS)
-        opts = [o for o in opts
-                if plan_key(instance, u, Plan(first, o)) < self_key]
-        opts.sort(key=lambda o: plan_key(instance, u, Plan(first, o)))
+        opts = [o for o in opts if scores.key(u, first, o) < self_key]
+        opts.sort(key=lambda o: scores.key(u, first, o))
         options[u] = opts
 
+    # stage-one period-2 members, fixed while the stage runs
+    fixed = _sbs_rosters(matching.mu2)
     pointers = {u: 0 for u in participants}
     tentative: Dict[int, Optional[PlayerId]] = {u: None for u in participants}
     rounds = 0
@@ -762,7 +862,7 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
                 pointers[u] += 1
                 progress = True
                 accepted = _stage_two_offer(
-                    instance, matching, tentative, u, target, gamma0)
+                    scores, fixed, tentative, u, target)
                 trace.proposals.append(ProposalRecord(
                     stage=2, round=trace.rounds, mue=u,
                     plan=Plan(matching.mu1[u], target), accepted=accepted))
@@ -776,25 +876,24 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
             matching.mu2[u] = target
 
 
-def _stage_two_offer(instance: GameInstance, matching: DynamicMatching,
+def _stage_two_offer(scores: _Scores, fixed: Dict[int, List[int]],
                      tentative: Dict[int, Optional[PlayerId]], u: int,
-                     target: PlayerId, gamma0: float) -> bool:
+                     target: PlayerId) -> bool:
     if target.kind == PlayerKind.MBS:
         tentative[u] = MBS
         return True
     k = target.index
-    if sbs_utility(u, k, instance) < gamma0:
+    if scores.gamma(u) < scores.gamma0:
         return False
-    fixed = matching.members(2, target)
     entrants = [w for w, t in tentative.items() if t == target]
-    free = instance.sbss[k].quota - len(fixed)
+    free = scores.instance.sbss[k].quota - len(fixed.get(k, []))
     if free <= 0:
         return False
     if len(entrants) < free:
         tentative[u] = target
         return True
-    worst = min(entrants, key=lambda w: (sbs_utility(w, k, instance), -w))
-    if bs_prefers_mue(instance, k, u, worst):
+    worst = scores.worst(entrants)
+    if scores.bs_prefers(u, worst):
         tentative[worst] = None
         tentative[u] = target
         return True
@@ -818,28 +917,26 @@ class Violation:
         return f"[period {self.period} {self.clause}: {who}, {other}]"
 
 
-def _ir_ok(instance: GameInstance, u: int, first: Optional[PlayerId],
+def _ir_ok(scores: _Scores, u: int, first: Optional[PlayerId],
            second: Optional[PlayerId]) -> bool:
     """Individual rationality of a deviation: no SBS slot below threshold."""
     for slot in (first, second):
         if slot is not None and slot.kind == PlayerKind.SBS:
-            if mue_utility(u, slot.index, instance) < _phi_zero(instance):
+            if scores.phi(u, slot.index) < scores.phi0:
                 return False
     return True
 
 
-def _bs_gains_strictly(instance: GameInstance, matching: DynamicMatching,
-                       k: int, u: int, period: int) -> bool:
+def _bs_gains_strictly(scores: _Scores, k: int, u: int, period: int) -> bool:
     """Would SBS k strictly improve by adding u in the given period?"""
-    target = sbs_id(k)
-    members = matching.members(period, target)
+    members = scores.members(period, k)
     if u in members:
         return False
-    if sbs_utility(u, k, instance) < _gamma_zero(instance):
+    if scores.gamma(u) < scores.gamma0:
         return False
-    if len(members) < instance.sbss[k].quota:
-        return sbs_utility(u, k, instance) > _gamma_zero(instance)
-    return any(bs_prefers_mue(instance, k, u, w) for w in members)
+    if len(members) < scores.instance.sbss[k].quota:
+        return scores.gamma(u) > scores.gamma0
+    return any(scores.bs_prefers(u, w) for w in members)
 
 
 def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
@@ -847,96 +944,88 @@ def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
     """Enumerate every blocking configuration of the requested period."""
     matching.validate(instance)
     if period == 1:
-        return _scan_period1(matching, instance)
+        return _scan_period1(matching, _Scores(instance, matching))
     if period == 2:
-        return _scan_period2(matching, instance)
+        return _scan_period2(matching, _Scores(instance, matching))
     raise ValueError("period must be 1 or 2")
 
 
-def _current_plan(matching: DynamicMatching, u: int) -> Plan:
-    return Plan(matching.mu1[u], matching.mu2[u])
-
-
 def _scan_period1(matching: DynamicMatching,
-                  instance: GameInstance) -> List[Violation]:
+                  scores: _Scores) -> List[Violation]:
     out: List[Violation] = []
-    gamma0 = _gamma_zero(instance)
+    instance, key, members = scores.instance, scores.key, scores.members
+    gamma0 = scores.gamma0
 
     for u in range(len(instance.mues)):
-        current = _current_plan(matching, u)
-        if mue_prefers(instance, u, SELF_PLAN, current):
+        if key(u, None, None) < key(u, matching.mu1[u], matching.mu2[u]):
             out.append(Violation(1, "unilateral-mue", u))
 
     for k in range(len(instance.sbss)):
         for period in (1, 2):
-            for u in matching.members(period, sbs_id(k)):
-                if sbs_utility(u, k, instance) < gamma0:
-                    out.append(Violation(1, "unilateral-bs", u, sbs_id(k)))
+            for u in members(period, k):
+                if scores.gamma(u) < gamma0:
+                    out.append(Violation(1, "unilateral-bs", u, scores.sbs[k]))
 
     for u in range(len(instance.mues)):
-        current = _current_plan(matching, u)
+        current = key(u, matching.mu1[u], matching.mu2[u])
         mue = instance.mues[u]
         candidates = set(mue.cand1) | set(mue.cand2)
         for k in sorted(candidates):
-            target = sbs_id(k)
+            target = scores.sbs[k]
             # 1) two-period plan kk against BS serving u both periods
             if k in mue.cand1 and k in mue.cand2 and \
-                    _ir_ok(instance, u, target, target):
-                if mue_prefers(instance, u, Plan(target, target), current):
-                    gain1 = (u in matching.members(1, target)
-                             or _bs_gains_strictly(instance, matching, k, u, 1))
-                    gain2 = (u in matching.members(2, target)
-                             or _bs_gains_strictly(instance, matching, k, u, 2))
-                    strict = (_bs_gains_strictly(instance, matching, k, u, 1)
-                              or _bs_gains_strictly(instance, matching, k, u, 2))
-                    if gain1 and gain2 and strict:
+                    _ir_ok(scores, u, target, target):
+                if key(u, target, target) < current:
+                    gains1 = _bs_gains_strictly(scores, k, u, 1)
+                    gains2 = _bs_gains_strictly(scores, k, u, 2)
+                    gain1 = u in members(1, k) or gains1
+                    gain2 = u in members(2, k) or gains2
+                    if gain1 and gain2 and (gains1 or gains2):
                         out.append(Violation(1, "pair-kk", u, target))
             # 2) serve period 1 only
-            if k in mue.cand1 and _ir_ok(instance, u, target, None):
-                if mue_prefers(instance, u, Plan(target, None), current) and \
-                        _bs_gains_strictly(instance, matching, k, u, 1):
+            if k in mue.cand1 and _ir_ok(scores, u, target, None):
+                if key(u, target, None) < current and \
+                        _bs_gains_strictly(scores, k, u, 1):
                     out.append(Violation(1, "pair-ku", u, target))
             # 3) serve period 2 only
-            if k in mue.cand2 and _ir_ok(instance, u, None, target):
-                if mue_prefers(instance, u, Plan(None, target), current) and \
-                        _bs_gains_strictly(instance, matching, k, u, 2):
+            if k in mue.cand2 and _ir_ok(scores, u, None, target):
+                if key(u, None, target) < current and \
+                        _bs_gains_strictly(scores, k, u, 2):
                     out.append(Violation(1, "pair-uk", u, target))
             # 4) mutual divorce
-            in_any = (u in matching.members(1, target)
-                      or u in matching.members(2, target))
-            if in_any and mue_prefers(instance, u, SELF_PLAN, current) and \
-                    sbs_utility(u, k, instance) < gamma0:
+            in_any = u in members(1, k) or u in members(2, k)
+            if in_any and key(u, None, None) < current and \
+                    scores.gamma(u) < gamma0:
                 out.append(Violation(1, "pair-divorce", u, target))
     return out
 
 
 def _scan_period2(matching: DynamicMatching,
-                  instance: GameInstance) -> List[Violation]:
+                  scores: _Scores) -> List[Violation]:
     out: List[Violation] = []
-    gamma0 = _gamma_zero(instance)
+    instance, key, members = scores.instance, scores.key, scores.members
+    gamma0 = scores.gamma0
 
     for u in range(len(instance.mues)):
-        current = _current_plan(matching, u)
         first = matching.mu1[u]
-        if mue_prefers(instance, u, Plan(first, None), current):
+        current = key(u, first, matching.mu2[u])
+        stay = key(u, first, None)
+        if stay < current:
             out.append(Violation(2, "unilateral-mue", u))
 
         for k in sorted(set(instance.mues[u].cand2)):
-            target = sbs_id(k)
-            if _ir_ok(instance, u, None, target) and \
-                    mue_prefers(instance, u, Plan(first, target), current):
-                members = matching.members(2, target)
-                if len(members) >= instance.sbss[k].quota:
+            target = scores.sbs[k]
+            if _ir_ok(scores, u, None, target) and \
+                    key(u, first, target) < current:
+                if len(members(2, k)) >= instance.sbss[k].quota:
                     continue  # full BSs never period-2 block
-                if _bs_gains_strictly(instance, matching, k, u, 2):
+                if _bs_gains_strictly(scores, k, u, 2):
                     out.append(Violation(2, "pair-gain", u, target))
-            if u in matching.members(2, target) and \
-                    mue_prefers(instance, u, Plan(first, None), current) and \
-                    sbs_utility(u, k, instance) < gamma0:
+            if u in members(2, k) and stay < current and \
+                    scores.gamma(u) < gamma0:
                 out.append(Violation(2, "pair-divorce", u, target))
 
-        if matching.mu2[u] != MBS and \
-                mue_prefers(instance, u, Plan(first, MBS), current) and \
-                _mbs_admits_p2(instance, u, first):
+        if matching.mu2[u] != MBS and key(u, first, MBS) < current and \
+                _mbs_admits_p2(scores, u, first):
             out.append(Violation(2, "pair-mbs", u, MBS))
     return out

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .geometry import TWO_PI, BeamGeometry, CellDisk, Pose
 from .radio import SPEED_OF_LIGHT
 
@@ -61,7 +61,9 @@ def uw_cell_radius(power_dbm: float, config: ScenarioConfig) -> float:
     free_space = 20.0 * math.log10(4.0 * math.pi / wavelength)
     margin = power_dbm - config.rss_threshold_dbm - free_space
     if margin <= 0.0:
-        raise ValueError("RSS threshold unreachable even at 1 m")
+        raise ConfigError(
+            f"rss_threshold_dbm={config.rss_threshold_dbm!r} is unreachable "
+            f"even at 1 m from a {power_dbm!r} dBm SBS (sbs_powers_dbm)")
     return 10.0 ** (margin / (10.0 * config.uw_pathloss_exponent))
 
 

@@ -46,11 +46,19 @@ sbs_powers_dbm = 20, 30
 
     @pytest.mark.parametrize("key,value", [
         ("area_radius", 0.0), ("area_radius", float("nan")), ("n_sbs", -1),
-        ("min_intercell", -5.0)])
+        ("min_intercell", -5.0), ("speed_min", -1.0), ("play_rate", 0.0),
+        ("play_rate", float("nan")), ("quota", 0)])
     def test_invalid_scenario_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**{key: value})
         assert key in str(err.value)
+
+    def test_speed_range_must_be_ordered(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(speed_min=20.0, speed_max=5.0)
+        assert "speed_min" in str(err.value)
+        assert "speed_max" in str(err.value)
+        assert ScenarioConfig(speed_min=8.0, speed_max=8.0).speed_max == 8.0
 
     def test_digest_stability(self):
         assert ScenarioConfig(seed=1).digest() == ScenarioConfig(seed=1).digest()
@@ -127,6 +135,22 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "simulate_events.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--set", "speed_min=20", "--set", "speed_max=5"],
+         "speed_min"),
+        (["simulate", "--set", "play_rate=0"], "play_rate"),
+        (["match", "--set", "quota=0"], "quota"),
+        (["simulate", "--set", "rss_threshold_dbm=100"], "rss_threshold_dbm"),
+        (["match", "--set", "n_sbs=0"], "n_sbs")])
+    def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
+                                                  argv, message):
+        rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not os.listdir(tmp_path)
 
     def test_seed_required_for_reproducible_commands(self, tmp_path):
         rc = main(["match", "--users", "4", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ class TestHofProbability:
         with pytest.warns(RuntimeWarning):
             assert G.hof_probability(61.0, 1.0, 30.0) == 1.0
         assert G.hof_probability(60.0, 1.0, 30.0) == pytest.approx(1.0)
+
+    def test_clamped_core_is_silent_and_equal(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert G.hof_probability_clamped(61.0, 1.0, 30.0) == 1.0
+            for v in (0.0, 1.0, 16.0, 59.9, 60.0):
+                assert G.hof_probability_clamped(v, 1.0, 30.0) == \
+                    G.hof_probability(v, 1.0, 30.0)
+        with pytest.raises(ValueError):
+            G.hof_probability_clamped(-1.0, 1.0, 30.0)
+        with pytest.raises(ValueError):
+            G.hof_probability_clamped(1.0, 1.0, 0.0)
 
     def test_zero_speed(self):
         assert G.hof_probability(0.0, 1.0, 30.0) == 0.0

@@ -1,11 +1,15 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import reference_matching as R
+from mmwcache import experiments, oracle
 from mmwcache import matching as M
-from mmwcache import oracle
+from mmwcache.config import ScenarioConfig
+from mmwcache.geometry import hof_probability
 from mmwcache.testutil import random_game_instance
 from conftest import example1_instance
 
@@ -279,3 +283,123 @@ class TestSerialization:
         for _ in range(20):
             inst = random_game_instance(rng)
             assert M.game_from_text(M.game_to_text(inst)) == inst
+
+
+def _outputs(module, scan, game):
+    """repr of every result the stability suite derives from one game."""
+    prefs = module.build_preferences(game)
+    res = module.dynamic_match(game)
+    mu, da_trace = module.deferred_acceptance(game)
+    single = module.find_single_period_blocking(mu, game)
+    return repr((prefs, res.matching, res.ex_ante, res.trace, res.preferences,
+                 mu, da_trace, single,
+                 scan(res.matching, game), scan(res.ex_ante, game)))
+
+
+def _scan(matching, game):
+    report = oracle.scan_all_blockings(matching, game)
+    return report.period1, report.period2
+
+
+def _reference_scan(matching, game):
+    return (R.find_blocking_pairs(matching, game, period=1),
+            R.find_blocking_pairs(matching, game, period=2))
+
+
+def _out_of_domain(game):
+    """Some user is too fast for some SBS: v*t_mts > 2a, HOF clamps."""
+    return any(m.speed * game.t_mts > 2.0 * s.radius
+               for m in game.mues for s in game.sbss)
+
+
+class TestTabulatedScores:
+    """The per-call score tables against the definitional path, which
+    recomputes every utility, key and roster at each use."""
+
+    @pytest.mark.parametrize("users,sbss,count,seed", [
+        (8, 4, 2000, 101), (12, 4, 2000, 102), (20, 6, 1000, 103)])
+    def test_matches_definitional_path(self, users, sbss, count, seed):
+        rng = np.random.default_rng(seed)
+        clamped = 0
+        for i in range(count):
+            game = random_game_instance(rng, max_mues=users, max_sbss=sbss)
+            if i % 4 == 3:
+                # affine utility variants (nonzero phi0 and gamma0), with
+                # caches that may run dry in period 2 after an SBS period
+                game = replace(game, phi_scale=float(rng.uniform(0.2, 4.0)),
+                               phi_shift=float(rng.uniform(-2.0, 2.0)),
+                               gamma_scale=float(rng.uniform(0.2, 4.0)),
+                               gamma_shift=float(rng.uniform(-2.0, 2.0)),
+                               cache_capacity=float(rng.uniform(0.0, 1e4)))
+            clamped += _out_of_domain(game)
+            assert _outputs(M, _scan, game) == \
+                _outputs(R, _reference_scan, game), f"game {i}"
+        assert clamped >= count // 20
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_region_instances_match_definitional_path(self, seed):
+        config = experiments._region_config(ScenarioConfig(seed=seed))
+        rng = np.random.default_rng(seed)
+        for n_mues in (10, 50, 120):
+            for speed in (2.0, 8.0, 16.0, None):
+                game = experiments.build_region_instance(
+                    config, n_mues, speed, rng).game
+                scaled = replace(game, phi_scale=2.5, phi_shift=-0.7,
+                                 gamma_scale=0.3, gamma_shift=1.1)
+                for variant in (game, scaled):
+                    assert _outputs(M, _scan, variant) == \
+                        _outputs(R, _reference_scan, variant), (n_mues, speed)
+
+    def test_public_utilities_match_definitional_values(self):
+        rng = np.random.default_rng(107)
+        for _ in range(200):
+            game = random_game_instance(rng, max_mues=6, max_sbss=4)
+            for u in range(len(game.mues)):
+                for k in range(len(game.sbss)):
+                    assert M.mue_utility(u, k, game) == \
+                        R.mue_utility(u, k, game)
+                    assert M.sbs_utility(u, k, game) == \
+                        R.sbs_utility(u, k, game)
+                for p in R.plan_universe(game, u) + [M.SELF_PLAN]:
+                    assert M.plan_key(game, u, p) == R.plan_key(game, u, p)
+                    assert M.plan_score(game, u, p.first, p.second) == \
+                        R.plan_score(game, u, p.first, p.second)
+                    assert M.mue_prefers(game, u, p, M.SELF_PLAN) == \
+                        R.mue_prefers(game, u, p, M.SELF_PLAN)
+                assert M.plan_universe(game, u) == R.plan_universe(game, u)
+                for w in range(len(game.mues)):
+                    assert M.bs_prefers_mue(game, 0, u, w) == \
+                        R.bs_prefers_mue(game, 0, u, w)
+
+    def test_out_of_domain_game_touches_no_warning_state(self, monkeypatch):
+        # u0 is too fast for the 6 m cell (16 m > 12 m), so its HOF clamps
+        game = M.GameInstance(
+            mues=(M.MueState(speed=16.0, segments=0.0, p_th=0.3,
+                             cand1=(0, 1), cand2=(0, 1), gap1=40.0, gap2=40.0),
+                  M.MueState(speed=4.0, segments=2e3, p_th=0.2,
+                             cand1=(0,), cand2=(1,), gap1=20.0, gap2=20.0)),
+            sbss=(M.SbsState(radius=6.0, quota=1),
+                  M.SbsState(radius=30.0, quota=1)),
+            scan_interval=5.0)
+        assert _out_of_domain(game)
+
+        def touched(*args, **kwargs):
+            raise AssertionError("matching touched the warning filters")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                hof_probability(16.0, 1.0, 6.0)
+            before = list(warnings.filters)
+            monkeypatch.setattr(warnings, "catch_warnings", touched)
+            monkeypatch.setattr(warnings, "simplefilter", touched)
+            prefs = M.build_preferences(game)
+            res = M.dynamic_match(game)
+            oracle.scan_all_blockings(res.matching, game)
+            M.find_blocking_pairs(res.ex_ante, game, period=2)
+            mu, _ = M.deferred_acceptance(game)
+            M.find_single_period_blocking(mu, game)
+            monkeypatch.undo()
+            assert warnings.filters == before
+        assert prefs.mue_profiles[0].ranked_plans
+        assert "warnings" not in vars(M)
