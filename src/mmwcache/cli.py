@@ -38,6 +38,8 @@ def _load(args, require_seed: bool = False) -> ScenarioConfig:
         config = replace(config, seed=args.seed)
     if args.replications is not None:
         config = replace(config, replications=args.replications)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     return config
 
 
@@ -227,6 +229,8 @@ def _verify_ilp(config: ScenarioConfig):
 
 def cmd_reproduce(args) -> int:
     config = _load(args, require_seed=True)
+    for name in EXPERIMENT_NAMES:
+        experiments.check_run(name, config, config.replications, args.threads)
     out = _outdir(args)
     manifest = [f"config_digest = {config.digest()}",
                 f"seed = {config.seed}",

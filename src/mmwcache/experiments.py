@@ -18,7 +18,9 @@ multi-user dynamics can be observed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,6 +37,8 @@ from .scenario import (Scenario, beam_segments_in_cell, generate_scenario,
 
 EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
+REGION_EXPERIMENTS = ("hof_multiuser", "load_vs_users", "energy_vs_users",
+                      "overhead_vs_users")
 
 # Region-experiment preset: a dense neighborhood of small cells around the
 # focal target (20-28 m radii, forward gaps of a few tens of meters), a scan
@@ -81,13 +85,32 @@ def _rep_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed,) + key))
 
 
-def run_experiment(name: str, config: ScenarioConfig,
-                   replications: Optional[int] = None,
-                   threads: int = 1) -> ExperimentResult:
+def check_run(name: str, config: ScenarioConfig, reps: int,
+              threads: int) -> None:
+    """Raise before any work if the run would fail or give NaN rows.
+
+    `reproduce` calls this for every experiment before it writes anything.
+    """
     if name not in EXPERIMENT_NAMES:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"known: {', '.join(EXPERIMENT_NAMES)}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads!r}")
+    if reps < 1:
+        raise ConfigError(f"replications must be >= 1, got {reps!r}")
+    if name == "hof_vs_speed" and reps < 2:
+        raise ConfigError(
+            f"hof_vs_speed needs replications >= 2 for its stderr_nocache "
+            f"and stderr_cache columns, got {reps!r}")
+    if name in REGION_EXPERIMENTS:
+        _check_region_sbss(config)
+
+
+def run_experiment(name: str, config: ScenarioConfig,
+                   replications: Optional[int] = None,
+                   threads: int = 1) -> ExperimentResult:
     reps = replications if replications is not None else config.replications
+    check_run(name, config, reps, threads)
     start = time.perf_counter()
     runner = globals()[f"_run_{name}"]
     result = runner(config, reps, threads=threads)
@@ -178,6 +201,28 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
     return stats
 
 
+def _speed_replication(cfg: ScenarioConfig, p_idx: int, rep: int,
+                       v: float) -> Tuple[int, int]:
+    """Handover failures of one frame-long walk without and with caching.
+
+    A pure function of (config, sweep point, replication index), mapped
+    like `_region_replication`.
+    """
+    rng = _rep_rng(cfg.seed, 1, p_idx, rep)
+    scn = generate_scenario(cfg, seed=int(rng.integers(2 ** 31)))
+    # start near the rim aiming through the populated core so the
+    # frame-long walk stays inside the deployment
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    origin = (0.9 * cfg.area_radius * math.cos(phi),
+              0.9 * cfg.area_radius * math.sin(phi))
+    heading = float(phi + math.pi + rng.uniform(-0.4, 0.4))
+    no_cache = simulate_trajectory(
+        scn, origin, heading, v, cfg.frame, caching_enabled=False).failures
+    with_cache = simulate_trajectory(
+        scn, origin, heading, v, cfg.frame, caching_enabled=True).failures
+    return no_cache, with_cache
+
+
 def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
                       threads: int = 1) -> ExperimentResult:
     cfg = _region_config(config)
@@ -187,22 +232,12 @@ def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
         "speed_mps": [], "speed_kmh": [], "hof_per_frame_nocache": [],
         "hof_per_frame_cache": [], "reduction": [], "stderr_nocache": [],
         "stderr_cache": []}
-    for p_idx, v in enumerate(speeds):
-        no_cache = np.zeros(reps)
-        with_cache = np.zeros(reps)
-        for rep in range(reps):
-            rng = _rep_rng(cfg.seed, 1, p_idx, rep)
-            scn = generate_scenario(cfg, seed=int(rng.integers(2 ** 31)))
-            # start near the rim aiming through the populated core so the
-            # frame-long walk stays inside the deployment
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            origin = (0.9 * cfg.area_radius * math.cos(phi),
-                      0.9 * cfg.area_radius * math.sin(phi))
-            heading = float(phi + math.pi + rng.uniform(-0.4, 0.4))
-            no_cache[rep] = simulate_trajectory(
-                scn, origin, heading, v, cfg.frame, caching_enabled=False).failures
-            with_cache[rep] = simulate_trajectory(
-                scn, origin, heading, v, cfg.frame, caching_enabled=True).failures
+    jobs = [(p_idx, rep, v) for p_idx, v in enumerate(speeds)
+            for rep in range(reps)]
+    results = _map_jobs(_speed_replication, cfg, jobs, threads)
+    for v, failures in zip(speeds, _per_point(results, reps)):
+        no_cache, with_cache = (np.array(counts, dtype=float)
+                                for counts in zip(*failures))
         mean_nc, mean_c = float(no_cache.mean()), float(with_cache.mean())
         cols["speed_mps"].append(float(v))
         cols["speed_kmh"].append(float(v) * 3.6)
@@ -268,13 +303,17 @@ def _region_config(config: ScenarioConfig) -> ScenarioConfig:
                               if k in known})
 
 
+def _check_region_sbss(config: ScenarioConfig) -> None:
+    if config.n_sbs < 1:
+        raise ConfigError(
+            f"n_sbs must be >= 1 for a region instance, got {config.n_sbs!r}")
+
+
 def build_region_instance(config: ScenarioConfig, n_mues: int,
                           speed: Optional[float],
                           rng: np.random.Generator) -> RegionInstance:
     """Users entering a focal cell with onward candidates from the field."""
-    if config.n_sbs < 1:
-        raise ConfigError(
-            f"n_sbs must be >= 1 for a region instance, got {config.n_sbs!r}")
+    _check_region_sbss(config)
     scn = generate_scenario(config, seed=int(rng.integers(2 ** 31)))
     focal = min(scn.sbss, key=lambda s: math.hypot(*s.position))
     others = [s for s in scn.sbss if s.index != focal.index]
@@ -380,34 +419,55 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     }
 
 
-def _map_replications(cfg: ScenarioConfig, jobs, threads: int
-                      ) -> List[Dict[str, float]]:
-    """Evaluate (seed_key, n_mues, speed) jobs, optionally on a process pool."""
-    if threads <= 1:
-        return [_region_replication(cfg, *job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_region_replication, cfg, *job) for job in jobs]
-        return [f.result() for f in futures]
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_jobs(fn, cfg: ScenarioConfig, jobs: Sequence[tuple],
+              threads: int) -> list:
+    """`[fn(cfg, *job) for job in jobs]`, on one process pool if threads > 1.
+
+    The pool lives for this call only and has at most `threads` workers,
+    never more than the CPUs this process may run on or the jobs. Each
+    worker takes chunks of about a quarter of its share, so the costlier
+    jobs at the end of a sweep still spread over the workers. Results come
+    back in job order, so they are the same whatever the worker count.
+    """
+    workers = min(threads, _available_cpus(), len(jobs))
+    if workers <= 1:
+        return [fn(cfg, *job) for job in jobs]
+    import concurrent.futures     # looked up per call, so it can be patched
+    chunksize = -(-len(jobs) // (4 * workers))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(functools.partial(fn, cfg), *zip(*jobs),
+                             chunksize=chunksize))
+
+
+def _per_point(results: list, reps: int) -> List[list]:
+    """Cut job-ordered results into the `reps` results of each sweep point."""
+    return [results[i:i + reps] for i in range(0, len(results), reps)]
 
 
 def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
                   speeds: Sequence[float], key: int, names: Tuple[str, ...],
                   threads: int = 1) -> Dict[str, List[float]]:
     cfg = _region_config(config)
-    cols: Dict[str, List[float]] = {"n_mues": []}
+    cols: Dict[str, List[float]] = {"n_mues": [float(u) for u in users]}
     for v in speeds:
         for name in names:
             cols[f"{name}_v{int(v)}"] = []
-    for u_count in users:
-        cols["n_mues"].append(float(u_count))
-        for v_idx, v in enumerate(speeds):
-            jobs = [((key, u_count, v_idx, rep), u_count, float(v))
-                    for rep in range(reps)]
-            metrics = _map_replications(cfg, jobs, threads)
-            for name in names:
-                cols[f"{name}_v{int(v)}"].append(
-                    float(np.mean([m[name] for m in metrics])))
+    points = [(u_count, v_idx, v) for u_count in users
+              for v_idx, v in enumerate(speeds)]
+    jobs = [((key, u_count, v_idx, rep), u_count, float(v))
+            for u_count, v_idx, v in points for rep in range(reps)]
+    results = _map_jobs(_region_replication, cfg, jobs, threads)
+    for (_, _, v), metrics in zip(points, _per_point(results, reps)):
+        for name in names:
+            cols[f"{name}_v{int(v)}"].append(
+                float(np.mean([m[name] for m in metrics])))
     return cols
 
 
@@ -416,11 +476,12 @@ def _run_hof_multiuser(config: ScenarioConfig, reps: int,
     cfg = _region_config(config)
     speeds = list(range(1, 17))
     cols: Dict[str, List[float]] = {
-        "speed_mps": [], "hof_prob_proposed": [], "hof_prob_conventional": []}
-    for v_idx, v in enumerate(speeds):
-        jobs = [((3, v_idx, rep), 20, float(v)) for rep in range(reps)]
-        metrics = _map_replications(cfg, jobs, threads)
-        cols["speed_mps"].append(float(v))
+        "speed_mps": [float(v) for v in speeds], "hof_prob_proposed": [],
+        "hof_prob_conventional": []}
+    jobs = [((3, v_idx, rep), 20, float(v)) for v_idx, v in enumerate(speeds)
+            for rep in range(reps)]
+    results = _map_jobs(_region_replication, cfg, jobs, threads)
+    for metrics in _per_point(results, reps):
         for name in ("hof_prob_proposed", "hof_prob_conventional"):
             cols[name].append(float(np.mean([m[name] for m in metrics])))
     return ExperimentResult("hof_multiuser", cols, reps, config.seed)

@@ -152,6 +152,22 @@ class TestCli:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--replications", "2", "--set", "n_sbs=0"], "n_sbs"),
+        (["--replications", "1"], "stderr_nocache"),
+        (["--replications", "0"], "replications"),
+        (["--replications", "2", "--threads", "0"], "threads")])
+    def test_reproduce_fails_before_writing(self, tmp_path, capsys, argv,
+                                            message):
+        out = tmp_path / "out"
+        rc = main(["reproduce", "--seed", "1", "--out", str(out)] + argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists() or not any(
+            p.suffix == ".csv" for p in out.iterdir())
+
     def test_seed_required_for_reproducible_commands(self, tmp_path):
         rc = main(["match", "--users", "4", "--out", str(tmp_path)])
         assert rc == 2

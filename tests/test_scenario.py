@@ -1,10 +1,11 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmwcache.config import ScenarioConfig
+from mmwcache.config import ConfigError, ScenarioConfig
 from mmwcache import scenario as S
 from mmwcache import experiments as E
 
@@ -169,13 +170,85 @@ class TestExperiments:
                                        caching_enabled=True)
         assert cached.attempts + cached.skips == cached.crossings
 
-    def test_worker_pool_matches_sequential(self):
+    def test_worker_pool_matches_sequential(self, monkeypatch):
+        # two CPUs, so threads=2 runs on a real pool on any machine
+        monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         cfg = ScenarioConfig(seed=4)
-        seq = E.run_experiment("energy_vs_users", cfg, replications=2,
-                               threads=1)
-        par = E.run_experiment("energy_vs_users", cfg, replications=2,
-                               threads=2)
-        assert seq.to_csv() == par.to_csv()
+        for name in ("energy_vs_users", "hof_vs_speed", "hof_multiuser",
+                     "load_vs_users", "overhead_vs_users"):
+            seq = E.run_experiment(name, cfg, replications=2, threads=1)
+            par = E.run_experiment(name, cfg, replications=2, threads=2)
+            assert seq.to_csv() == par.to_csv(), name
+
+    def test_one_pool_per_experiment(self, monkeypatch):
+        monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                starts.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        for name, reps in (("load_vs_users", 1), ("hof_vs_speed", 2)):
+            starts.clear()
+            E.run_experiment(name, ScenarioConfig(seed=2), reps, threads=2)
+            assert starts == [2], name
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the requested size and runs every job in-process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        cfg = ScenarioConfig(seed=3)
+        seq = E.run_experiment("hof_vs_speed", cfg, 2, threads=1).to_csv()
+        # hof_vs_speed at 2 reps maps 17 speeds x 2 reps = 34 jobs
+        for threads, cpus, expected in ((5000, 4, [4]), (3, 64, [3]),
+                                        (5000, 5000, [34]), (2, 1, [])):
+            sizes.clear()
+            monkeypatch.setattr(E.os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            res = E.run_experiment("hof_vs_speed", cfg, 2, threads=threads)
+            assert sizes == expected, (threads, cpus)
+            assert res.to_csv() == seq
+
+    @pytest.mark.parametrize("name,reps,threads,overrides,message", [
+        ("load_vs_users", 2, 0, {}, "threads"),
+        ("hof_vs_speed", 2, -3, {}, "threads"),
+        ("load_vs_users", 0, 1, {}, "replications"),
+        ("rate_vs_distance", 0, 1, {}, "replications"),
+        ("hof_vs_speed", 1, 1, {}, "stderr_nocache"),
+        ("hof_multiuser", 2, 2, {"n_sbs": 0}, "n_sbs")])
+    def test_bad_run_raises_before_work(self, monkeypatch, name, reps,
+                                        threads, overrides, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(E, "generate_scenario", no_work)
+        cfg = replace(ScenarioConfig(seed=1), **overrides)
+        with pytest.raises(ConfigError, match=message):
+            E.run_experiment(name, cfg, reps, threads=threads)
 
     def test_rate_sweep_los_anchor_at_20m(self):
         res = E.run_experiment("rate_vs_distance", ScenarioConfig(seed=1),
