@@ -36,10 +36,6 @@ def _load(args, require_seed: bool = False) -> ScenarioConfig:
         config = apply_overrides(config, args.set)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.replications is not None:
-        config = replace(config, replications=args.replications)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     return config
 
 
@@ -56,41 +52,52 @@ def _write(path: str, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     config = _load(args)
-    out = _outdir(args)
     rows = ["op,arg1,arg2,value"]
+    if args.radius is not None and not 0.0 < args.radius < math.inf:
+        raise ConfigError(
+            f"--radius must be positive and finite, got {args.radius!r}")
     if args.op == "coverage":
-        n = args.n or config.n_beams
+        n = args.n if args.n is not None else config.n_beams
         theta = args.theta if args.theta is not None \
             else math.radians(config.beamwidth_deg)
+        if n < 2:
+            raise ConfigError(f"coverage needs at least 2 beams (--n or "
+                              f"n_beams), got {n!r}")
+        # the span tolerance of geometry.beam_coverage_probability
+        if not theta > 0.0 or n * theta > 2.0 * math.pi * (1.0 + 1e-4):
+            raise ConfigError(f"--theta must be positive with {n} beams "
+                              f"spanning at most 2*pi, got {theta!r}")
         value = geometry.beam_coverage_probability(n, theta)
         rows.append(f"coverage,{n},{theta!r},{value!r}")
     elif args.op == "hof":
         speeds = [float(s) for s in range(1, 17)]
-        radius = args.radius or 30.0
+        radius = args.radius if args.radius is not None else 30.0
         for v in speeds:
             value = geometry.hof_probability(v, config.t_mts, radius)
             rows.append(f"hof,{v!r},{radius!r},{value!r}")
     elif args.op == "cdf":
+        radius = args.radius if args.radius is not None else 20.0
         beam = geometry.BeamGeometry(
             n_beams=config.n_beams,
             beamwidth=math.radians(config.beamwidth_deg),
             anchor_angle=math.radians(config.beamwidth_deg))
-        pose = geometry.entry_pose(beam, args.radius or 20.0,
+        pose = geometry.entry_pose(beam, radius,
                                    heading=beam.anchor_angle + 1.0, speed=10.0)
         for i in range(1, 101):
             t = 0.05 * i
             value = geometry.caching_duration_cdf(pose, beam, t)
-            rows.append(f"cdf,{t!r},{args.radius or 20.0!r},{value!r}")
+            rows.append(f"cdf,{t!r},{radius!r},{value!r}")
     elif args.op == "rate":
         result = experiments.run_experiment("rate_vs_distance", config,
                                             replications=1)
+        out = _outdir(args)
         _write(os.path.join(out, "analyze_rate.csv"), result.to_csv())
         print(os.path.join(out, "analyze_rate.csv"))
         return 0
     else:
         print(f"unknown analyze op {args.op!r}", file=sys.stderr)
         return 2
-    path = os.path.join(out, f"analyze_{args.op}.csv")
+    path = os.path.join(_outdir(args), f"analyze_{args.op}.csv")
     _write(path, "\n".join(rows) + "\n")
     print(path)
     return 0
@@ -98,6 +105,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load(args, require_seed=True)
+    speed = args.speed if args.speed is not None \
+        else 0.5 * (config.speed_min + config.speed_max)
+    if not 0.0 < speed < math.inf:
+        raise ConfigError(f"--speed must be positive and finite, "
+                          f"got {speed!r}")
     out = _outdir(args)
     rng = np.random.default_rng(config.seed)
     scn = generate_scenario(config)
@@ -105,7 +117,6 @@ def cmd_simulate(args) -> int:
     phi = rng.uniform(0.0, 2.0 * math.pi)
     origin = (r * math.cos(phi), r * math.sin(phi))
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
-    speed = args.speed or 0.5 * (config.speed_min + config.speed_max)
     stats = experiments.simulate_trajectory(
         scn, origin, heading, speed, config.frame,
         caching_enabled=not args.no_caching, collect_events=True)
@@ -119,10 +130,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_match(args) -> int:
     config = _load(args, require_seed=True)
-    out = _outdir(args)
     rng = np.random.default_rng(config.seed)
     region = experiments.build_region_instance(
         experiments._region_config(config), args.users, args.speed, rng)
+    out = _outdir(args)
     result = matching.dynamic_match(region.game)
     rows = ["mue,period1,period2,proposals_sent"]
     for u in range(len(region.game.mues)):
@@ -229,6 +240,10 @@ def _verify_ilp(config: ScenarioConfig):
 
 def cmd_reproduce(args) -> int:
     config = _load(args, require_seed=True)
+    if args.replications is not None:
+        config = replace(config, replications=args.replications)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     for name in EXPERIMENT_NAMES:
         experiments.check_run(name, config, config.replications, args.threads)
     out = _outdir(args)
@@ -260,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", default=None, help="output directory "
                        f"(default ${DEFAULT_OUT_ENV} or cwd)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--replications", type=int, default=None)
 
     p = sub.add_parser("analyze", help="closed-form sweeps to CSV")
     common(p)
@@ -292,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate all experiment CSVs")
     common(p)
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--replications", type=int, default=None)
     p.set_defaults(fn=cmd_reproduce)
     return parser
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -99,6 +100,19 @@ class ScenarioConfig:
                 f"play_rate must be positive, got {self.play_rate!r}")
         if self.quota < 1:
             raise ConfigError(f"quota must be >= 1, got {self.quota!r}")
+        if self.n_beams < 1:
+            raise ConfigError(f"n_beams must be >= 1, got {self.n_beams!r}")
+        if not self.beamwidth_deg > 0.0:
+            raise ConfigError(
+                f"beamwidth_deg must be positive, got {self.beamwidth_deg!r}")
+        # the tolerance of BeamGeometry, which gets the width in radians
+        if (self.n_beams * math.radians(self.beamwidth_deg)
+                > 2.0 * math.pi * (1.0 + 1e-4)):
+            raise ConfigError(
+                f"n_beams * beamwidth_deg must not exceed 360, got "
+                f"{self.n_beams!r} * {self.beamwidth_deg!r}")
+        if not self.frame > 0.0:
+            raise ConfigError(f"frame must be positive, got {self.frame!r}")
 
     def canonical_text(self) -> str:
         lines = []

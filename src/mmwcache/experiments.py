@@ -29,11 +29,12 @@ import numpy as np
 
 from . import caching, matching
 from .config import ConfigError, ScenarioConfig
+from .geometry import TWO_PI
 from .matching import (GameInstance, MueState, PlayerKind, SbsState,
                        dynamic_match, sbs_id, signaling_overhead)
 from .radio import ChannelParams, LinkBudget, instantaneous_rate
 from .scenario import (Scenario, beam_segments_in_cell, generate_scenario,
-                       ray_circle_crossings)
+                       ray_circle_crossings, ray_crossing_arrays)
 
 EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
@@ -312,49 +313,82 @@ def _check_region_sbss(config: ScenarioConfig) -> None:
 def build_region_instance(config: ScenarioConfig, n_mues: int,
                           speed: Optional[float],
                           rng: np.random.Generator) -> RegionInstance:
-    """Users entering a focal cell with onward candidates from the field."""
+    """Users entering a focal cell with onward candidates from the field.
+
+    Each user draws, in order, its spawn angle beta on the focal rim, a
+    heading offset, its speed (only when `speed` is None) and its
+    threshold p_th. All users' doubles come from one `rng.random` call,
+    scaled as `low + (high - low) * d`, which is what `Generator.uniform`
+    returns for the same double, so values and the generator's final
+    state are those of one `uniform` call per number. Every user's ray is
+    then tested against every cell at once (`ray_crossing_arrays`); the
+    onward cell is the first other cell, by (entry, site index), that the
+    ray leaves after leaving the focal cell.
+    """
     _check_region_sbss(config)
+    if n_mues < 1:
+        raise ConfigError(f"a region instance needs at least one user, "
+                          f"got {n_mues!r}")
+    if speed is not None and not 0.0 <= speed < math.inf:
+        raise ConfigError(f"speed must be finite and >= 0, got {speed!r}")
     scn = generate_scenario(config, seed=int(rng.integers(2 ** 31)))
     focal = min(scn.sbss, key=lambda s: math.hypot(*s.position))
-    others = [s for s in scn.sbss if s.index != focal.index]
+
+    n_draws = 3 if speed is not None else 4
+    draws = rng.random(n_draws * n_mues).reshape(n_mues, n_draws)
+    # uniform(0, hi) returns 0.0 + hi * d, which is hi * d
+    betas = (TWO_PI * draws[:, 0]).tolist()
+    offsets = (math.pi * draws[:, 1]).tolist()
+    p_lo, p_hi = config.p_th_min, config.p_th_max
+    p_ths = (p_lo + (p_hi - p_lo) * draws[:, -1]).tolist()
+    if speed is None:
+        s_lo, s_hi = config.speed_min, config.speed_max
+        speeds = (s_lo + (s_hi - s_lo) * draws[:, 2]).tolist()
+    else:
+        speeds = [speed] * n_mues
+
+    (fx, fy), fr = focal.position, focal.radius
+    rays = []
+    for beta, offset in zip(betas, offsets):
+        # heading uniform over the inward half-plane: the focal chord then
+        # follows the fixed-endpoint random-chord law 2a*sin(U[0, pi])
+        heading = beta + 0.5 * math.pi + offset
+        rays.append((fx + fr * math.cos(beta), fy + fr * math.sin(beta),
+                     math.cos(heading), math.sin(heading)))
+    hit, entry, exit_, chord = ray_crossing_arrays(
+        *np.array(rays).T, scn.sbss, max_range=20.0 * config.area_radius)
+    f = focal.index
+    if not hit[:, f].all():
+        raise RuntimeError("a user ray starting on the focal rim misses "
+                           "the focal cell")
+    focal_exit = exit_[:, f]
+    onward = hit & (exit_ > focal_exit[:, None])
+    onward[:, f] = False
+    first = np.where(onward, entry, math.inf).argmin(axis=1)
+    rows = np.arange(n_mues)
+    has_next = onward[rows, first].tolist()
+    next_entry = entry[rows, first].tolist()
+    focal_exit = focal_exit.tolist()
+    chords: List[float] = chord[:, f].tolist()
 
     mues: List[MueState] = []
-    chords: List[float] = []
     sbs_index_map = {focal.index: 0}
     sbs_states: List[SbsState] = [SbsState(radius=focal.radius,
                                            quota=config.quota)]
-    for _ in range(n_mues):
-        beta = rng.uniform(0.0, 2.0 * math.pi)
-        spawn = (focal.position[0] + focal.radius * math.cos(beta),
-                 focal.position[1] + focal.radius * math.sin(beta))
-        # heading uniform over the inward half-plane: the focal chord then
-        # follows the fixed-endpoint random-chord law 2a*sin(U[0, pi])
-        heading = beta + 0.5 * math.pi + rng.uniform(0.0, math.pi)
-        v = speed if speed is not None else float(
-            rng.uniform(config.speed_min, config.speed_max))
-        crossings = ray_circle_crossings(spawn, heading, scn.sbss,
-                                         max_range=20.0 * config.area_radius)
-        focal_cross = next(c for c in crossings if c.sbs == focal.index)
-        onward = [c for c in crossings
-                  if c.sbs != focal.index and c.exit > focal_cross.exit]
+    for u, nxt in enumerate(first.tolist()):
         cand2: Tuple[int, ...] = ()
         gap1 = gap2 = math.inf
-        if onward:
-            nxt = onward[0]
-            if nxt.sbs not in sbs_index_map:
-                sbs_index_map[nxt.sbs] = len(sbs_states)
-                site = scn.sbss[nxt.sbs]
-                sbs_states.append(SbsState(radius=site.radius,
+        if has_next[u]:
+            if nxt not in sbs_index_map:
+                sbs_index_map[nxt] = len(sbs_states)
+                sbs_states.append(SbsState(radius=scn.sbss[nxt].radius,
                                            quota=config.quota))
-            cand2 = (sbs_index_map[nxt.sbs],)
-            gap1 = max(nxt.entry, 1e-9)
-            gap2 = max(nxt.entry - focal_cross.exit, 1e-9)
+            cand2 = (sbs_index_map[nxt],)
+            gap1 = max(next_entry[u], 1e-9)
+            gap2 = max(next_entry[u] - focal_exit[u], 1e-9)
         mues.append(MueState(
-            speed=v,
-            segments=config.cache_capacity,
-            p_th=float(rng.uniform(config.p_th_min, config.p_th_max)),
-            cand1=(0,), cand2=cand2, gap1=gap1, gap2=gap2))
-        chords.append(focal_cross.chord)
+            speed=speeds[u], segments=config.cache_capacity,
+            p_th=p_ths[u], cand1=(0,), cand2=cand2, gap1=gap1, gap2=gap2))
 
     game = GameInstance(
         mues=tuple(mues), sbss=tuple(sbs_states), t_mts=config.t_mts,

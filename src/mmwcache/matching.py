@@ -699,65 +699,71 @@ def _stage_one(scores: _Scores, prefs: Preferences,
     rejections are cleared and users re-propose from the top. This converges
     to an assignment in which every standing rejection is justified against
     the final rosters.
+
+    The lowest-indexed user with a plan left to propose moves next; it
+    proposes its best plan that is neither rejected nor ranked at or below
+    the plan it holds. Invariant: between restarts, the rejected plans of
+    each user u are exactly the prefix [0, next[u]) of its ranking. A
+    rejection extends the prefix by the plan just proposed, and an
+    acceptance that frees nothing comes only from a user holding no plan,
+    whose limit then drops to next[u], leaving it nothing to propose. So
+    one pointer per user stands for its rejections, and a user with
+    nothing left to propose stays so until the next restart: the search
+    for the lowest active user resumes where it stopped. A restart resets
+    every pointer and the search. The per-(period, SBS) rosters are kept
+    as sets, updated on every acceptance and displacement.
     """
     instance = scores.instance
     n_mues = len(instance.mues)
-    profiles = [list(p.ranked_plans) for p in prefs.mue_profiles]
-    rejected: List[set] = [set() for _ in range(n_mues)]
+    profiles = [p.ranked_plans for p in prefs.mue_profiles]
+    rosters = [[set() for _ in instance.sbss] for _ in (1, 2)]
+
+    def claims(plan: Plan) -> Optional[tuple]:
+        """(roster, quota) of each SBS slot, None for a macro plan."""
+        if any(slot is not None and slot.kind == PlayerKind.MBS
+               for slot in plan.slots()):
+            return None
+        return tuple((rosters[period][slot.index],
+                      instance.sbss[slot.index].quota)
+                     for period, slot in enumerate(plan.slots())
+                     if slot is not None and slot.kind == PlayerKind.SBS)
+
+    plan_claims = [[claims(plan) for plan in ranking] for ranking in profiles]
     held: Dict[int, Plan] = {}
-    held_idx: Dict[int, int] = {}
+    held_claims: Dict[int, tuple] = {}
+    limit = [len(p) for p in profiles]   # index of the held plan, if any
+    nxt = [0] * n_mues
+    first = 0
 
     total_plans = sum(len(p) for p in profiles)
     max_proposals = 200 * (total_plans + 1) * (n_mues + 2)
     proposals = 0
 
-    def slot_members(k: int, period: int) -> List[int]:
-        slot = scores.sbs[k]
-        return [w for w, plan in held.items()
-                if plan.slots()[period - 1] == slot]
-
-    def next_index(u: int) -> Optional[int]:
-        limit = held_idx.get(u, len(profiles[u]))
-        for idx in range(limit):
-            if idx not in rejected[u]:
-                return idx
-        return None
-
     while True:
-        active = None
-        for u in range(n_mues):
-            if next_index(u) is not None:
-                active = u
-                break
-        if active is None:
+        while first < n_mues and nxt[first] >= limit[first]:
+            first += 1
+        if first == n_mues:
             return held
 
-        u = active
-        idx = next_index(u)
+        u = first
+        idx = nxt[u]
         plan = profiles[u][idx]
         proposals += 1
         trace.rounds += 1
         if proposals > max_proposals:
             raise ConvergenceError("stage 1 failed to converge")
 
-        accepted = True
+        wanted = plan_claims[u][idx]
+        # the macro cell takes no stage-1 proposals
+        accepted = wanted is not None
         victims: List[int] = []
-        if any(slot is not None and slot.kind == PlayerKind.MBS
-               for slot in plan.slots()):
-            accepted = False   # the macro cell takes no stage-1 proposals
-        else:
-            for period in (1, 2):
-                slot = plan.slots()[period - 1]
-                if slot is None or slot.kind != PlayerKind.SBS:
+        if wanted and scores.gamma(u) < scores.gamma0:
+            accepted = False
+        elif wanted:
+            for roster, quota in wanted:
+                if len(roster) - (u in roster) < quota:
                     continue
-                k = slot.index
-                if scores.gamma(u) < scores.gamma0:
-                    accepted = False
-                    break
-                members = [w for w in slot_members(k, period) if w != u]
-                if len(members) < instance.sbss[k].quota:
-                    continue
-                worst = scores.worst(members)
+                worst = scores.worst([w for w in roster if w != u])
                 if scores.bs_prefers(u, worst):
                     victims.append(worst)
                 else:
@@ -767,21 +773,28 @@ def _stage_one(scores: _Scores, prefs: Preferences,
         trace.proposals.append(ProposalRecord(
             stage=1, round=trace.rounds, mue=u, plan=plan, accepted=accepted))
         if not accepted:
-            rejected[u].add(idx)
+            nxt[u] = idx + 1
             continue
 
         freed = u in held or victims
         for w in set(victims):
+            for roster, _ in held_claims.pop(w):
+                roster.remove(w)
             del held[w]
-            del held_idx[w]
+            limit[w] = len(profiles[w])
+        for roster, _ in held_claims.get(u, ()):
+            roster.remove(u)
+        for roster, _ in wanted:
+            roster.add(u)
         held[u] = plan
-        held_idx[u] = idx
+        held_claims[u] = wanted
+        limit[u] = idx
         if freed:
             # capacity was released somewhere: earlier rejections may no
             # longer be justified, so everyone may re-propose from the top
             trace.restarts += 1
-            for w in range(n_mues):
-                rejected[w].clear()
+            nxt = [0] * n_mues
+            first = 0
 
 
 def _matching_from_plans(instance: GameInstance,

@@ -197,6 +197,36 @@ def ray_circle_crossings(origin: Tuple[float, float], heading: float,
     return out
 
 
+def ray_crossing_arrays(ox: np.ndarray, oy: np.ndarray, dx: np.ndarray,
+                        dy: np.ndarray, sites: Sequence[SbsSite],
+                        max_range: float,
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                   np.ndarray]:
+    """`ray_circle_crossings` for many rays at once, as (rays x sites) arrays.
+
+    Ray i starts at (ox[i], oy[i]) with unit direction (dx[i], dy[i]).
+    Returns (hit, entry, exit, chord): hit[i, j] says whether ray i
+    traverses site j's cell within max_range, and where it does, entry,
+    exit and chord hold the values of that traversal's `CellCrossing`,
+    bit for bit: the float operations are those of the scalar function,
+    in the same order. Entries where hit is False are meaningless.
+    """
+    cx = np.array([s.position[0] for s in sites])
+    cy = np.array([s.position[1] for s in sites])
+    r2 = np.array([s.radius ** 2 for s in sites])
+    fx = ox[:, None] - cx
+    fy = oy[:, None] - cy
+    b = fx * dx[:, None] + fy * dy[:, None]
+    disc = b * b - (fx * fx + fy * fy - r2)
+    hit = disc > 0.0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    t_in = -b - root
+    t_out = -b + root
+    hit &= (t_out > 0.0) & (t_in < max_range)
+    return (hit, np.maximum(t_in, 0.0), np.minimum(t_out, max_range),
+            t_out - t_in)
+
+
 def beam_segments_in_cell(origin: Tuple[float, float], heading: float,
                           site: SbsSite, entry: float, exit: float,
                           ) -> List[Tuple[float, float]]:

@@ -47,7 +47,9 @@ sbs_powers_dbm = 20, 30
     @pytest.mark.parametrize("key,value", [
         ("area_radius", 0.0), ("area_radius", float("nan")), ("n_sbs", -1),
         ("min_intercell", -5.0), ("speed_min", -1.0), ("play_rate", 0.0),
-        ("play_rate", float("nan")), ("quota", 0)])
+        ("play_rate", float("nan")), ("quota", 0), ("n_beams", 0),
+        ("beamwidth_deg", 0.0), ("beamwidth_deg", float("nan")),
+        ("frame", -1.0), ("frame", 0.0), ("frame", float("nan"))])
     def test_invalid_scenario_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**{key: value})
@@ -59,6 +61,17 @@ sbs_powers_dbm = 20, 30
         assert "speed_min" in str(err.value)
         assert "speed_max" in str(err.value)
         assert ScenarioConfig(speed_min=8.0, speed_max=8.0).speed_max == 8.0
+
+    def test_beam_span_bound(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(n_beams=40, beamwidth_deg=10.0)
+        assert "n_beams" in str(err.value)
+        assert "beamwidth_deg" in str(err.value)
+        # the full circle, exactly, and with BeamGeometry's 1e-4 tolerance
+        assert ScenarioConfig(n_beams=36, beamwidth_deg=10.0).n_beams == 36
+        assert ScenarioConfig(n_beams=3, beamwidth_deg=120.01).n_beams == 3
+        with pytest.raises(ConfigError):
+            ScenarioConfig(n_beams=3, beamwidth_deg=120.1)
 
     def test_digest_stability(self):
         assert ScenarioConfig(seed=1).digest() == ScenarioConfig(seed=1).digest()
@@ -142,7 +155,23 @@ class TestCli:
         (["simulate", "--set", "play_rate=0"], "play_rate"),
         (["match", "--set", "quota=0"], "quota"),
         (["simulate", "--set", "rss_threshold_dbm=100"], "rss_threshold_dbm"),
-        (["match", "--set", "n_sbs=0"], "n_sbs")])
+        (["match", "--set", "n_sbs=0"], "n_sbs"),
+        (["simulate", "--set", "n_beams=0"], "n_beams"),
+        (["simulate", "--set", "beamwidth_deg=0"], "beamwidth_deg"),
+        (["simulate", "--set", "frame=-1"], "frame"),
+        (["simulate", "--set", "n_beams=40"], "n_beams * beamwidth_deg"),
+        (["match", "--users", "0"], "user"),
+        (["match", "--users", "-2"], "user"),
+        (["match", "--speed", "-5"], "speed"),
+        (["match", "--speed", "nan"], "speed"),
+        (["simulate", "--speed", "0"], "--speed"),
+        (["simulate", "--speed", "-3"], "--speed"),
+        (["simulate", "--speed", "nan"], "--speed"),
+        (["analyze", "--op", "hof", "--radius", "-1"], "--radius"),
+        (["analyze", "--op", "cdf", "--radius", "0"], "--radius"),
+        (["analyze", "--op", "coverage", "--n", "1"], "2 beams"),
+        (["analyze", "--op", "coverage", "--n", "3", "--theta", "3"],
+         "--theta")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
@@ -167,6 +196,30 @@ class TestCli:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not out.exists() or not any(
             p.suffix == ".csv" for p in out.iterdir())
+
+    def test_simulate_speed_is_used_as_given(self, tmp_path, capsys):
+        # a slow walk covers fewer cells in the frame than the default speed
+        counts = []
+        for extra in ([], ["--speed", "0.5"]):
+            rc = main(["simulate", "--seed", "3", "--out", str(tmp_path)]
+                      + extra)
+            assert rc == 0
+            line = capsys.readouterr().out
+            counts.append(int(line.split("crossings=")[1].split()[0]))
+        assert counts[1] < counts[0]
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--op", "coverage"], ["simulate"], ["match"],
+        ["verify", "--suite", "geometry"]])
+    @pytest.mark.parametrize("flag", [["--threads", "2"],
+                                      ["--replications", "3"]])
+    def test_run_flags_only_on_reproduce(self, tmp_path, capsys, command,
+                                         flag):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "1", "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_seed_required_for_reproducible_commands(self, tmp_path):
         rc = main(["match", "--users", "4", "--out", str(tmp_path)])

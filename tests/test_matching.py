@@ -317,7 +317,8 @@ class TestTabulatedScores:
     recomputes every utility, key and roster at each use."""
 
     @pytest.mark.parametrize("users,sbss,count,seed", [
-        (8, 4, 2000, 101), (12, 4, 2000, 102), (20, 6, 1000, 103)])
+        (8, 4, 2000, 101), (12, 4, 2000, 102), (20, 6, 1000, 103),
+        (40, 8, 40, 104)])
     def test_matches_definitional_path(self, users, sbss, count, seed):
         rng = np.random.default_rng(seed)
         clamped = 0
@@ -335,6 +336,19 @@ class TestTabulatedScores:
             assert _outputs(M, _scan, game) == \
                 _outputs(R, _reference_scan, game), f"game {i}"
         assert clamped >= count // 20
+
+    def test_large_games_match_definitional_path(self):
+        # about 120 users x 10 SBSs, where stage one restarts most
+        rng = np.random.default_rng(108)
+        games = []
+        while len(games) < 3:
+            game = random_game_instance(rng, max_mues=125, max_sbss=10)
+            if len(game.mues) >= 115 and len(game.sbss) == 10:
+                games.append(game)
+        for i, game in enumerate(games):
+            assert _outputs(M, _scan, game) == \
+                _outputs(R, _reference_scan, game), f"game {i}"
+            assert M.dynamic_match(game).trace.restarts >= 20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_region_instances_match_definitional_path(self, seed):

@@ -47,6 +47,63 @@ def scalar_generate_scenario(config, seed):
     return S.Scenario(config=config, sbss=tuple(sbss), mues=tuple(mues)), tries
 
 
+def loop_build_region_instance(config, n_mues, speed, rng):
+    """Reference region instance: scalar draws and one crossing list per user.
+
+    The per-user loop `experiments.build_region_instance` had before its
+    draws and crossings were batched.
+    """
+    scn = S.generate_scenario(config, seed=int(rng.integers(2 ** 31)))
+    focal = min(scn.sbss, key=lambda s: math.hypot(*s.position))
+    mues, chords = [], []
+    sbs_index_map = {focal.index: 0}
+    sbs_states = [E.SbsState(radius=focal.radius, quota=config.quota)]
+    for _ in range(n_mues):
+        beta = rng.uniform(0.0, 2.0 * math.pi)
+        spawn = (focal.position[0] + focal.radius * math.cos(beta),
+                 focal.position[1] + focal.radius * math.sin(beta))
+        heading = beta + 0.5 * math.pi + rng.uniform(0.0, math.pi)
+        v = speed if speed is not None else float(
+            rng.uniform(config.speed_min, config.speed_max))
+        crossings = S.ray_circle_crossings(spawn, heading, scn.sbss,
+                                           max_range=20.0 * config.area_radius)
+        focal_cross = next(c for c in crossings if c.sbs == focal.index)
+        onward = [c for c in crossings
+                  if c.sbs != focal.index and c.exit > focal_cross.exit]
+        cand2 = ()
+        gap1 = gap2 = math.inf
+        if onward:
+            nxt = onward[0]
+            if nxt.sbs not in sbs_index_map:
+                sbs_index_map[nxt.sbs] = len(sbs_states)
+                sbs_states.append(E.SbsState(radius=scn.sbss[nxt.sbs].radius,
+                                             quota=config.quota))
+            cand2 = (sbs_index_map[nxt.sbs],)
+            gap1 = max(nxt.entry, 1e-9)
+            gap2 = max(nxt.entry - focal_cross.exit, 1e-9)
+        mues.append(E.MueState(
+            speed=v, segments=config.cache_capacity,
+            p_th=float(rng.uniform(config.p_th_min, config.p_th_max)),
+            cand1=(0,), cand2=cand2, gap1=gap1, gap2=gap2))
+        chords.append(focal_cross.chord)
+    game = E.GameInstance(
+        mues=tuple(mues), sbss=tuple(sbs_states), t_mts=config.t_mts,
+        scan_interval=config.scan_interval, epsilon=config.epsilon,
+        play_rate=config.play_rate, cache_capacity=config.cache_capacity,
+        mbs_payoff=config.mbs_payoff, covered_payoff=config.covered_payoff,
+        future_covered_payoff=config.future_covered_payoff,
+        shortfall_penalty=config.shortfall_penalty)
+    return E.RegionInstance(game=game, focal=0, focal_chords=chords)
+
+
+def crossings_from_arrays(i, hit, entry, exit_, chord):
+    """Ray i's `CellCrossing` list, ordered as `ray_circle_crossings` orders."""
+    e, x, c = entry[i].tolist(), exit_[i].tolist(), chord[i].tolist()
+    out = [S.CellCrossing(sbs=j, entry=e[j], exit=x[j], chord=c[j])
+           for j in np.flatnonzero(hit[i]).tolist()]
+    return sorted(out, key=lambda cr: (cr.entry, cr.sbs))
+
+
 REGION = E._region_config(ScenarioConfig())
 
 
@@ -131,6 +188,84 @@ class TestRayGeometry:
         segs = S.beam_segments_in_cell((0.0, 0.0), 0.0, site, 5.0, 15.0)
         total = sum(b - a for a, b in segs)
         assert 0.0 < total < 10.0
+
+
+class TestBatchedRegion:
+    def test_matches_per_user_loop(self):
+        # 1,000 seeds, each (users, speed) case on every 12th of them
+        cases = [(n, v) for n in (1, 2, 5, 20, 50, 120) for v in (8.0, None)]
+        for seed in range(1000):
+            n_mues, speed = cases[seed % len(cases)]
+            ref_rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            ref = loop_build_region_instance(REGION, n_mues, speed, ref_rng)
+            region = E.build_region_instance(REGION, n_mues, speed, rng)
+            assert repr(region) == repr(ref), (seed, n_mues, speed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, \
+                (seed, n_mues, speed)
+
+    @pytest.mark.parametrize("cfg", [REGION, ScenarioConfig()],
+                             ids=["region", "default"])
+    def test_kernel_matches_scalar_crossings(self, cfg):
+        rng = np.random.default_rng(17)
+        for seed in range(20):
+            sites = S.generate_scenario(cfg, seed=seed).sbss
+            n = 60
+            r = cfg.area_radius * np.sqrt(rng.random(n))
+            phi = 2.0 * math.pi * rng.random(n)
+            origins = list(zip((r * np.cos(phi)).tolist(),
+                               (r * np.sin(phi)).tolist()))
+            # some rays start on a cell rim, as region users do
+            for k in range(10):
+                site = sites[int(rng.integers(len(sites)))]
+                beta = 2.0 * math.pi * float(rng.random())
+                origins[k] = (site.position[0] + site.radius * math.cos(beta),
+                              site.position[1] + site.radius * math.sin(beta))
+            headings = (2.0 * math.pi * rng.random(n)).tolist()
+            # ranges short enough to clip and to end before some cells
+            max_range = float(rng.uniform(0.05, 2.0)) * cfg.area_radius
+            ox, oy = (np.array(c) for c in zip(*origins))
+            dx = np.array([math.cos(h) for h in headings])
+            dy = np.array([math.sin(h) for h in headings])
+            arrays = S.ray_crossing_arrays(ox, oy, dx, dy, sites, max_range)
+            for i, (origin, heading) in enumerate(zip(origins, headings)):
+                ref = S.ray_circle_crossings(origin, heading, sites,
+                                             max_range)
+                assert repr(crossings_from_arrays(i, *arrays)) == \
+                    repr(ref), (seed, i)
+
+    def test_kernel_on_hand_geometry(self):
+        site = S.SbsSite(index=0, position=(10.0, 0.0), power_dbm=20.0,
+                         radius=5.0,
+                         beams=S.BeamGeometry(sbs_position=(10.0, 0.0)))
+        ox = np.array([0.0, 0.0, 0.0, 12.0, 0.0])
+        oy = np.array([0.0, 7.0, 0.0, 0.0, 5.0])
+        dx, dy = np.array([1.0, 1.0, -1.0, 1.0, 1.0]), np.zeros(5)
+        hit, entry, exit_, chord = S.ray_crossing_arrays(
+            ox, oy, dx, dy, [site], 100.0)
+        # through the centre; a miss; pointing away; starting inside; a
+        # tangent (discriminant exactly 0), which the scalar test skips
+        assert hit[:, 0].tolist() == [True, False, False, True, False]
+        assert (entry[0, 0], exit_[0, 0], chord[0, 0]) == (5.0, 15.0, 10.0)
+        assert (entry[3, 0], exit_[3, 0], chord[3, 0]) == (0.0, 3.0, 10.0)
+        assert not S.ray_circle_crossings((0.0, 5.0), 0.0, [site], 100.0)
+        # a cell entered exactly at max_range is not crossed, one just
+        # inside it is, clipped to max_range
+        for max_range, crossed in ((5.0, False), (5.5, True)):
+            hit, entry, exit_, _ = S.ray_crossing_arrays(
+                ox[:1], oy[:1], dx[:1], dy[:1], [site], max_range)
+            assert hit[0, 0] == crossed
+            assert bool(S.ray_circle_crossings((0.0, 0.0), 0.0, [site],
+                                               max_range)) == crossed
+        assert exit_[0, 0] == 5.5
+
+    @pytest.mark.parametrize("n_mues,speed,message", [
+        (0, 8.0, "user"), (-2, 8.0, "user"), (5, -5.0, "speed"),
+        (5, float("nan"), "speed"), (5, float("inf"), "speed")])
+    def test_bad_users_or_speed_raise(self, n_mues, speed, message):
+        with pytest.raises(ConfigError, match=message):
+            E.build_region_instance(REGION, n_mues, speed,
+                                    np.random.default_rng(1))
 
 
 class TestExperiments:
