@@ -210,12 +210,14 @@ def _verify_stability(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     for i in range(200):
         game = random_game_instance(rng)
-        result = matching.dynamic_match(game)
+        prefs = matching.build_preferences(game)
+        result = matching.dynamic_match(game, preferences=prefs)
         report = oracle.scan_all_blockings(result.matching, game)
         if not report.stable:
             return False, f"instance {i}: {report.lines()[0]}"
-        mu, _ = matching.deferred_acceptance(game)
-        pairs = matching.find_single_period_blocking(mu, game)
+        mu, _ = matching.deferred_acceptance(game, preferences=prefs)
+        pairs = matching.find_single_period_blocking(mu, game,
+                                                     preferences=prefs)
         if pairs:
             return False, f"instance {i}: single-period blocking {pairs[0]}"
     return True, "200 random instances stable (both algorithms)"

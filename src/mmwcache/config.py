@@ -113,6 +113,18 @@ class ScenarioConfig:
                 f"{self.n_beams!r} * {self.beamwidth_deg!r}")
         if not self.frame > 0.0:
             raise ConfigError(f"frame must be positive, got {self.frame!r}")
+        if not self.sbs_powers_dbm:
+            raise ConfigError("sbs_powers_dbm must list at least one power")
+        if not self.segment_size_bits > 0.0:
+            raise ConfigError(f"segment_size_bits must be positive, got "
+                              f"{self.segment_size_bits!r}")
+        if not self.cache_capacity >= 0.0:
+            raise ConfigError(f"cache_capacity must be >= 0, got "
+                              f"{self.cache_capacity!r}")
+        if not self.t_mts >= 0.0:
+            raise ConfigError(f"t_mts must be >= 0, got {self.t_mts!r}")
+        if not self.epsilon >= 0.0:
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
     def canonical_text(self) -> str:
         lines = []

@@ -9,11 +9,24 @@ blocking through a constrained second-period deferred acceptance. Exhaustive
 blocking scans over the same preference primitives verify both stability
 notions.
 
+The BS-side utility gamma depends only on the user's cached playback, never
+on the base station ranking it, so every roster ranks users in one common
+priority order, (gamma, -index). Under a common priority, user-proposing
+deferred acceptance has the outcome of serial dictatorship: each user, best
+first, takes its first option that still has room (Ergin, "Efficient
+resource allocation on the basis of priorities", Econometrica 70(6), 2002;
+Abdulkadiroglu and Sonmez, "School choice: a mechanism design approach",
+AER 93(3), 2003). All three matchers run as one such pass after one sort.
+For stage two and the single-period matcher (one slot per user) this is
+the theorem; for stage one's atomic two-slot plans the equivalence with the
+proposal-and-restart process is established by differential tests.
+
 Scores are tabulated once per call: each public entry point builds a
-private table (`_Scores`) of the game's utilities and plan keys, fills it on
-first use and drops it when it returns. The public utility functions compute
-through the same code, so a tabulated value equals the direct one bit for
-bit.
+private table (`_Scores`) of each user's payoffs (phi per SBS, the cache
+payoffs) and gamma, fills it on first use and drops it when it returns.
+Plan keys and ranked plan lists are both derived from these payoffs, and
+the public utility functions compute through the same code, so a tabulated
+value equals the direct one bit for bit.
 
 Determinism: all tie-breaking is lexicographic in (utility, player index),
 so identical instances yield identical matchings. One matching computation
@@ -28,7 +41,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .geometry import hof_probability_clamped
 
@@ -163,20 +176,6 @@ def _refill_distance(instance: GameInstance, u: int) -> float:
     return instance.cache_capacity / instance.play_rate * instance.mues[u].speed
 
 
-def _covered_p1(instance: GameInstance, u: int) -> bool:
-    return _coast_distance(instance, u) >= instance.mues[u].gap1
-
-
-def _covered_p2(instance: GameInstance, u: int,
-                first: Optional[PlayerId]) -> bool:
-    mue = instance.mues[u]
-    if first is not None and first.kind == PlayerKind.SBS:
-        return _refill_distance(instance, u) >= mue.gap2
-    if first is not None and first.kind == PlayerKind.MBS:
-        return _coast_distance(instance, u) >= mue.gap2
-    return _coast_distance(instance, u) >= mue.gap1 + mue.gap2
-
-
 def plan_score(instance: GameInstance, u: int, first: Optional[PlayerId],
                second: Optional[PlayerId]) -> float:
     """Additive two-period score of an (attempted or realized) outcome.
@@ -194,6 +193,10 @@ def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
     if slot.kind == PlayerKind.SBS:
         return (0, slot.index)
     return (1, slot.index)
+
+
+_CACHE_RANK = _slot_rank(None)
+_MBS_RANK = _slot_rank(MBS)
 
 
 def plan_key(instance: GameInstance, u: int, plan: Plan) -> tuple:
@@ -223,49 +226,78 @@ def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
 
 
 class _Scores:
-    """The utilities and plan keys of one game, tabulated for one call.
+    """The payoffs and priorities of one game, tabulated for one call.
 
     Every public entry point builds its own table and drops it when it
     returns, so nothing outlives the call and concurrent games share
-    nothing. Entries are filled on first use: the threshold margin
-    p_th - HOF and phi per (user, SBS), gamma per user and the key of each
-    (user, plan). The public utilities compute through a one-use table, so
-    there is a single scoring definition. Built with a matching, the table
-    also holds that matching's sorted per-(period, SBS) rosters.
+    nothing. Entries are filled on first use, so each is computed once.
+    Per user the table holds its payoffs: phi per SBS, the period-1 cache
+    payoff, and the period-2 cache payoff after each kind of first slot.
+    Plan scores, plan keys and ranked plan lists are all derived from these
+    payoffs, and the public utilities compute through a one-use table, so
+    there is a single scoring definition. The table also holds gamma per
+    user, the common priority order, the plans it has built (one object per
+    plan) and, built with a matching, that matching's sorted per-(period,
+    SBS) rosters.
     """
 
     def __init__(self, instance: GameInstance,
                  matching: Optional[DynamicMatching] = None):
         self.instance = instance
         self.sbs = [sbs_id(k) for k in range(len(instance.sbss))]
+        self.sbs_ranks = [_slot_rank(s) for s in self.sbs]
         self.phi0 = instance.phi_shift       # phi of a zero margin
         self.gamma0 = instance.gamma_shift   # gamma of a zero margin
-        self.mbs_payoff = (instance.phi_scale * instance.mbs_payoff
-                           + instance.phi_shift)
-        self._margin: Dict[Tuple[int, int], float] = {}
-        self._phi: Dict[Tuple[int, int], float] = {}
+        scale, shift = instance.phi_scale, instance.phi_shift
+        self.mbs_payoff = scale * instance.mbs_payoff + shift
+        # cache slot payoffs: covered in period 1, covered in period 2, not
+        self._cache = (scale * instance.covered_payoff + shift,
+                       scale * instance.future_covered_payoff + shift,
+                       scale * instance.shortfall_penalty + shift)
+        self._payoffs: Dict[int, tuple] = {}
         self._gamma: Dict[int, float] = {}
-        self._keys: Dict[tuple, tuple] = {}
+        self._plans: Dict[tuple, Plan] = {}
+        self._priority: Optional[List[int]] = None
         self._rosters = ({} if matching is None else
                          {1: _sbs_rosters(matching.mu1),
                           2: _sbs_rosters(matching.mu2)})
 
     def margin(self, u: int, k: int) -> float:
         """Threshold margin p_th - HOF of user u in SBS k, unscaled."""
-        value = self._margin.get((u, k))
+        mue = self.instance.mues[u]
+        return mue.p_th - hof_probability_clamped(
+            mue.speed, self.instance.t_mts, self.instance.sbss[k].radius)
+
+    def payoffs(self, u: int) -> Tuple[Dict[int, float], float,
+                                       Tuple[float, float, float]]:
+        """(phi per SBS, period-1 cache payoff, period-2 cache payoffs).
+
+        phi is filled per SBS on first use (`phi`). The period-2 cache
+        payoffs follow a first slot at an SBS (the cache was refilled), at
+        the macro cell, and on the cache, the order of `_slot_rank`'s kinds.
+        """
+        value = self._payoffs.get(u)
         if value is None:
-            mue = self.instance.mues[u]
-            hof = hof_probability_clamped(mue.speed, self.instance.t_mts,
-                                          self.instance.sbss[k].radius)
-            value = self._margin[(u, k)] = mue.p_th - hof
+            instance = self.instance
+            mue = instance.mues[u]
+            covered1, covered2, short = self._cache
+            coast = _coast_distance(instance, u)
+            refill = _refill_distance(instance, u)
+            value = self._payoffs[u] = (
+                {},
+                covered1 if coast >= mue.gap1 else short,
+                (covered2 if refill >= mue.gap2 else short,
+                 covered2 if coast >= mue.gap2 else short,
+                 covered2 if coast >= mue.gap1 + mue.gap2 else short))
         return value
 
     def phi(self, u: int, k: int) -> float:
-        value = self._phi.get((u, k))
+        phis = self.payoffs(u)[0]
+        value = phis.get(k)
         if value is None:
             instance = self.instance
-            value = self._phi[(u, k)] = (
-                instance.phi_scale * self.margin(u, k) + instance.phi_shift)
+            value = phis[k] = (instance.phi_scale * self.margin(u, k)
+                               + instance.phi_shift)
         return value
 
     def gamma(self, u: int) -> float:
@@ -283,48 +315,88 @@ class _Scores:
         gu, gw = self.gamma(u), self.gamma(w)
         return gu > gw or (gu == gw and u < w)
 
-    def worst(self, members: List[int]) -> int:
-        """The member every BS ranks last."""
-        return min(members, key=lambda w: (self.gamma(w), -w))
-
-    def _cache_payoff(self, covered: bool, period: int) -> float:
-        instance = self.instance
-        if covered:
-            value = (instance.covered_payoff if period == 1
-                     else instance.future_covered_payoff)
-        else:
-            value = instance.shortfall_penalty
-        return instance.phi_scale * value + instance.phi_shift
+    def priority(self) -> List[int]:
+        """All users, best first in the order every BS ranks them."""
+        if self._priority is None:
+            # a stable sort by -gamma keeps ties in index order
+            ranks = [-self.gamma(u) for u in range(len(self.instance.mues))]
+            self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
+        return self._priority
 
     def _bs_payoff(self, u: int, slot: PlayerId) -> float:
         if slot.kind == PlayerKind.SBS:
             return self.phi(u, slot.index)
         return self.mbs_payoff
 
-    def score(self, u: int, first: Optional[PlayerId],
-              second: Optional[PlayerId]) -> float:
-        """plan_score; a cache slot's coverage is evaluated only for it."""
-        instance = self.instance
-        if first is None:
-            p1 = self._cache_payoff(_covered_p1(instance, u), 1)
-        else:
-            p1 = self._bs_payoff(u, first)
-        if second is None:
-            p2 = self._cache_payoff(_covered_p2(instance, u, first), 2)
-        else:
-            p2 = self._bs_payoff(u, second)
-        return p1 + p2
+    def keys(self, u: int, first: Optional[PlayerId],
+             seconds: Sequence[Optional[PlayerId]]) -> List[tuple]:
+        """plan_key of the plan (first, second) for each of `seconds`.
+
+        A key is (-score,) followed by the ranks of both slots, which name
+        the plan; the score adds the first slot's payoff and the second's.
+        """
+        _, cache1, cache2 = self.payoffs(u)
+        r1 = _slot_rank(first)
+        p1 = cache1 if first is None else self._bs_payoff(u, first)
+        out = []
+        for second in seconds:
+            p2 = (cache2[r1[0]] if second is None
+                  else self._bs_payoff(u, second))
+            out.append((-(p1 + p2),) + r1 + _slot_rank(second))
+        return out
 
     def key(self, u: int, first: Optional[PlayerId],
             second: Optional[PlayerId]) -> tuple:
-        """plan_key of the plan (first, second); the ranks name the plan."""
-        ranks = _slot_rank(first) + _slot_rank(second)
-        memo = (u,) + ranks
-        value = self._keys.get(memo)
-        if value is None:
-            value = self._keys[memo] = (
-                (-self.score(u, first, second),) + ranks)
-        return value
+        """plan_key of the plan (first, second)."""
+        return self.keys(u, first, (second,))[0]
+
+    def score(self, u: int, first: Optional[PlayerId],
+              second: Optional[PlayerId]) -> float:
+        """plan_score of the plan (first, second)."""
+        return -self.key(u, first, second)[0]
+
+    def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
+        """(plan_key, plan) of each plan of `plan_universe`, in its order.
+
+        Each key adds the same two payoffs in the same order as `keys`, so
+        it equals `keys`'s value bit for bit.
+        """
+        instance, sbs, sbs_ranks = self.instance, self.sbs, self.sbs_ranks
+        plan = self.plan
+        mue = instance.mues[u]
+        phis, cache1, cache2 = self.payoffs(u)
+        refilled, mbs = cache2[0], self.mbs_payoff
+        eps = instance.phi_scale * instance.epsilon + instance.phi_shift
+        cand1 = [k for k in mue.cand1 if self.phi(u, k) >= self.phi0]
+        cand2 = [k for k in mue.cand2 if self.phi(u, k) >= self.phi0]
+        out = []
+        for k in cand1:
+            p1, first, r1 = phis[k], sbs[k], sbs_ranks[k]
+            ranks = r1 + _CACHE_RANK
+            out.append(((-(p1 + refilled),) + ranks, plan(first, None, ranks)))
+            if p1 < eps:
+                ranks = r1 + _MBS_RANK
+                out.append(((-(p1 + mbs),) + ranks, plan(first, MBS, ranks)))
+            for k2 in cand2:
+                if k2 == k or instance.allow_cross_sbs_plans:
+                    ranks = r1 + sbs_ranks[k2]
+                    out.append(((-(p1 + phis[k2]),) + ranks,
+                                plan(first, sbs[k2], ranks)))
+        for k2 in cand2:
+            ranks = _CACHE_RANK + sbs_ranks[k2]
+            out.append(((-(cache1 + phis[k2]),) + ranks,
+                        plan(None, sbs[k2], ranks)))
+        ranks = _CACHE_RANK + _MBS_RANK
+        out.append(((-(cache1 + mbs),) + ranks, plan(None, MBS, ranks)))
+        return out
+
+    def plan(self, first: Optional[PlayerId], second: Optional[PlayerId],
+             ranks: tuple) -> Plan:
+        """The table's one Plan of these slots; `ranks` name them."""
+        plan = self._plans.get(ranks)
+        if plan is None:
+            plan = self._plans[ranks] = Plan(first, second)
+        return plan
 
     def members(self, period: int, k: int) -> List[int]:
         """Sorted users of SBS k in the period, in the table's matching."""
@@ -366,124 +438,54 @@ def plan_universe(instance: GameInstance, u: int) -> List[Plan]:
     are generated only when the margin is small enough for the macro to
     admit the user in period 2.
     """
-    return _plan_universe(_Scores(instance), u)
-
-
-def _plan_universe(scores: _Scores, u: int) -> List[Plan]:
-    instance, phi, sbs = scores.instance, scores.phi, scores.sbs
-    mue = instance.mues[u]
-    eps = instance.phi_scale * instance.epsilon + instance.phi_shift
-    cand1 = [k for k in mue.cand1 if phi(u, k) >= scores.phi0]
-    cand2 = [k for k in mue.cand2 if phi(u, k) >= scores.phi0]
-    plans: List[Plan] = []
-    for k in cand1:
-        plans.append(Plan(sbs[k], None))
-        if phi(u, k) < eps:
-            plans.append(Plan(sbs[k], MBS))
-        for k2 in cand2:
-            if k2 == k or instance.allow_cross_sbs_plans:
-                plans.append(Plan(sbs[k], sbs[k2]))
-    for k2 in cand2:
-        plans.append(Plan(None, sbs[k2]))
-    plans.append(Plan(None, MBS))
-    return plans
+    return [p for _, p in _Scores(instance).universe(u)]
 
 
 def build_preferences(instance: GameInstance) -> Preferences:
-    """Rank every player's options; drop plans not beating the self plan."""
+    """Rank every player's options; drop plans not beating the self plan.
+
+    One pass per user ranks its plans by the keys `_Scores.universe`
+    derives from the user's payoffs and notes the SBSs of its listed plans;
+    the BS-side lists then follow the common priority order.
+    """
     scores = _Scores(instance)
-    mue_profiles = []
-    # per user: SBS indices in a first and a second slot of a listed plan
-    firsts: List[set] = []
-    seconds: List[set] = []
-    for u in range(len(instance.mues)):
-        self_key = scores.key(u, None, None)
-        keyed = [(scores.key(u, p.first, p.second), p)
-                 for p in _plan_universe(scores, u)]
-        keyed = [pair for pair in keyed if pair[0] < self_key]
-        keyed.sort(key=itemgetter(0))
-        listed = [p for _, p in keyed]
-        mue_profiles.append(PreferenceProfile(owner=mue_id(u),
-                                              ranked_plans=tuple(listed)))
-        firsts.append({p.first.index for p in listed
-                       if p.first is not None
-                       and p.first.kind == PlayerKind.SBS})
-        seconds.append({p.second.index for p in listed
-                        if p.second is not None
-                        and p.second.kind == PlayerKind.SBS})
-
-    acceptable = [u for u in range(len(instance.mues))
-                  if not scores.gamma(u) < scores.gamma0]
-    sbs_profiles = []
-    for k in range(len(instance.sbss)):
-        masks: Dict[int, Tuple[bool, bool]] = {}
-        for u in acceptable:
-            p1, p2 = k in firsts[u], k in seconds[u]
-            if p1 or p2:
-                masks[u] = (p1, p2)
-        ranked = sorted(masks, key=lambda u: (-scores.gamma(u), u))
-        sbs_profiles.append(BsPreference(owner=scores.sbs[k],
-                                         ranked_mues=tuple(ranked),
-                                         period_masks=masks))
-
+    n_mues = len(instance.mues)
+    position = [0] * n_mues
+    for pos, u in enumerate(scores.priority()):
+        position[u] = pos
+    sbs_masks: List[Dict[int, Tuple[bool, bool]]] = [
+        {} for _ in instance.sbss]
     mbs_masks: Dict[int, Tuple[bool, bool]] = {}
-    for u, prof in enumerate(mue_profiles):
-        if any(p.second == MBS for p in prof.ranked_plans):
-            mbs_masks[u] = (False, True)
-    mbs_ranked = sorted(mbs_masks, key=lambda u: (-scores.gamma(u), u))
-    mbs_profile = BsPreference(owner=MBS, ranked_mues=tuple(mbs_ranked),
-                               period_masks=mbs_masks)
-    return Preferences(tuple(mue_profiles), tuple(sbs_profiles), mbs_profile)
+    mue_profiles = []
+    for u in range(n_mues):
+        self_key = scores.key(u, None, None)
+        keyed = [pair for pair in scores.universe(u) if pair[0] < self_key]
+        keyed.sort(key=itemgetter(0))
+        mue_profiles.append(PreferenceProfile(
+            owner=mue_id(u), ranked_plans=tuple([p for _, p in keyed])))
+        # a key's ranks name the plan's slots: kind 0 is an SBS, 1 the macro
+        firsts, seconds = set(), set()
+        for key, _ in keyed:
+            if key[1] == 0:
+                firsts.add(key[2])
+            if key[3] == 0:
+                seconds.add(key[4])
+            elif key[3] == 1:
+                mbs_masks[u] = (False, True)
+        if not scores.gamma(u) < scores.gamma0:
+            for k in firsts | seconds:
+                sbs_masks[k][u] = (k in firsts, k in seconds)
 
-
-def game_to_text(instance: GameInstance) -> str:
-    """Serialize a game instance to the line-oriented snapshot schema."""
-    lines = [f"game t_mts={instance.t_mts!r} scan_interval={instance.scan_interval!r} "
-             f"epsilon={instance.epsilon!r} play_rate={instance.play_rate!r} "
-             f"cache_capacity={instance.cache_capacity!r} "
-             f"mbs_payoff={instance.mbs_payoff!r} "
-             f"covered_payoff={instance.covered_payoff!r} "
-             f"future_covered_payoff={instance.future_covered_payoff!r} "
-             f"shortfall_penalty={instance.shortfall_penalty!r} "
-             f"cross={int(instance.allow_cross_sbs_plans)}"]
-    for k, s in enumerate(instance.sbss):
-        lines.append(f"sbs,{k},{s.radius!r},{s.quota}")
-    for u, m in enumerate(instance.mues):
-        c1 = ";".join(str(i) for i in m.cand1)
-        c2 = ";".join(str(i) for i in m.cand2)
-        lines.append(f"mue,{u},{m.speed!r},{m.segments!r},{m.p_th!r},"
-                     f"{c1},{c2},{m.gap1!r},{m.gap2!r}")
-    return "\n".join(lines) + "\n"
-
-
-def game_from_text(text: str) -> GameInstance:
-    """Parse the snapshot schema written by game_to_text."""
-    header, *rows = [ln for ln in text.splitlines() if ln.strip()]
-    fields = dict(item.split("=", 1) for item in header.split()[1:])
-    sbss, mues = [], []
-    for row in rows:
-        parts = row.split(",")
-        if parts[0] == "sbs":
-            sbss.append(SbsState(radius=float(parts[2]), quota=int(parts[3])))
-        elif parts[0] == "mue":
-            cand1 = tuple(int(x) for x in parts[5].split(";") if x)
-            cand2 = tuple(int(x) for x in parts[6].split(";") if x)
-            mues.append(MueState(
-                speed=float(parts[2]), segments=float(parts[3]),
-                p_th=float(parts[4]), cand1=cand1, cand2=cand2,
-                gap1=float(parts[7]), gap2=float(parts[8])))
-    return GameInstance(
-        mues=tuple(mues), sbss=tuple(sbss),
-        t_mts=float(fields["t_mts"]),
-        scan_interval=float(fields["scan_interval"]),
-        epsilon=float(fields["epsilon"]),
-        play_rate=float(fields["play_rate"]),
-        cache_capacity=float(fields["cache_capacity"]),
-        mbs_payoff=float(fields["mbs_payoff"]),
-        covered_payoff=float(fields["covered_payoff"]),
-        future_covered_payoff=float(fields["future_covered_payoff"]),
-        shortfall_penalty=float(fields["shortfall_penalty"]),
-        allow_cross_sbs_plans=bool(int(fields["cross"])))
+    by_priority = position.__getitem__
+    sbs_profiles = tuple(
+        BsPreference(owner=scores.sbs[k],
+                     ranked_mues=tuple(sorted(masks, key=by_priority)),
+                     period_masks=masks)
+        for k, masks in enumerate(sbs_masks))
+    mbs_profile = BsPreference(
+        owner=MBS, ranked_mues=tuple(sorted(mbs_masks, key=by_priority)),
+        period_masks=mbs_masks)
+    return Preferences(tuple(mue_profiles), sbs_profiles, mbs_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +533,14 @@ class ProposalRecord:
 
 @dataclass
 class MatchTrace:
+    """Proposals of one matching run, in the order the users took turns.
+
+    A round is one user's turn in the priority order, so `rounds` counts
+    the turns of users with anything to propose. `restarts` is always 0:
+    serial dictatorship never revisits a turn. It is kept for the readers
+    of traces (perfbench's tracer sums it).
+    """
+
     proposals: List[ProposalRecord] = field(default_factory=list)
     rounds: int = 0
     restarts: int = 0
@@ -557,6 +567,72 @@ def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Serial dictatorship in the common priority order
+# ---------------------------------------------------------------------------
+
+# The (period, SBS index) slots a plan occupies: () when it occupies none
+# and is always admitted, None when it is never admitted.
+_Slots = Optional[Tuple[Tuple[int, int], ...]]
+
+
+def _serial_dictatorship(scores: _Scores, rankings: Dict[int, Sequence[Plan]],
+                         slots: Callable[[Plan], _Slots],
+                         room: Dict[Tuple[int, int], int], trace: MatchTrace,
+                         stage: int) -> Dict[int, Plan]:
+    """Give each user, best first, the first plan of its ranking with room.
+
+    `room` holds the free places per (period, SBS) slot, and a user with
+    gamma below gamma0 is refused every SBS slot. Every BS ranks users in
+    the same priority order `(gamma, -index)`, so this is the outcome of
+    user-proposing deferred acceptance. Each user's proposals are recorded
+    as that deferred acceptance makes them: its ranking up to and including
+    the plan it holds, or its whole ranking if it holds nothing; only the
+    held plan's record is accepted. Returns each holder's plan.
+    """
+    held: Dict[int, Plan] = {}
+    proposals = trace.proposals
+    for u in scores.priority():
+        ranking = rankings.get(u)
+        if not ranking:
+            continue
+        trace.rounds += 1
+        may_serve = not scores.gamma(u) < scores.gamma0
+        for plan in ranking:
+            wanted = slots(plan)
+            accepted = wanted is not None and (may_serve or not wanted)
+            if accepted:
+                for s in wanted:
+                    if room[s] <= 0:
+                        accepted = False
+                        break
+            proposals.append(
+                ProposalRecord(stage, trace.rounds, u, plan, accepted))
+            if accepted:
+                for s in wanted:
+                    room[s] -= 1
+                held[u] = plan
+                break
+    return held
+
+
+def _plan_slots(plan: Plan) -> _Slots:
+    """Slots of both periods; the macro cell takes no stage-1 plan."""
+    slots = []
+    for period, slot in ((1, plan.first), (2, plan.second)):
+        if slot is not None:
+            if slot.kind == PlayerKind.MBS:
+                return None
+            slots.append((period, slot.index))
+    return tuple(slots)
+
+
+def _second_slot(plan: Plan) -> _Slots:
+    """The period-2 slot; the macro cell always admits."""
+    second = plan.second
+    return () if second.kind == PlayerKind.MBS else ((2, second.index),)
+
+
+# ---------------------------------------------------------------------------
 # Algorithm 1: single-period deferred acceptance
 # ---------------------------------------------------------------------------
 
@@ -567,39 +643,22 @@ def deferred_acceptance(instance: GameInstance,
 
     Plans reduce to their first components; users left unmatched go to the
     cache when playback outlasts the scan interval, otherwise to the macro
-    cell. The output admits no single-period blocking pair.
+    cell. The output admits no single-period blocking pair. Run as serial
+    dictatorship in the common priority order, which has the same outcome.
     """
     prefs = preferences or build_preferences(instance)
     scores = _Scores(instance)
     trace = MatchTrace()
-    rank_lists = [_first_sbs_order(prof) for prof in prefs.mue_profiles]
-
-    pointers = [0] * len(instance.mues)
-    held: Dict[int, List[int]] = {k: [] for k in range(len(instance.sbss))}
-    matched: Dict[int, Optional[int]] = {u: None for u in range(len(instance.mues))}
-
-    active = True
-    while active:
-        trace.rounds += 1
-        active = False
-        for u in range(len(instance.mues)):
-            if matched[u] is not None:
-                continue
-            while pointers[u] < len(rank_lists[u]):
-                k = rank_lists[u][pointers[u]]
-                pointers[u] += 1
-                active = True
-                accepted = _da_offer(scores, held, matched, u, k)
-                trace.proposals.append(ProposalRecord(
-                    stage=1, round=trace.rounds, mue=u,
-                    plan=Plan(scores.sbs[k], None), accepted=accepted))
-                if accepted:
-                    break
+    rankings = {u: [Plan(scores.sbs[k], None) for k in _first_sbs_order(prof)]
+                for u, prof in enumerate(prefs.mue_profiles)}
+    room = {(1, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
+    held = _serial_dictatorship(scores, rankings, _plan_slots, room, trace,
+                                stage=1)
 
     mu: Dict[int, Optional[PlayerId]] = {}
     for u in range(len(instance.mues)):
-        if matched[u] is not None:
-            mu[u] = scores.sbs[matched[u]]
+        if u in held:
+            mu[u] = held[u].first
         elif instance.mues[u].segments / instance.play_rate >= instance.scan_interval:
             mu[u] = None
         else:
@@ -617,31 +676,12 @@ def _first_sbs_order(profile: PreferenceProfile) -> List[int]:
     return seen
 
 
-def _da_offer(scores: _Scores, held: Dict[int, List[int]],
-              matched: Dict[int, Optional[int]], u: int, k: int) -> bool:
-    """Offer user u to SBS k; displace the worst member if it improves k."""
-    if scores.gamma(u) < scores.gamma0:
-        return False
-    roster = held[k]
-    if len(roster) < scores.instance.sbss[k].quota:
-        roster.append(u)
-        matched[u] = k
-        return True
-    worst = scores.worst(roster)
-    if scores.bs_prefers(u, worst):
-        roster.remove(worst)
-        matched[worst] = None
-        roster.append(u)
-        matched[u] = k
-        return True
-    return False
-
-
 def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                                 instance: GameInstance,
+                                preferences: Optional[Preferences] = None,
                                 ) -> List[Tuple[int, int]]:
     """Classic blocking pairs (user, SBS) of a single-period matching."""
-    prefs = build_preferences(instance)
+    prefs = preferences or build_preferences(instance)
     scores = _Scores(instance)
     rosters = _sbs_rosters(mu)
     blocking = []
@@ -667,13 +707,12 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
 # Algorithm 2: two-stage dynamically stable matching
 # ---------------------------------------------------------------------------
 
-class ConvergenceError(RuntimeError):
-    pass
-
-
 def dynamic_match(instance: GameInstance,
                   preferences: Optional[Preferences] = None) -> MatchResult:
-    """Two-stage plan matching: ex ante stage then period-2 repair."""
+    """Two-stage plan matching: ex ante stage then period-2 repair.
+
+    Both stages are serial dictatorships in the common priority order.
+    """
     prefs = preferences or build_preferences(instance)
     scores = _Scores(instance)
     trace = MatchTrace()
@@ -681,7 +720,7 @@ def dynamic_match(instance: GameInstance,
     ex_ante = _matching_from_plans(instance, held)
     _period1_fallback(scores, ex_ante)
     matching = ex_ante.copy()
-    _stage_two(scores, matching, trace)
+    _stage_two(scores, prefs, matching, trace)
     matching.validate(instance)
     return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace,
                        preferences=prefs)
@@ -689,112 +728,21 @@ def dynamic_match(instance: GameInstance,
 
 def _stage_one(scores: _Scores, prefs: Preferences,
                trace: MatchTrace) -> Dict[int, Plan]:
-    """Plan proposals with tentative acceptance until no plan is rejected.
+    """Ex ante stage: each user, best first, holds its best admitted plan.
 
-    Plans are atomic: a plan displaced at any requested slot dies entirely,
-    freeing its other slots. Because the BS-side utility does not depend on
-    the serving BS, all rosters rank users by one global priority order, so
-    a displacement chain can only descend that order; whenever capacity is
-    freed (a death, or a user upgrading away from its held plan), recorded
-    rejections are cleared and users re-propose from the top. This converges
-    to an assignment in which every standing rejection is justified against
-    the final rosters.
-
-    The lowest-indexed user with a plan left to propose moves next; it
-    proposes its best plan that is neither rejected nor ranked at or below
-    the plan it holds. Invariant: between restarts, the rejected plans of
-    each user u are exactly the prefix [0, next[u]) of its ranking. A
-    rejection extends the prefix by the plan just proposed, and an
-    acceptance that frees nothing comes only from a user holding no plan,
-    whose limit then drops to next[u], leaving it nothing to propose. So
-    one pointer per user stands for its rejections, and a user with
-    nothing left to propose stays so until the next restart: the search
-    for the lowest active user resumes where it stopped. A restart resets
-    every pointer and the search. The per-(period, SBS) rosters are kept
-    as sets, updated on every acceptance and displacement.
+    Plans are atomic: a plan is admitted only if every SBS slot it requests
+    has room, in period 1 and in period 2. The macro cell takes no stage-1
+    plan, and a user with gamma below gamma0 is refused SBS slots. The
+    original process, plan proposals with tentative acceptance in which a
+    displaced plan dies entirely and freed capacity restarts the proposals,
+    holds the same plans in every game of the differential tests.
     """
-    instance = scores.instance
-    n_mues = len(instance.mues)
-    profiles = [p.ranked_plans for p in prefs.mue_profiles]
-    rosters = [[set() for _ in instance.sbss] for _ in (1, 2)]
-
-    def claims(plan: Plan) -> Optional[tuple]:
-        """(roster, quota) of each SBS slot, None for a macro plan."""
-        if any(slot is not None and slot.kind == PlayerKind.MBS
-               for slot in plan.slots()):
-            return None
-        return tuple((rosters[period][slot.index],
-                      instance.sbss[slot.index].quota)
-                     for period, slot in enumerate(plan.slots())
-                     if slot is not None and slot.kind == PlayerKind.SBS)
-
-    plan_claims = [[claims(plan) for plan in ranking] for ranking in profiles]
-    held: Dict[int, Plan] = {}
-    held_claims: Dict[int, tuple] = {}
-    limit = [len(p) for p in profiles]   # index of the held plan, if any
-    nxt = [0] * n_mues
-    first = 0
-
-    total_plans = sum(len(p) for p in profiles)
-    max_proposals = 200 * (total_plans + 1) * (n_mues + 2)
-    proposals = 0
-
-    while True:
-        while first < n_mues and nxt[first] >= limit[first]:
-            first += 1
-        if first == n_mues:
-            return held
-
-        u = first
-        idx = nxt[u]
-        plan = profiles[u][idx]
-        proposals += 1
-        trace.rounds += 1
-        if proposals > max_proposals:
-            raise ConvergenceError("stage 1 failed to converge")
-
-        wanted = plan_claims[u][idx]
-        # the macro cell takes no stage-1 proposals
-        accepted = wanted is not None
-        victims: List[int] = []
-        if wanted and scores.gamma(u) < scores.gamma0:
-            accepted = False
-        elif wanted:
-            for roster, quota in wanted:
-                if len(roster) - (u in roster) < quota:
-                    continue
-                worst = scores.worst([w for w in roster if w != u])
-                if scores.bs_prefers(u, worst):
-                    victims.append(worst)
-                else:
-                    accepted = False
-                    break
-
-        trace.proposals.append(ProposalRecord(
-            stage=1, round=trace.rounds, mue=u, plan=plan, accepted=accepted))
-        if not accepted:
-            nxt[u] = idx + 1
-            continue
-
-        freed = u in held or victims
-        for w in set(victims):
-            for roster, _ in held_claims.pop(w):
-                roster.remove(w)
-            del held[w]
-            limit[w] = len(profiles[w])
-        for roster, _ in held_claims.get(u, ()):
-            roster.remove(u)
-        for roster, _ in wanted:
-            roster.add(u)
-        held[u] = plan
-        held_claims[u] = wanted
-        limit[u] = idx
-        if freed:
-            # capacity was released somewhere: earlier rejections may no
-            # longer be justified, so everyone may re-propose from the top
-            trace.restarts += 1
-            nxt = [0] * n_mues
-            first = 0
+    rankings = {u: prof.ranked_plans
+                for u, prof in enumerate(prefs.mue_profiles)}
+    room = {(period, k): sbs.quota for period in (1, 2)
+            for k, sbs in enumerate(scores.instance.sbss)}
+    return _serial_dictatorship(scores, rankings, _plan_slots, room, trace,
+                                stage=1)
 
 
 def _matching_from_plans(instance: GameInstance,
@@ -835,82 +783,49 @@ def _mbs_admits_p2(scores: _Scores, u: int,
     return playback < instance.scan_interval
 
 
-def _stage_two(scores: _Scores, matching: DynamicMatching,
-               trace: MatchTrace) -> None:
+def _stage_two(scores: _Scores, prefs: Preferences,
+               matching: DynamicMatching, trace: MatchTrace) -> None:
     """Period-2 deferred acceptance among users still unmatched in period 2.
 
     Options are the period-2 partners consistent with the realized period-1
     assignment: candidate SBSs with remaining quota and the macro cell under
-    its admission rule. Period-2 members held from stage one are immutable.
+    its admission rule, which always admits. Period-2 members held from
+    stage one are fixed, so an SBS's room is its quota less them. Run as
+    serial dictatorship in the common priority order.
+
+    A user on its cache in period 1 held no plan, and its options are the
+    second slots of its listed (cache, x) plans, in their order: both are
+    filtered and ranked by the same keys. Only the macro cell's admission
+    rule is applied on top.
     """
     instance = scores.instance
-    participants = [u for u in range(len(instance.mues))
-                    if matching.mu2[u] is None]
-    options: Dict[int, List[PlayerId]] = {}
-    for u in participants:
+    room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
+    for k, members in _sbs_rosters(matching.mu2).items():
+        room[(2, k)] -= len(members)
+    rankings: Dict[int, List[Plan]] = {}
+    for u, second in matching.mu2.items():
+        if second is not None:
+            continue
         first = matching.mu1[u]
-        self_key = scores.key(u, first, None)
+        admits = _mbs_admits_p2(scores, u, first)
+        if first is None:
+            rankings[u] = [
+                p for p in prefs.mue_profiles[u].ranked_plans
+                if p.first is None
+                and (admits or p.second.kind != PlayerKind.MBS)]
+            continue
         opts = [scores.sbs[k] for k in instance.mues[u].cand2
                 if not scores.phi(u, k) < scores.phi0]
-        if _mbs_admits_p2(scores, u, first):
+        if admits:
             opts.append(MBS)
-        opts = [o for o in opts if scores.key(u, first, o) < self_key]
-        opts.sort(key=lambda o: scores.key(u, first, o))
-        options[u] = opts
-
-    # stage-one period-2 members, fixed while the stage runs
-    fixed = _sbs_rosters(matching.mu2)
-    pointers = {u: 0 for u in participants}
-    tentative: Dict[int, Optional[PlayerId]] = {u: None for u in participants}
-    rounds = 0
-    while True:
-        rounds += 1
-        trace.rounds += 1
-        progress = False
-        for u in participants:
-            if tentative[u] is not None:
-                continue
-            while pointers[u] < len(options[u]):
-                target = options[u][pointers[u]]
-                pointers[u] += 1
-                progress = True
-                accepted = _stage_two_offer(
-                    scores, fixed, tentative, u, target)
-                trace.proposals.append(ProposalRecord(
-                    stage=2, round=trace.rounds, mue=u,
-                    plan=Plan(matching.mu1[u], target), accepted=accepted))
-                if accepted:
-                    break
-        if not progress:
-            break
-
-    for u, target in tentative.items():
-        if target is not None:
-            matching.mu2[u] = target
-
-
-def _stage_two_offer(scores: _Scores, fixed: Dict[int, List[int]],
-                     tentative: Dict[int, Optional[PlayerId]], u: int,
-                     target: PlayerId) -> bool:
-    if target.kind == PlayerKind.MBS:
-        tentative[u] = MBS
-        return True
-    k = target.index
-    if scores.gamma(u) < scores.gamma0:
-        return False
-    entrants = [w for w, t in tentative.items() if t == target]
-    free = scores.instance.sbss[k].quota - len(fixed.get(k, []))
-    if free <= 0:
-        return False
-    if len(entrants) < free:
-        tentative[u] = target
-        return True
-    worst = scores.worst(entrants)
-    if scores.bs_prefers(u, worst):
-        tentative[worst] = None
-        tentative[u] = target
-        return True
-    return False
+        self_key, *keys = scores.keys(u, first, [None] + opts)
+        keyed = [pair for pair in zip(keys, opts) if pair[0] < self_key]
+        keyed.sort(key=itemgetter(0))
+        rankings[u] = [Plan(first, o) for _, o in keyed]
+    held = _serial_dictatorship(scores, rankings, _second_slot, room, trace,
+                                stage=2)
+    for u, plan in held.items():
+        matching.mu2[u] = plan.second
 
 
 # ---------------------------------------------------------------------------

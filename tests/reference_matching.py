@@ -3,8 +3,11 @@
 Every function here is the definitional version: each utility, plan key
 and roster is recomputed at every use, HOF goes through the public,
 warning `geometry.hof_probability` inside `warnings.catch_warnings`, and
-rosters are rescanned from the matching. `tests/test_matching.py` compares
-the tabulated production path against it on random and region games.
+rosters are rescanned from the matching. The matchers are the original
+proposal processes: deferred acceptance with displacement for the
+single-period matcher and stage two, and plan proposals with restarts for
+stage one. `tests/test_matching.py` compares the production path (per-call
+score tables, serial dictatorship) against it on random and region games.
 The data types (plans, matchings, traces, violations) are the production
 ones, so results compare by `repr`.
 """
@@ -15,11 +18,15 @@ import warnings
 from typing import Dict, List, Optional, Tuple
 
 from mmwcache.geometry import hof_probability
-from mmwcache.matching import (MBS, SELF_PLAN, BsPreference, ConvergenceError,
-                               DynamicMatching, GameInstance, MatchResult,
-                               MatchTrace, PlayerId, PlayerKind, Plan,
-                               PreferenceProfile, Preferences, ProposalRecord,
-                               Violation, mue_id, sbs_id)
+from mmwcache.matching import (MBS, SELF_PLAN, BsPreference, DynamicMatching,
+                               GameInstance, MatchResult, MatchTrace, PlayerId,
+                               PlayerKind, Plan, PreferenceProfile,
+                               Preferences, ProposalRecord, Violation, mue_id,
+                               sbs_id)
+
+
+class ConvergenceError(RuntimeError):
+    pass
 
 
 def mue_utility(u: int, k: int, instance: GameInstance) -> float:

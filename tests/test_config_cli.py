@@ -49,7 +49,11 @@ sbs_powers_dbm = 20, 30
         ("min_intercell", -5.0), ("speed_min", -1.0), ("play_rate", 0.0),
         ("play_rate", float("nan")), ("quota", 0), ("n_beams", 0),
         ("beamwidth_deg", 0.0), ("beamwidth_deg", float("nan")),
-        ("frame", -1.0), ("frame", 0.0), ("frame", float("nan"))])
+        ("frame", -1.0), ("frame", 0.0), ("frame", float("nan")),
+        ("epsilon", -1.0), ("epsilon", float("nan")), ("t_mts", -1.0),
+        ("segment_size_bits", 0.0), ("segment_size_bits", -1.0),
+        ("cache_capacity", -5.0), ("cache_capacity", float("nan")),
+        ("sbs_powers_dbm", ())])
     def test_invalid_scenario_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**{key: value})
@@ -171,7 +175,13 @@ class TestCli:
         (["analyze", "--op", "cdf", "--radius", "0"], "--radius"),
         (["analyze", "--op", "coverage", "--n", "1"], "2 beams"),
         (["analyze", "--op", "coverage", "--n", "3", "--theta", "3"],
-         "--theta")])
+         "--theta"),
+        (["match", "--set", "epsilon=-1"], "epsilon"),
+        (["match", "--set", "t_mts=-1"], "t_mts"),
+        (["simulate", "--set", "segment_size_bits=0"], "segment_size_bits"),
+        (["simulate", "--set", "cache_capacity=-5"], "cache_capacity"),
+        (["simulate", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
+        (["match", "--set", "sbs_powers_dbm="], "sbs_powers_dbm")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])

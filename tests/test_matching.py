@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -138,6 +139,21 @@ class TestDeferredAcceptance:
             mu, _ = M.deferred_acceptance(inst)
             assert not M.find_single_period_blocking(mu, inst)
 
+    def test_blocking_scan_takes_preferences(self):
+        rng = np.random.default_rng(19)
+        found = 0
+        for _ in range(100):
+            inst = random_game_instance(rng)
+            prefs = M.build_preferences(inst)
+            mu, _ = M.deferred_acceptance(inst, preferences=prefs)
+            unserved = {u: None for u in mu}
+            for matching in (mu, unserved):
+                pairs = M.find_single_period_blocking(matching, inst,
+                                                      preferences=prefs)
+                assert pairs == M.find_single_period_blocking(matching, inst)
+                found += len(pairs)
+        assert found > 0
+
 
 class TestDynamicMatch:
     def test_random_instances_dynamically_stable(self):
@@ -204,14 +220,21 @@ class TestDynamicMatch:
 
 class TestStageOneTermination:
     def test_proposal_budget(self):
+        # serial dictatorship proposes each listed option at most once
         rng = np.random.default_rng(47)
         for _ in range(100):
             inst = random_game_instance(rng)
             prefs = M.build_preferences(inst)
             res = M.dynamic_match(inst, preferences=prefs)
-            total_plans = sum(len(p.ranked_plans) for p in prefs.mue_profiles)
-            assert len(res.trace.proposals) <= 200 * (total_plans + 1) \
-                * (len(inst.mues) + 2)
+            _, da = M.deferred_acceptance(inst, preferences=prefs)
+            for trace in (res.trace, da):
+                sent = Counter((p.stage, p.mue, p.plan)
+                               for p in trace.proposals)
+                assert max(sent.values(), default=1) == 1
+            assert res.trace.restarts == 0
+            for p in res.trace.proposals:
+                if p.stage == 1:
+                    assert p.plan in prefs.mue_profiles[p.mue].ranked_plans
 
 
 class TestSignalingOverhead:
@@ -272,28 +295,45 @@ class TestValidation:
             M.find_blocking_pairs(res.matching, inst, period=3)
 
 
-class TestSerialization:
-    def test_game_roundtrip(self):
-        inst = example1_instance()
-        text = M.game_to_text(inst)
-        assert M.game_from_text(text) == inst
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(59)
-        for _ in range(20):
-            inst = random_game_instance(rng)
-            assert M.game_from_text(M.game_to_text(inst)) == inst
+def _proposals(trace, stage):
+    """Multiset of the (user, plan) proposals of one stage."""
+    return Counter((p.mue, p.plan) for p in trace.proposals
+                   if p.stage == stage)
 
 
-def _outputs(module, scan, game):
-    """repr of every result the stability suite derives from one game."""
-    prefs = module.build_preferences(game)
-    res = module.dynamic_match(game)
-    mu, da_trace = module.deferred_acceptance(game)
-    single = module.find_single_period_blocking(mu, game)
-    return repr((prefs, res.matching, res.ex_ante, res.trace, res.preferences,
-                 mu, da_trace, single,
-                 scan(res.matching, game), scan(res.ex_ante, game)))
+def _assert_same_matchings(game):
+    """The serial dictatorships against the reference proposal processes.
+
+    Preferences, held plans, both matchings and the single-period map must
+    be equal; so must the proposals of stage two and of the single-period
+    matcher, and those of stage one when the reference never restarted
+    (a restart makes it propose plans again). Returns both sides' results.
+    """
+    prefs, ref_prefs = M.build_preferences(game), R.build_preferences(game)
+    assert repr(prefs) == repr(ref_prefs)
+    res = M.dynamic_match(game, preferences=prefs)
+    ref = R.dynamic_match(game, preferences=ref_prefs)
+    assert repr((res.ex_ante, res.matching)) == \
+        repr((ref.ex_ante, ref.matching))
+    assert _proposals(res.trace, 2) == _proposals(ref.trace, 2)
+    if not ref.trace.restarts:
+        assert _proposals(res.trace, 1) == _proposals(ref.trace, 1)
+    mu, da = M.deferred_acceptance(game, preferences=prefs)
+    ref_mu, ref_da = R.deferred_acceptance(game, preferences=ref_prefs)
+    assert repr(mu) == repr(ref_mu)
+    assert _proposals(da, 1) == _proposals(ref_da, 1)
+    return (res, mu), (ref, ref_mu)
+
+
+def _assert_same_outputs(game):
+    """Every result the stability suite derives from one game."""
+    (res, mu), (ref, ref_mu) = _assert_same_matchings(game)
+    assert repr((M.find_single_period_blocking(mu, game),
+                 _scan(res.matching, game), _scan(res.ex_ante, game))) == \
+        repr((R.find_single_period_blocking(ref_mu, game),
+              _reference_scan(ref.matching, game),
+              _reference_scan(ref.ex_ante, game)))
+    return ref.trace.restarts
 
 
 def _scan(matching, game):
@@ -313,8 +353,9 @@ def _out_of_domain(game):
 
 
 class TestTabulatedScores:
-    """The per-call score tables against the definitional path, which
-    recomputes every utility, key and roster at each use."""
+    """The per-call score tables and serial dictatorships against the
+    definitional path, which recomputes every utility, key and roster at
+    each use and runs the original proposal processes."""
 
     @pytest.mark.parametrize("users,sbss,count,seed", [
         (8, 4, 2000, 101), (12, 4, 2000, 102), (20, 6, 1000, 103),
@@ -333,8 +374,7 @@ class TestTabulatedScores:
                                gamma_shift=float(rng.uniform(-2.0, 2.0)),
                                cache_capacity=float(rng.uniform(0.0, 1e4)))
             clamped += _out_of_domain(game)
-            assert _outputs(M, _scan, game) == \
-                _outputs(R, _reference_scan, game), f"game {i}"
+            _assert_same_outputs(game)
         assert clamped >= count // 20
 
     def test_large_games_match_definitional_path(self):
@@ -345,10 +385,8 @@ class TestTabulatedScores:
             game = random_game_instance(rng, max_mues=125, max_sbss=10)
             if len(game.mues) >= 115 and len(game.sbss) == 10:
                 games.append(game)
-        for i, game in enumerate(games):
-            assert _outputs(M, _scan, game) == \
-                _outputs(R, _reference_scan, game), f"game {i}"
-            assert M.dynamic_match(game).trace.restarts >= 20
+        for game in games:
+            assert _assert_same_outputs(game) >= 20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_region_instances_match_definitional_path(self, seed):
@@ -361,8 +399,7 @@ class TestTabulatedScores:
                 scaled = replace(game, phi_scale=2.5, phi_shift=-0.7,
                                  gamma_scale=0.3, gamma_shift=1.1)
                 for variant in (game, scaled):
-                    assert _outputs(M, _scan, variant) == \
-                        _outputs(R, _reference_scan, variant), (n_mues, speed)
+                    _assert_same_outputs(variant)
 
     def test_public_utilities_match_definitional_values(self):
         rng = np.random.default_rng(107)
@@ -417,3 +454,82 @@ class TestTabulatedScores:
             assert warnings.filters == before
         assert prefs.mue_profiles[0].ranked_plans
         assert "warnings" not in vars(M)
+
+
+class TestSerialDictatorship:
+    """Serial dictatorship in the common priority order against the
+    reference proposal processes (deferred acceptance with displacement,
+    stage one with restarts)."""
+
+    @pytest.mark.parametrize("users,sbss,count,seed", [
+        (8, 4, 6000, 201), (12, 4, 3000, 202), (30, 6, 1000, 203)])
+    def test_matches_proposal_processes(self, users, sbss, count, seed):
+        rng = np.random.default_rng(seed)
+        restarted = 0
+        for i in range(count):
+            game = random_game_instance(rng, max_mues=users, max_sbss=sbss)
+            if i % 4 == 3:
+                game = replace(game, phi_scale=float(rng.uniform(0.2, 4.0)),
+                               phi_shift=float(rng.uniform(-2.0, 2.0)),
+                               gamma_scale=float(rng.uniform(0.2, 4.0)),
+                               gamma_shift=float(rng.uniform(-2.0, 2.0)),
+                               cache_capacity=float(rng.uniform(0.0, 1e4)))
+            elif i % 4 == 2:
+                game = replace(game, allow_cross_sbs_plans=False)
+            _, (ref, _) = _assert_same_matchings(game)
+            restarted += ref.trace.restarts > 0
+        # the reference restarts often enough for the comparison to count
+        assert restarted >= count // 10
+
+    def test_region_instances_match_proposal_processes(self):
+        config = experiments._region_config(ScenarioConfig(seed=4))
+        rng = np.random.default_rng(4)
+        for n_mues in (10, 50, 120, 400):
+            for speed in (2.0, 8.0, 16.0, None):
+                game = experiments.build_region_instance(
+                    config, n_mues, speed, rng).game
+                _assert_same_matchings(game)
+
+    def test_proposals_are_ranking_prefixes(self):
+        # each user proposes its ranking down to the option it holds, or
+        # all of it if it holds nothing; only the held option is accepted
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            game = random_game_instance(rng, max_mues=12)
+            prefs = M.build_preferences(game)
+            res = M.dynamic_match(game, preferences=prefs)
+            mu, da = M.deferred_acceptance(game, preferences=prefs)
+            firsts = {u: [M.Plan(M.sbs_id(k), None)
+                          for k in M._first_sbs_order(prof)]
+                      for u, prof in enumerate(prefs.mue_profiles)}
+            held = self._held(da, 1, firsts)
+            for u, b in mu.items():
+                assert b == held[u].first if u in held else \
+                    b in (None, M.MBS)
+            ranked = {u: list(prof.ranked_plans)
+                      for u, prof in enumerate(prefs.mue_profiles)}
+            held = self._held(res.trace, 1, ranked)
+            for u in ranked:
+                plan = held.get(u, M.SELF_PLAN)
+                assert res.ex_ante.mu2[u] == plan.second
+                # the period-1 macro fallback may take a cache slot
+                assert res.ex_ante.mu1[u] == plan.first or \
+                    (plan.first is None and res.ex_ante.mu1[u] == M.MBS)
+
+    @staticmethod
+    def _held(trace, stage, rankings):
+        """Check the stage's proposals; return each user's accepted plan."""
+        sent = {}
+        for p in trace.proposals:
+            if p.stage == stage:
+                sent.setdefault(p.mue, []).append(p)
+        held = {}
+        for u, records in sent.items():
+            plans = [p.plan for p in records]
+            assert plans == rankings[u][:len(plans)]
+            assert not any(p.accepted for p in records[:-1])
+            if records[-1].accepted:
+                held[u] = records[-1].plan
+            else:
+                assert len(plans) == len(rankings[u])
+        return held
