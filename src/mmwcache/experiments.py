@@ -447,6 +447,7 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
         "savings": 1.0 - scans / n_mues,
         "baseline_mj": n_mues * e_scan_mj,
         "used_mj": scans * e_scan_mj,
+        # serial-dictatorship proposals; see signaling_overhead on restarts
         "proposals": float(signaling_overhead(result.trace, sbs=region.focal)),
         "hof_prob_proposed": failures / n_mues,
         "hof_prob_conventional": conventional / n_mues,

@@ -196,7 +196,6 @@ def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
 
 
 _CACHE_RANK = _slot_rank(None)
-_MBS_RANK = _slot_rank(MBS)
 
 
 def plan_key(instance: GameInstance, u: int, plan: Plan) -> tuple:
@@ -323,26 +322,34 @@ class _Scores:
             self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
         return self._priority
 
-    def _bs_payoff(self, u: int, slot: PlayerId) -> float:
-        if slot.kind == PlayerKind.SBS:
-            return self.phi(u, slot.index)
-        return self.mbs_payoff
-
     def keys(self, u: int, first: Optional[PlayerId],
              seconds: Sequence[Optional[PlayerId]]) -> List[tuple]:
         """plan_key of the plan (first, second) for each of `seconds`.
 
-        A key is (-score,) followed by the ranks of both slots, which name
-        the plan; the score adds the first slot's payoff and the second's.
+        This is the one definition of a plan key: (-score,) followed by the
+        ranks of both slots, which name the plan. The score adds the first
+        slot's payoff and the second's; a period-2 cache slot's payoff
+        depends on the kind of the first slot.
         """
-        _, cache1, cache2 = self.payoffs(u)
-        r1 = _slot_rank(first)
-        p1 = cache1 if first is None else self._bs_payoff(u, first)
+        phis, cache1, cache2 = self.payoffs(u)
+        if first is None:
+            p1, r1 = cache1, _CACHE_RANK
+        elif first.kind is PlayerKind.SBS:
+            p1, r1 = self.phi(u, first.index), self.sbs_ranks[first.index]
+        else:
+            p1, r1 = self.mbs_payoff, _slot_rank(first)
+        cache2 = cache2[r1[0]]
         out = []
         for second in seconds:
-            p2 = (cache2[r1[0]] if second is None
-                  else self._bs_payoff(u, second))
-            out.append((-(p1 + p2),) + r1 + _slot_rank(second))
+            if second is None:
+                p2, r2 = cache2, _CACHE_RANK
+            elif second.kind is PlayerKind.SBS:
+                k = second.index
+                p2 = phis[k] if k in phis else self.phi(u, k)
+                r2 = self.sbs_ranks[k]
+            else:
+                p2, r2 = self.mbs_payoff, _slot_rank(second)
+            out.append((-(p1 + p2),) + r1 + r2)
         return out
 
     def key(self, u: int, first: Optional[PlayerId],
@@ -358,45 +365,34 @@ class _Scores:
     def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
         """(plan_key, plan) of each plan of `plan_universe`, in its order.
 
-        Each key adds the same two payoffs in the same order as `keys`, so
-        it equals `keys`'s value bit for bit.
+        The keys come from `keys`, one call per first slot. Plans are
+        interned per table by the slot ranks that end each key.
         """
-        instance, sbs, sbs_ranks = self.instance, self.sbs, self.sbs_ranks
-        plan = self.plan
-        mue = instance.mues[u]
-        phis, cache1, cache2 = self.payoffs(u)
-        refilled, mbs = cache2[0], self.mbs_payoff
+        instance, sbs, plans = self.instance, self.sbs, self._plans
+        phi0 = self.phi0
         eps = instance.phi_scale * instance.epsilon + instance.phi_shift
-        cand1 = [k for k in mue.cand1 if self.phi(u, k) >= self.phi0]
-        cand2 = [k for k in mue.cand2 if self.phi(u, k) >= self.phi0]
+        mue = instance.mues[u]
+        cand2 = [sbs[k] for k in mue.cand2 if self.phi(u, k) >= phi0]
+        groups = []
+        for k in mue.cand1:
+            p1 = self.phi(u, k)
+            if p1 >= phi0:
+                seconds: List[Optional[PlayerId]] = [None]
+                if p1 < eps:
+                    seconds.append(MBS)
+                seconds += [s for s in cand2
+                            if s.index == k or instance.allow_cross_sbs_plans]
+                groups.append((sbs[k], seconds))
+        groups.append((None, cand2 + [MBS]))
         out = []
-        for k in cand1:
-            p1, first, r1 = phis[k], sbs[k], sbs_ranks[k]
-            ranks = r1 + _CACHE_RANK
-            out.append(((-(p1 + refilled),) + ranks, plan(first, None, ranks)))
-            if p1 < eps:
-                ranks = r1 + _MBS_RANK
-                out.append(((-(p1 + mbs),) + ranks, plan(first, MBS, ranks)))
-            for k2 in cand2:
-                if k2 == k or instance.allow_cross_sbs_plans:
-                    ranks = r1 + sbs_ranks[k2]
-                    out.append(((-(p1 + phis[k2]),) + ranks,
-                                plan(first, sbs[k2], ranks)))
-        for k2 in cand2:
-            ranks = _CACHE_RANK + sbs_ranks[k2]
-            out.append(((-(cache1 + phis[k2]),) + ranks,
-                        plan(None, sbs[k2], ranks)))
-        ranks = _CACHE_RANK + _MBS_RANK
-        out.append(((-(cache1 + mbs),) + ranks, plan(None, MBS, ranks)))
+        for first, seconds in groups:
+            for key, second in zip(self.keys(u, first, seconds), seconds):
+                ranks = key[1:]
+                plan = plans.get(ranks)
+                if plan is None:
+                    plan = plans[ranks] = Plan(first, second)
+                out.append((key, plan))
         return out
-
-    def plan(self, first: Optional[PlayerId], second: Optional[PlayerId],
-             ranks: tuple) -> Plan:
-        """The table's one Plan of these slots; `ranks` name them."""
-        plan = self._plans.get(ranks)
-        if plan is None:
-            plan = self._plans[ranks] = Plan(first, second)
-        return plan
 
     def members(self, period: int, k: int) -> List[int]:
         """Sorted users of SBS k in the period, in the table's matching."""
@@ -463,15 +459,16 @@ def build_preferences(instance: GameInstance) -> Preferences:
         keyed.sort(key=itemgetter(0))
         mue_profiles.append(PreferenceProfile(
             owner=mue_id(u), ranked_plans=tuple([p for _, p in keyed])))
-        # a key's ranks name the plan's slots: kind 0 is an SBS, 1 the macro
         firsts, seconds = set(), set()
-        for key, _ in keyed:
-            if key[1] == 0:
-                firsts.add(key[2])
-            if key[3] == 0:
-                seconds.add(key[4])
-            elif key[3] == 1:
-                mbs_masks[u] = (False, True)
+        for _, plan in keyed:
+            first, second = plan.first, plan.second
+            if first is not None and first.kind is PlayerKind.SBS:
+                firsts.add(first.index)
+            if second is not None:
+                if second.kind is PlayerKind.SBS:
+                    seconds.add(second.index)
+                else:
+                    mbs_masks[u] = (False, True)
         if not scores.gamma(u) < scores.gamma0:
             for k in firsts | seconds:
                 sbs_masks[k][u] = (k in firsts, k in seconds)
@@ -555,7 +552,14 @@ class MatchResult:
 
 
 def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
-    """Count plan/DA proposals addressed to SBSs (optionally one SBS)."""
+    """Count plan/DA proposals addressed to SBSs (optionally one SBS).
+
+    The trace holds the proposals of the serial dictatorships: each user's
+    ranking down to the plan it holds. This is what the paper's
+    proposal-and-restart process sends whenever stage one never restarts.
+    When freed capacity restarts that process, it proposes some plans again,
+    and this count is lower than what that process would send.
+    """
     count = 0
     for rec in trace.proposals:
         targets = rec.plan.sbs_targets()
@@ -794,9 +798,12 @@ def _stage_two(scores: _Scores, prefs: Preferences,
     serial dictatorship in the common priority order.
 
     A user on its cache in period 1 held no plan, and its options are the
-    second slots of its listed (cache, x) plans, in their order: both are
-    filtered and ranked by the same keys. Only the macro cell's admission
-    rule is applied on top.
+    second slots of its listed (cache, x) plans, which passed the same
+    filter against the same self plan; only the macro admission rule is
+    applied on top. Taking them from `prefs` spares computing phi again in
+    this call's table: on `match --users 3200`, where nearly every
+    stage-two user is on its cache, matching otherwise takes longer than
+    building the preferences.
     """
     instance = scores.instance
     room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}

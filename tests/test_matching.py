@@ -516,6 +516,27 @@ class TestSerialDictatorship:
                 assert res.ex_ante.mu1[u] == plan.first or \
                     (plan.first is None and res.ex_ante.mu1[u] == M.MBS)
 
+    def test_overhead_below_restarting_process(self):
+        # a restart makes the reference propose plans again, so stage one's
+        # proposals are a sub-multiset of its own and the overhead no larger;
+        # without a restart both are equal
+        rng = np.random.default_rng(62)
+        restarted = lower = 0
+        for _ in range(600):
+            game = random_game_instance(rng, max_mues=12)
+            res, ref = M.dynamic_match(game), R.dynamic_match(game)
+            ours, theirs = _proposals(res.trace, 1), _proposals(ref.trace, 1)
+            assert not ours - theirs
+            overhead = M.signaling_overhead(res.trace)
+            ref_overhead = M.signaling_overhead(ref.trace)
+            if ref.trace.restarts:
+                restarted += 1
+                assert overhead <= ref_overhead
+                lower += overhead < ref_overhead
+            else:
+                assert overhead == ref_overhead
+        assert restarted >= 60 and lower >= 1
+
     @staticmethod
     def _held(trace, stage, rankings):
         """Check the stage's proposals; return each user's accepted plan."""
