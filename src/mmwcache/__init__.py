@@ -1,15 +1,15 @@
 """Cache-enabled mobility management for dual-mode mmW/microwave networks.
 
 Subpackages: geometry (beams, chords, coverage), radio (path loss and
-caching rate), caching (device cache accounting), handover (per-user state
-machine), matching (two-period dynamic matching game), oracle (brute-force
-and Monte Carlo verification), scenario/experiments (deployment generation
-and result reproduction), cli (command-line front end).
+caching rate), caching (device cache accounting), matching (two-period
+dynamic matching game), oracle (brute-force and Monte Carlo verification),
+scenario/experiments (deployment generation and result reproduction), cli
+(command-line front end).
 """
 
 __version__ = "0.1.0"
 
-from .geometry import (BeamGeometry, CellDisk, ChordSample, Pose,
+from .geometry import (BeamGeometry, CellDisk, Pose,
                        beam_coverage_probability, beam_traverse_distance,
                        caching_duration_cdf, chord_length_pdf,
                        expected_cache_traverse_distance, hof_probability,
@@ -19,7 +19,6 @@ from .radio import (AntennaPattern, ChannelParams, LinkBudget,
                     instantaneous_rate, path_loss_db, quadrature_rate)
 from .caching import (CacheState, EnergyModel, cache_fill, coast_distance,
                       next_scan_interval, scan_energy, skipped_sbs_count)
-from .handover import HandoverPolicy, HandoverState, HofRecord, hof_indicator, step
 from .matching import (GameInstance, MueState, Plan, PlayerId, SbsState,
                        build_preferences, deferred_acceptance, dynamic_match,
                        find_blocking_pairs, mue_utility, sbs_utility,

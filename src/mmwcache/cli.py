@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from typing import List, Optional
 
@@ -131,15 +132,15 @@ def cmd_simulate(args) -> int:
 def cmd_match(args) -> int:
     config = _load(args, require_seed=True)
     rng = np.random.default_rng(config.seed)
-    region = experiments.build_region_instance(
-        experiments._region_config(config), args.users, args.speed, rng)
+    region = experiments.build_region_instance(config, args.users,
+                                               args.speed, rng)
     out = _outdir(args)
     result = matching.dynamic_match(region.game)
+    sent = Counter(p.mue for p in result.trace.proposals)
     rows = ["mue,period1,period2,proposals_sent"]
     for u in range(len(region.game.mues)):
-        sent = sum(1 for p in result.trace.proposals if p.mue == u)
         rows.append(f"{u},{_name(result.matching.mu1[u])},"
-                    f"{_name(result.matching.mu2[u])},{sent}")
+                    f"{_name(result.matching.mu2[u])},{sent[u]}")
     path = os.path.join(out, "match_result.csv")
     _write(path, "\n".join(rows) + "\n")
     report = oracle.scan_all_blockings(result.matching, region.game)

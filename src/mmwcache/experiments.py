@@ -8,21 +8,16 @@ reported separately from the data columns.
 The multi-user experiments run on a "target region" extracted from a full
 deployment: a focal cell plus the onward cells each user would reach, with
 the two-period matching deciding between handover, coasting on cache, and
-the macro fallback. The deployment preset for these experiments uses a
-microwave configuration whose detection-threshold radii land in the 20-28 m
-range; the wide-area default (2 GHz, exponent 3) produces 100+ m cells in
-which handover failures are vanishingly rare and none of the published
-multi-user dynamics can be observed.
+the macro fallback.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,23 +35,6 @@ EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
 REGION_EXPERIMENTS = ("hof_multiuser", "load_vs_users", "energy_vs_users",
                       "overhead_vs_users")
-
-# Region-experiment preset: a dense neighborhood of small cells around the
-# focal target (20-28 m radii, forward gaps of a few tens of meters), a scan
-# interval matching the playback horizon of a full cache, and a positive
-# covered-cache payoff so users with secured playback skip dispensable
-# handover attempts (this keeps request counts at the target low).
-REGION_PRESET = dict(
-    area_radius=190.0,
-    sbs_powers_dbm=(24.0, 27.0, 30.0),
-    uw_carrier_frequency=5.8e9,
-    uw_pathloss_exponent=4.3,
-    covered_payoff=0.25,
-    future_covered_payoff=0.01,
-    p_th_min=0.13,
-    p_th_max=0.18,
-    scan_interval=10.0,
-)
 
 
 @dataclass
@@ -226,7 +204,6 @@ def _speed_replication(cfg: ScenarioConfig, p_idx: int, rep: int,
 
 def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
                       threads: int = 1) -> ExperimentResult:
-    cfg = _region_config(config)
     speeds = list(range(1, 17)) + [60.0 / 3.6]
     speeds = sorted(set(round(s, 4) for s in speeds))
     cols: Dict[str, List[float]] = {
@@ -235,7 +212,7 @@ def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
         "stderr_cache": []}
     jobs = [(p_idx, rep, v) for p_idx, v in enumerate(speeds)
             for rep in range(reps)]
-    results = _map_jobs(_speed_replication, cfg, jobs, threads)
+    results = _map_jobs(_speed_replication, config, jobs, threads)
     for v, failures in zip(speeds, _per_point(results, reps)):
         no_cache, with_cache = (np.array(counts, dtype=float)
                                 for counts in zip(*failures))
@@ -296,12 +273,6 @@ class RegionInstance:
     game: GameInstance
     focal: int
     focal_chords: List[float]   # per-MUE chord across the focal cell
-
-
-def _region_config(config: ScenarioConfig) -> ScenarioConfig:
-    known = {f.name for f in dataclasses.fields(config)}
-    return replace(config, **{k: v for k, v in REGION_PRESET.items()
-                              if k in known})
 
 
 def _check_region_sbss(config: ScenarioConfig) -> None:
@@ -489,7 +460,6 @@ def _per_point(results: list, reps: int) -> List[list]:
 def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
                   speeds: Sequence[float], key: int, names: Tuple[str, ...],
                   threads: int = 1) -> Dict[str, List[float]]:
-    cfg = _region_config(config)
     cols: Dict[str, List[float]] = {"n_mues": [float(u) for u in users]}
     for v in speeds:
         for name in names:
@@ -498,7 +468,7 @@ def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
               for v_idx, v in enumerate(speeds)]
     jobs = [((key, u_count, v_idx, rep), u_count, float(v))
             for u_count, v_idx, v in points for rep in range(reps)]
-    results = _map_jobs(_region_replication, cfg, jobs, threads)
+    results = _map_jobs(_region_replication, config, jobs, threads)
     for (_, _, v), metrics in zip(points, _per_point(results, reps)):
         for name in names:
             cols[f"{name}_v{int(v)}"].append(
@@ -508,14 +478,13 @@ def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
 
 def _run_hof_multiuser(config: ScenarioConfig, reps: int,
                        threads: int = 1) -> ExperimentResult:
-    cfg = _region_config(config)
     speeds = list(range(1, 17))
     cols: Dict[str, List[float]] = {
         "speed_mps": [float(v) for v in speeds], "hof_prob_proposed": [],
         "hof_prob_conventional": []}
     jobs = [((3, v_idx, rep), 20, float(v)) for v_idx, v in enumerate(speeds)
             for rep in range(reps)]
-    results = _map_jobs(_region_replication, cfg, jobs, threads)
+    results = _map_jobs(_region_replication, config, jobs, threads)
     for metrics in _per_point(results, reps):
         for name in ("hof_prob_proposed", "hof_prob_conventional"):
             cols[name].append(float(np.mean([m[name] for m in metrics])))

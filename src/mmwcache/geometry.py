@@ -89,18 +89,6 @@ class CellDisk:
             raise ValueError("radius must be positive")
 
 
-@dataclass(frozen=True)
-class ChordSample:
-    """A sampled chord of a cell disk: length and the generating angle."""
-
-    length: float
-    entry_angle: float
-
-    def validate(self, cell: "CellDisk") -> None:
-        if not 0.0 <= self.length <= 2.0 * cell.radius:
-            raise ValueError("chord length outside [0, diameter]")
-
-
 def beam_coverage_probability(n_beams: int, beamwidth: float) -> float:
     """Probability that a randomly oriented crossing meets a mmW sector.
 
@@ -159,11 +147,6 @@ def beam_traverse_distance(pose: Pose, beam: BeamGeometry) -> float:
     return r
 
 
-def caching_duration(pose: Pose, beam: BeamGeometry) -> float:
-    """Time spent crossing the sector: traverse distance over speed."""
-    return beam_traverse_distance(pose, beam) / pose.speed
-
-
 def entry_pose(beam: BeamGeometry, distance: float, heading: float,
                speed: float) -> Pose:
     """Pose located on the sector entry edge at the given SBS distance."""
@@ -176,20 +159,6 @@ def entry_pose(beam: BeamGeometry, distance: float, heading: float,
         heading=heading,
         speed=speed,
     )
-
-
-def beam_for_entry_pose(pose: Pose, n_beams: int, beamwidth: float,
-                        sbs_position: Tuple[float, float] = (0.0, 0.0),
-                        ) -> BeamGeometry:
-    """Beam geometry whose entry edge passes through the given pose.
-
-    The far-edge azimuth is the pose azimuth plus the beamwidth (the arccos
-    construction of the entry edge, extended to the lower half plane via
-    atan2).
-    """
-    az = math.atan2(pose.y - sbs_position[1], pose.x - sbs_position[0])
-    return BeamGeometry(sbs_position=sbs_position, n_beams=n_beams,
-                        beamwidth=beamwidth, anchor_angle=wrap_angle(az + beamwidth))
 
 
 def _require_entry_edge(pose: Pose, beam: BeamGeometry, tol: float = 1e-6

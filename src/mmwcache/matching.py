@@ -496,9 +496,6 @@ class DynamicMatching:
     mu1: Dict[int, Optional[PlayerId]]
     mu2: Dict[int, Optional[PlayerId]]
 
-    def assigned(self, period: int, u: int) -> Optional[PlayerId]:
-        return (self.mu1 if period == 1 else self.mu2)[u]
-
     def members(self, period: int, bs: PlayerId) -> List[int]:
         mu = self.mu1 if period == 1 else self.mu2
         return sorted(u for u, b in mu.items() if b == bs)

@@ -84,13 +84,3 @@ def wrap_angle(angle: float) -> float:
     if a < 0.0:
         a += 2.0 * math.pi
     return a
-
-
-def angle_diff(a: float, b: float) -> float:
-    """Signed smallest difference a-b wrapped to (-pi, pi]."""
-    d = math.fmod(a - b, 2.0 * math.pi)
-    if d <= -math.pi:
-        d += 2.0 * math.pi
-    elif d > math.pi:
-        d -= 2.0 * math.pi
-    return d

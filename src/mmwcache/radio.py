@@ -189,7 +189,7 @@ def crossing_geometry(pose: Pose, beam: BeamGeometry) -> CrossingGeometry:
         raise ValueError(
             "heading does not cross the sector: requires "
             "beamwidth < theta_hat < pi")
-    chord = beam_traverse_distance_checked(pose, beam)
+    chord = geometry.beam_traverse_distance(pose, beam)
     return CrossingGeometry(
         start_distance=r_uk,
         theta_hat=theta_hat,
@@ -197,10 +197,6 @@ def crossing_geometry(pose: Pose, beam: BeamGeometry) -> CrossingGeometry:
         chord_length=chord,
         perp_distance=r_uk * math.sin(theta_hat),
     )
-
-
-def beam_traverse_distance_checked(pose: Pose, beam: BeamGeometry) -> float:
-    return geometry.beam_traverse_distance(pose, beam)
 
 
 def _delta1(geo: CrossingGeometry, budget: LinkBudget,

@@ -112,6 +112,18 @@ class TestCli:
         assert rows[0] == "mue,period1,period2,proposals_sent"
         assert len(rows) == 9
 
+    def test_match_honours_deployment_overrides(self, tmp_path):
+        # area_radius and scan_interval are deployment defaults that every
+        # region run reads from its config, so setting them moves the result
+        outputs = []
+        for extra in ([], ["--set", "area_radius=300",
+                           "--set", "scan_interval=2"]):
+            out = tmp_path / str(len(outputs))
+            rc = main(["match", "--seed", "1", "--out", str(out)] + extra)
+            assert rc == 0
+            outputs.append((out / "match_result.csv").read_bytes())
+        assert outputs[0] != outputs[1]
+
     def test_simulate_subcommand(self, tmp_path):
         rc = main(["simulate", "--seed", "3", "--speed", "12",
                    "--out", str(tmp_path)])
@@ -181,7 +193,13 @@ class TestCli:
         (["simulate", "--set", "segment_size_bits=0"], "segment_size_bits"),
         (["simulate", "--set", "cache_capacity=-5"], "cache_capacity"),
         (["simulate", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
-        (["match", "--set", "sbs_powers_dbm="], "sbs_powers_dbm")])
+        (["match", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
+        # names that are not config keys
+        (["simulate", "--set", "ttt=5"], "ttt"),
+        (["match", "--set", "uw_shadowing_std_db=4"], "uw_shadowing_std_db"),
+        (["simulate", "--set", "reference_distance=2"], "reference_distance"),
+        (["match", "--set", "main_lobe_gain_db=20"], "main_lobe_gain_db"),
+        (["simulate", "--set", "side_lobe_gain_db=-3"], "side_lobe_gain_db")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])

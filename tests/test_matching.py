@@ -390,7 +390,7 @@ class TestTabulatedScores:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_region_instances_match_definitional_path(self, seed):
-        config = experiments._region_config(ScenarioConfig(seed=seed))
+        config = ScenarioConfig(seed=seed)
         rng = np.random.default_rng(seed)
         for n_mues in (10, 50, 120):
             for speed in (2.0, 8.0, 16.0, None):
@@ -482,7 +482,7 @@ class TestSerialDictatorship:
         assert restarted >= count // 10
 
     def test_region_instances_match_proposal_processes(self):
-        config = experiments._region_config(ScenarioConfig(seed=4))
+        config = ScenarioConfig(seed=4)
         rng = np.random.default_rng(4)
         for n_mues in (10, 50, 120, 400):
             for speed in (2.0, 8.0, 16.0, None):

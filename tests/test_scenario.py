@@ -104,7 +104,11 @@ def crossings_from_arrays(i, hit, entry, exit_, chord):
     return sorted(out, key=lambda cr: (cr.entry, cr.sbs))
 
 
-REGION = E._region_config(ScenarioConfig())
+REGION = ScenarioConfig()
+# the paper table's wide-area deployment, whose cells are 100+ m wide
+WIDE_AREA = ScenarioConfig(area_radius=500.0,
+                           sbs_powers_dbm=(20.0, 27.0, 30.0),
+                           uw_carrier_frequency=2e9, uw_pathloss_exponent=3.0)
 
 
 class TestGeneration:
@@ -115,7 +119,7 @@ class TestGeneration:
         assert a.snapshot_text() == b.snapshot_text()
 
     def test_default_packing_succeeds(self):
-        for cfg in (ScenarioConfig(seed=2), replace(REGION, seed=2)):
+        for cfg in (ScenarioConfig(seed=2), replace(WIDE_AREA, seed=2)):
             scn = S.generate_scenario(cfg)
             assert len(scn.sbss) == 50
             positions = [s.position for s in scn.sbss]
@@ -125,8 +129,8 @@ class TestGeneration:
                     assert math.hypot(xj - xi, yj - yi) >= cfg.min_intercell
 
     @pytest.mark.parametrize("cfg", [
-        ScenarioConfig(), REGION, ScenarioConfig(min_intercell=0.0),
-        ScenarioConfig(n_mues=5)], ids=["default", "region", "no_spacing",
+        REGION, WIDE_AREA, ScenarioConfig(min_intercell=0.0),
+        ScenarioConfig(n_mues=5)], ids=["region", "wide_area", "no_spacing",
                                         "five_mues"])
     def test_matches_scalar_sampler(self, cfg):
         for seed in range(500):
@@ -149,16 +153,17 @@ class TestGeneration:
 
     def test_radius_from_threshold(self):
         cfg = ScenarioConfig()
-        # 2 GHz, exponent 3: p - (free space + 30 log10 a) = -80 dB
+        # p - (free space + 10 n log10 a) = -80 dB, n the uW exponent
         a = S.uw_cell_radius(20.0, cfg)
         wavelength = S.SPEED_OF_LIGHT / cfg.uw_carrier_frequency
         check = 20.0 - (20 * math.log10(4 * math.pi / wavelength)
-                        + 30 * math.log10(a))
+                        + 10 * cfg.uw_pathloss_exponent * math.log10(a))
         assert check == pytest.approx(cfg.rss_threshold_dbm, abs=1e-9)
 
     def test_powers_within_set(self):
-        scn = S.generate_scenario(ScenarioConfig(seed=8))
-        assert {s.power_dbm for s in scn.sbss} <= {20.0, 27.0, 30.0}
+        cfg = ScenarioConfig(seed=8)
+        scn = S.generate_scenario(cfg)
+        assert {s.power_dbm for s in scn.sbss} <= set(cfg.sbs_powers_dbm)
 
 
 class TestRayGeometry:
@@ -204,8 +209,8 @@ class TestBatchedRegion:
             assert rng.bit_generator.state == ref_rng.bit_generator.state, \
                 (seed, n_mues, speed)
 
-    @pytest.mark.parametrize("cfg", [REGION, ScenarioConfig()],
-                             ids=["region", "default"])
+    @pytest.mark.parametrize("cfg", [REGION, WIDE_AREA],
+                             ids=["region", "wide_area"])
     def test_kernel_matches_scalar_crossings(self, cfg):
         rng = np.random.default_rng(17)
         for seed in range(20):
