@@ -112,8 +112,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--speed must be positive and finite, "
                           f"got {speed!r}")
     out = _outdir(args)
-    rng = np.random.default_rng(config.seed)
     scn = generate_scenario(config)
+    # the walk's own stream: seeded with config.seed alone, it would
+    # repeat the deployment's first draws (SBS 0 and the origin would share
+    # their doubles)
+    rng = np.random.default_rng((config.seed, 1))
     r = config.area_radius * 0.5 * math.sqrt(rng.uniform())
     phi = rng.uniform(0.0, 2.0 * math.pi)
     origin = (r * math.cos(phi), r * math.sin(phi))

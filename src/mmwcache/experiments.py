@@ -170,7 +170,8 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
         if caching_enabled and not failed:
             budget = budget_by_power[site.power_dbm]
             for seg_a, seg_b in beam_segments_in_cell(
-                    origin, heading, site, crossing.entry, crossing.exit):
+                    origin, heading, site.beams(cfg), crossing.entry,
+                    crossing.exit):
                 mid = 0.5 * (seg_a + seg_b)
                 px = origin[0] + mid * math.cos(heading) - site.position[0]
                 py = origin[1] + mid * math.sin(heading) - site.position[1]

@@ -36,7 +36,6 @@ class ChannelParams:
     carrier_frequency: float = 73e9
     reference_distance: float = 1.0
     pathloss_exponent: float = 2.0
-    shadowing_std_db: float = 0.0
     los: bool = True
 
     def __post_init__(self):
@@ -59,8 +58,7 @@ class ChannelParams:
     @classmethod
     def nlos_mmw(cls) -> "ChannelParams":
         """73 GHz non-line-of-sight preset (exponent 3.5)."""
-        return cls(carrier_frequency=73e9, pathloss_exponent=3.5,
-                   shadowing_std_db=0.0, los=False)
+        return cls(carrier_frequency=73e9, pathloss_exponent=3.5, los=False)
 
 
 @dataclass(frozen=True)

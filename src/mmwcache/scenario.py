@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .geometry import TWO_PI, BeamGeometry, CellDisk, Pose
+from .geometry import TWO_PI, BeamGeometry, Pose
 from .radio import SPEED_OF_LIGHT
 
 
@@ -23,17 +23,26 @@ class PackingFailure(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SbsSite:
+class SbsSite(NamedTuple):
+    """One placed SBS: where it is, how strong, and where its sectors point.
+
+    The beam layout's sector count and width are deployment-wide
+    (`ScenarioConfig.n_beams`, `beamwidth_deg`), so a site keeps only its
+    own anchor azimuth and `beams` builds the layout when one is needed.
+    """
+
     index: int
     position: Tuple[float, float]
     power_dbm: float
     radius: float
-    beams: BeamGeometry
+    anchor_angle: float
 
-    @property
-    def cell(self) -> CellDisk:
-        return CellDisk(self.position, self.radius)
+    def beams(self, config: ScenarioConfig) -> BeamGeometry:
+        """This site's sectorized beam layout under `config`."""
+        return BeamGeometry(sbs_position=self.position,
+                            n_beams=config.n_beams,
+                            beamwidth=math.radians(config.beamwidth_deg),
+                            anchor_angle=self.anchor_angle)
 
 
 @dataclass(frozen=True)
@@ -48,7 +57,7 @@ class Scenario:
         for s in self.sbss:
             lines.append(
                 f"sbs,{s.index},{s.position[0]:.9f},{s.position[1]:.9f},"
-                f"{s.power_dbm:.1f},{s.radius:.9f},{s.beams.anchor_angle:.9f}")
+                f"{s.power_dbm:.1f},{s.radius:.9f},{s.anchor_angle:.9f}")
         for i, m in enumerate(self.mues):
             lines.append(
                 f"mue,{i},{m.x:.9f},{m.y:.9f},{m.heading:.9f},{m.speed:.9f}")
@@ -74,19 +83,21 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     SBS positions are rejection-sampled: each try draws `uniform()` for the
     radius and `uniform(0, 2*pi)` for the angle, and the candidate is kept
     when `math.hypot` to every placed site is at least `min_intercell`.
-    The tries draw their doubles in blocks with `rng.random`, which yields
+    `_place_sites` tests a candidate only against the sites of the grid
+    cells around it, which are all the sites that can be that close. The
+    tries draw their doubles in blocks with `rng.random`, which yields
     the same doubles in the same order as the scalar calls. Afterwards the
     generator is rewound to its state before placement and advanced by
     exactly `2 * tries` doubles, so every later draw (powers, anchors, MUE
     poses) is the one the scalar sampler would make: the result is
-    bit-for-bit a function of (config, seed).
+    bit-for-bit a function of (config, seed). Sites hold their anchor
+    azimuth only; `SbsSite.beams` builds a beam layout on demand.
     """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     positions = _place_sites(config, rng, max_tries)
 
     sbss = []
-    beamwidth = math.radians(config.beamwidth_deg)
     powers = config.sbs_powers_dbm
     radii = {}
     for i, pos in enumerate(positions):
@@ -96,10 +107,7 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
         radius = radii.get(power)
         if radius is None:
             radius = radii[power] = uw_cell_radius(power, config)
-        sbss.append(SbsSite(
-            index=i, position=pos, power_dbm=power, radius=radius,
-            beams=BeamGeometry(sbs_position=pos, n_beams=config.n_beams,
-                               beamwidth=beamwidth, anchor_angle=anchor)))
+        sbss.append(SbsSite(i, pos, power, radius, anchor))
 
     mues = []
     for _ in range(config.n_mues):
@@ -114,44 +122,61 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
 
 def _place_sites(config: ScenarioConfig, rng: np.random.Generator,
                  max_tries: int) -> List[Tuple[float, float]]:
-    """Rejection-sample the SBS positions; see `generate_scenario`."""
+    """Rejection-sample the SBS positions; see `generate_scenario`.
+
+    A site can fail the spacing test only within `spacing` of the
+    candidate in both coordinates. Each accepted site is listed once, in
+    its own grid cell, under the integer key `gx * width + gy`; a candidate
+    is tested against the sites listed in its cell and the 8 cells around
+    it, whose keys are its own plus the offsets in `around`. `width`
+    exceeds the number of cells across the disk (with a margin for the
+    neighbours of its rim cells), so no two cells share a key. The cells
+    are a hair wider than `spacing` (a margin far above the rounding of
+    `x / cell` for coordinates up to area_radius), so a site two cells
+    away is always `spacing` or more away in one coordinate and passes the
+    test. With spacing 0 the cells are 1e-9 * area_radius wide and every
+    candidate passes.
+    """
     n_sbs, spacing = config.n_sbs, config.min_intercell
-    # A site can fail the spacing test only within `spacing` of the
-    # candidate in both coordinates. Each accepted site is listed in its
-    # grid cell and the 8 cells around it, so a candidate is tested only
-    # against the list of its own cell. The cells are a hair wider than
-    # `spacing` (a margin far above the rounding of `x / cell` for
-    # coordinates up to area_radius), so a site two cells away is always
-    # `spacing` or more away in one coordinate and passes the test. With
-    # spacing 0 the cells are 1e-9 * area_radius wide and every candidate
-    # passes, as before.
     cell = spacing + 1e-9 * (config.area_radius + spacing)
-    near: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+    width = 2 * int(config.area_radius / cell) + 5
+    around = tuple(i * width + j for i in (-1, 0, 1) for j in (-1, 0, 1))
+    grid: Dict[int, List[Tuple[float, float]]] = {}
+    listed = grid.get
     positions: List[Tuple[float, float]] = []
     start = rng.bit_generator.state
     # one block is usually enough; the overshoot is rewound below
     block = 2 * n_sbs + 64
     tries = 0
     while len(positions) < n_sbs:
-        draws = rng.random(2 * block).tolist()
-        for k in range(0, 2 * block, 2):
+        draws = iter(rng.random(2 * block).tolist())
+        for u_radius, u_angle in zip(draws, draws):
             tries += 1
             if tries > max_tries:
                 raise PackingFailure(
                     f"could not place {n_sbs} SBSs with spacing "
                     f"{spacing} m in radius {config.area_radius} m")
-            r = config.area_radius * math.sqrt(draws[k])
-            phi = TWO_PI * draws[k + 1]
+            r = config.area_radius * math.sqrt(u_radius)
+            phi = TWO_PI * u_angle
             x, y = r * math.cos(phi), r * math.sin(phi)
-            gx, gy = math.floor(x / cell), math.floor(y / cell)
-            if all(math.hypot(x - px, y - py) >= spacing
-                   for px, py in near.get((gx, gy), ())):
+            key = math.floor(x / cell) * width + math.floor(y / cell)
+            # explicit loops: `all` over a generator per cell costs more
+            # than the tests themselves
+            for offset in around:
+                near = listed(key + offset)
+                if near is None:
+                    continue
+                for px, py in near:
+                    if not math.hypot(x - px, y - py) >= spacing:
+                        break
+                else:
+                    continue
+                break   # too close to a site of this cell: reject
+            else:
                 positions.append((x, y))
-                for i in (gx - 1, gx, gx + 1):
-                    for j in (gy - 1, gy, gy + 1):
-                        near.setdefault((i, j), []).append((x, y))
-            if len(positions) == n_sbs:
-                break
+                grid.setdefault(key, []).append((x, y))
+                if len(positions) == n_sbs:
+                    break
     rng.bit_generator.state = start
     rng.random(2 * tries)
     return positions
@@ -228,19 +253,19 @@ def ray_crossing_arrays(ox: np.ndarray, oy: np.ndarray, dx: np.ndarray,
 
 
 def beam_segments_in_cell(origin: Tuple[float, float], heading: float,
-                          site: SbsSite, entry: float, exit: float,
+                          beams: BeamGeometry, entry: float, exit: float,
                           ) -> List[Tuple[float, float]]:
     """Sub-intervals of [entry, exit] lying inside the SBS's mmW sectors."""
     ox, oy = origin
     dx, dy = math.cos(heading), math.sin(heading)
-    beams = site.beams
+    cx, cy = beams.sbs_position
     pitch = 2.0 * math.pi / beams.n_beams
     segments: List[Tuple[float, float]] = []
     steps = 64
     ts = [entry + (exit - entry) * i / steps for i in range(steps + 1)]
     inside = []
     for t in ts:
-        px, py = ox + t * dx - site.position[0], oy + t * dy - site.position[1]
+        px, py = ox + t * dx - cx, oy + t * dy - cy
         az = math.atan2(py, px) % (2.0 * math.pi)
         rel = (az - (beams.anchor_angle - beams.beamwidth)) % pitch
         inside.append(rel <= beams.beamwidth)

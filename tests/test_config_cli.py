@@ -130,6 +130,30 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "simulate_events.csv").exists()
 
+    def test_simulate_walk_is_independent_of_deployment(self, tmp_path,
+                                                        monkeypatch):
+        # drawn from the deployment's own stream, the walk's origin was
+        # exactly half of SBS 0's position
+        from mmwcache import experiments
+        from mmwcache.scenario import generate_scenario
+
+        walks = []
+
+        def capture(scn, origin, heading, *args, **kwargs):
+            walks.append((scn, origin))
+            return experiments.TrajectoryStats()
+
+        monkeypatch.setattr(experiments, "simulate_trajectory", capture)
+        for seed in (1, 2, 3, 7, 42):
+            rc = main(["simulate", "--seed", str(seed),
+                       "--out", str(tmp_path)])
+            assert rc == 0
+            scn, origin = walks[-1]
+            assert scn.sbss == generate_scenario(
+                ScenarioConfig(seed=seed)).sbss
+            x0, y0 = scn.sbss[0].position
+            assert origin != (0.5 * x0, 0.5 * y0), seed
+
     def test_verify_stability_suite(self, tmp_path):
         rc = main(["verify", "--suite", "stability", "--seed", "7",
                    "--out", str(tmp_path)])

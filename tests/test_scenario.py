@@ -27,15 +27,12 @@ def scalar_generate_scenario(config, seed):
                >= config.min_intercell for p in positions):
             positions.append(candidate)
     sbss = []
-    beamwidth = math.radians(config.beamwidth_deg)
     for i, pos in enumerate(positions):
         power = float(rng.choice(config.sbs_powers_dbm))
         anchor = float(rng.uniform(0.0, 2.0 * math.pi))
         sbss.append(S.SbsSite(
             index=i, position=pos, power_dbm=power,
-            radius=S.uw_cell_radius(power, config),
-            beams=S.BeamGeometry(sbs_position=pos, n_beams=config.n_beams,
-                                 beamwidth=beamwidth, anchor_angle=anchor)))
+            radius=S.uw_cell_radius(power, config), anchor_angle=anchor))
     mues = []
     for _ in range(config.n_mues):
         r = config.area_radius * math.sqrt(rng.uniform())
@@ -128,16 +125,27 @@ class TestGeneration:
                     (xi, yi), (xj, yj) = positions[i], positions[j]
                     assert math.hypot(xj - xi, yj - yi) >= cfg.min_intercell
 
+    # 70 sites never fit in the first block of 2 * n_sbs + 64 tries
     @pytest.mark.parametrize("cfg", [
         REGION, WIDE_AREA, ScenarioConfig(min_intercell=0.0),
-        ScenarioConfig(n_mues=5)], ids=["region", "wide_area", "no_spacing",
-                                        "five_mues"])
+        ScenarioConfig(n_mues=5), ScenarioConfig(n_sbs=70)],
+        ids=["region", "wide_area", "no_spacing", "five_mues",
+             "seventy_sites"])
     def test_matches_scalar_sampler(self, cfg):
         for seed in range(500):
             ref, _ = scalar_generate_scenario(cfg, seed)
             scn = S.generate_scenario(cfg, seed=seed)
-            # the dataclass repr prints every field, each float exactly
+            # the reprs print every field of every site and pose, each
+            # float exactly
             assert repr(scn) == repr(ref), seed
+
+    def test_no_beam_layout_is_built(self, monkeypatch):
+        def no_beams(*args, **kwargs):
+            raise AssertionError("beam layout built")
+
+        monkeypatch.setattr(S, "BeamGeometry", no_beams)
+        S.generate_scenario(REGION, seed=4)
+        E.build_region_instance(REGION, 20, 8.0, np.random.default_rng(4))
 
     def test_try_accounting(self):
         _, tries = scalar_generate_scenario(REGION, 3)
@@ -169,8 +177,7 @@ class TestGeneration:
 class TestRayGeometry:
     def test_crossing_of_centered_cell(self):
         site = S.SbsSite(index=0, position=(10.0, 0.0), power_dbm=20.0,
-                         radius=5.0,
-                         beams=S.BeamGeometry(sbs_position=(10.0, 0.0)))
+                         radius=5.0, anchor_angle=0.0)
         crossings = S.ray_circle_crossings((0.0, 0.0), 0.0, [site], 100.0)
         assert len(crossings) == 1
         assert crossings[0].entry == pytest.approx(5.0)
@@ -179,18 +186,13 @@ class TestRayGeometry:
 
     def test_miss(self):
         site = S.SbsSite(index=0, position=(10.0, 7.0), power_dbm=20.0,
-                         radius=5.0,
-                         beams=S.BeamGeometry(sbs_position=(10.0, 7.0)))
+                         radius=5.0, anchor_angle=0.0)
         assert not S.ray_circle_crossings((0.0, 0.0), 0.0, [site], 100.0)
 
     def test_beam_segments_inside_cell(self):
-        site = S.SbsSite(index=0, position=(10.0, 0.0), power_dbm=20.0,
-                         radius=5.0,
-                         beams=S.BeamGeometry(sbs_position=(10.0, 0.0),
-                                              n_beams=3,
-                                              beamwidth=math.radians(40),
-                                              anchor_angle=0.3))
-        segs = S.beam_segments_in_cell((0.0, 0.0), 0.0, site, 5.0, 15.0)
+        beams = S.BeamGeometry(sbs_position=(10.0, 0.0), n_beams=3,
+                               beamwidth=math.radians(40), anchor_angle=0.3)
+        segs = S.beam_segments_in_cell((0.0, 0.0), 0.0, beams, 5.0, 15.0)
         total = sum(b - a for a, b in segs)
         assert 0.0 < total < 10.0
 
@@ -241,8 +243,7 @@ class TestBatchedRegion:
 
     def test_kernel_on_hand_geometry(self):
         site = S.SbsSite(index=0, position=(10.0, 0.0), power_dbm=20.0,
-                         radius=5.0,
-                         beams=S.BeamGeometry(sbs_position=(10.0, 0.0)))
+                         radius=5.0, anchor_angle=0.0)
         ox = np.array([0.0, 0.0, 0.0, 12.0, 0.0])
         oy = np.array([0.0, 7.0, 0.0, 0.0, 5.0])
         dx, dy = np.array([1.0, 1.0, -1.0, 1.0, 1.0]), np.zeros(5)
