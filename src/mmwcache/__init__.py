@@ -17,8 +17,7 @@ from .geometry import (BeamGeometry, CellDisk, Pose,
 from .radio import (AntennaPattern, ChannelParams, LinkBudget,
                     antenna_gain_db, average_caching_rate,
                     instantaneous_rate, path_loss_db, quadrature_rate)
-from .caching import (CacheState, EnergyModel, cache_fill, coast_distance,
-                      next_scan_interval, scan_energy, skipped_sbs_count)
+from .caching import CacheState, cache_fill
 from .matching import (GameInstance, MueState, Plan, PlayerId, SbsState,
                        build_preferences, deferred_acceptance, dynamic_match,
                        find_blocking_pairs, mue_utility, sbs_utility,

@@ -1,4 +1,4 @@
-"""Device-side cache accounting and scan-energy bookkeeping.
+"""Device-side cache accounting.
 
 CacheState is a value type: every operation returns a new state, so a single
 simulation worker owns each MUE's state with no shared mutation.
@@ -35,20 +35,6 @@ class CacheState:
         return self.segments / self.play_rate
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Cell-search energy accounting constants."""
-
-    energy_per_scan: float = 3e-3   # joules
-    frame_duration: float = 60.0    # seconds
-    scan_interval: float = 1.0      # seconds
-
-    def __post_init__(self):
-        for name in ("energy_per_scan", "frame_duration", "scan_interval"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
 def cache_fill(avg_rate: float, duration: float, state: CacheState) -> CacheState:
     """Add segments cached from a burst of avg_rate lasting duration.
 
@@ -69,39 +55,3 @@ def cache_drain(state: CacheState, play_time: float) -> CacheState:
         raise ValueError("play_time must be nonnegative")
     return replace(state,
                    segments=max(state.segments - state.play_rate * play_time, 0.0))
-
-
-def coast_distance(state: CacheState, speed: float) -> float:
-    """Distance traversable on cached playback: (segments/Q) * speed."""
-    if speed <= 0.0:
-        raise ValueError("speed must be positive")
-    return state.playback_seconds * speed
-
-
-def skipped_sbs_count(expected_coast: float, intercell_distance: float) -> int:
-    """Average cells traversable without cell search: floor(E[d_c]/l)."""
-    if intercell_distance <= 0.0:
-        raise ValueError("intercell_distance must be positive")
-    if expected_coast < 0.0:
-        raise ValueError("expected_coast must be nonnegative")
-    return int(math.floor(expected_coast / intercell_distance))
-
-
-def scan_energy(model: EnergyModel) -> float:
-    """Total cell-search energy over a frame: E_s * T / T_s."""
-    return model.energy_per_scan * model.frame_duration / model.scan_interval
-
-
-def next_scan_interval(state: CacheState, ttt: float,
-                       default_interval: float = 1.0) -> float:
-    """Seconds until the next cell search under cache-aware muting.
-
-    Search is muted while playback outlasts the time-to-trigger, leaving ttt
-    seconds to find a target before the cache runs out; with no usable
-    headroom the baseline periodic interval applies.
-    """
-    if ttt < 0.0:
-        raise ValueError("ttt must be nonnegative")
-    if default_interval <= 0.0:
-        raise ValueError("default_interval must be positive")
-    return max(state.playback_seconds - ttt, default_interval)

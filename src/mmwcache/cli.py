@@ -121,14 +121,26 @@ def cmd_simulate(args) -> int:
     phi = rng.uniform(0.0, 2.0 * math.pi)
     origin = (r * math.cos(phi), r * math.sin(phi))
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
-    stats = experiments.simulate_trajectory(
-        scn, origin, heading, speed, config.frame,
-        caching_enabled=not args.no_caching, collect_events=True)
-    lines = ["time_s,event,cell,tos_s"] + stats.events
+    stats = experiments.simulate_trajectory(scn, origin, heading, speed,
+                                            config.frame)
+    # one walk gives both users' outcomes; --no-caching prints the
+    # conventional user's, which attempts a handover at every crossing
+    lines = ["time_s,event,cell,tos_s"]
+    for entry in stats.entries:
+        if entry.skipped and not args.no_caching:
+            kind = "skip"
+        else:
+            kind = "hof" if entry.tos < config.t_mts else "ho"
+        lines.append(f"{entry.time:.3f},{kind},{entry.cell},{entry.tos:.3f}")
+    if args.no_caching:
+        attempts, failures, skips = (stats.crossings,
+                                     stats.conventional_failures, 0)
+    else:
+        attempts, failures, skips = stats.attempts, stats.failures, stats.skips
     path = os.path.join(out, "simulate_events.csv")
     _write(path, "\n".join(lines) + "\n")
-    print(f"{path}: crossings={stats.crossings} attempts={stats.attempts} "
-          f"failures={stats.failures} skips={stats.skips}")
+    print(f"{path}: crossings={stats.crossings} attempts={attempts} "
+          f"failures={failures} skips={skips}")
     return 0
 
 

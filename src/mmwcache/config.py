@@ -86,7 +86,13 @@ class ScenarioConfig:
     replications: int = 200
 
     def __post_init__(self):
-        # `not (x > 0)` also rejects NaN
+        # inf passes the range checks below and fails deep inside a run
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in items):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not self.area_radius > 0.0:
             raise ConfigError(
                 f"area_radius must be positive, got {self.area_radius!r}")

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,29 +101,44 @@ def run_experiment(name: str, config: ScenarioConfig,
 # Single-user trajectory simulation (speed sweep)
 # ---------------------------------------------------------------------------
 
+class CellEntry(NamedTuple):
+    """One cell the trajectory enters, with its time-of-stay."""
+
+    time: float      # seconds from the start of the walk to the entry
+    cell: int        # index of the SBS whose cell is entered
+    tos: float       # time-of-stay: chord over speed
+    skipped: bool    # the cache-enabled user coasted through on its cache
+
+
 @dataclass
 class TrajectoryStats:
+    """Handover outcomes of one walk for both users.
+
+    `crossings`, `attempts`, `failures` and `skips` count the
+    cache-enabled user. The conventional user attempts a handover at every
+    crossing, and its attempt fails exactly when the cached user's would:
+    `conventional_failures` counts the crossings with tos < t_mts.
+    """
+
     crossings: int = 0
     attempts: int = 0
     failures: int = 0
     skips: int = 0
-    scans: int = 0
-    events: List[str] = field(default_factory=list)
+    conventional_failures: int = 0
+    entries: List[CellEntry] = field(default_factory=list)
 
 
 def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
-                        heading: float, speed: float, duration: float,
-                        caching_enabled: bool,
-                        rng: Optional[np.random.Generator] = None,
-                        collect_events: bool = False) -> TrajectoryStats:
-    """Walk a straight trajectory and count handover attempts and failures.
+                        heading: float, speed: float,
+                        duration: float) -> TrajectoryStats:
+    """Walk a straight trajectory once and count handover outcomes.
 
-    Without caching every entered cell triggers a handover attempt whose
-    failure is decided by the time-of-stay (cell chord over speed) against
-    the minimum time-of-stay. With caching, a cell is skipped while cached
-    playback outlasts its traversal; successful attempts refill the cache
-    from the Shannon rate integrated over the trajectory's mmW beam
-    segments inside the cell.
+    Every entered cell triggers a handover attempt for the conventional
+    user, and an attempt fails when the time-of-stay (cell chord over
+    speed) is below the minimum time-of-stay. The cache-enabled user skips
+    a cell while cached playback outlasts its traversal; its successful
+    attempts refill the cache from the Shannon rate integrated over the
+    trajectory's mmW beam segments inside the cell.
     """
     cfg = scn.config
     stats = TrajectoryStats()
@@ -149,35 +164,29 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
         stats.crossings += 1
         tos = crossing.chord / speed
         site = scn.sbss[crossing.sbs]
-
-        skip = caching_enabled and state.playback_seconds >= tos
+        failed = tos < cfg.t_mts
+        stats.conventional_failures += failed
+        skip = state.playback_seconds >= tos
+        stats.entries.append(
+            CellEntry(crossing.entry / speed, site.index, tos, skip))
         if skip:
             stats.skips += 1
-            if collect_events:
-                stats.events.append(
-                    f"{crossing.entry / speed:.3f},skip,{site.index},{tos:.3f}")
             continue
 
         stats.attempts += 1
-        stats.scans += 1
-        failed = tos < cfg.t_mts
         if failed:
             stats.failures += 1
-        if collect_events:
-            kind = "hof" if failed else "ho"
-            stats.events.append(
-                f"{crossing.entry / speed:.3f},{kind},{site.index},{tos:.3f}")
-        if caching_enabled and not failed:
-            budget = budget_by_power[site.power_dbm]
-            for seg_a, seg_b in beam_segments_in_cell(
-                    origin, heading, site.beams(cfg), crossing.entry,
-                    crossing.exit):
-                mid = 0.5 * (seg_a + seg_b)
-                px = origin[0] + mid * math.cos(heading) - site.position[0]
-                py = origin[1] + mid * math.sin(heading) - site.position[1]
-                r = max(math.hypot(px, py), params.reference_distance)
-                rate = instantaneous_rate(r, budget, params)
-                state = caching.cache_fill(rate, (seg_b - seg_a) / speed, state)
+            continue
+        budget = budget_by_power[site.power_dbm]
+        for seg_a, seg_b in beam_segments_in_cell(
+                origin, heading, site.beams(cfg), crossing.entry,
+                crossing.exit):
+            mid = 0.5 * (seg_a + seg_b)
+            px = origin[0] + mid * math.cos(heading) - site.position[0]
+            py = origin[1] + mid * math.sin(heading) - site.position[1]
+            r = max(math.hypot(px, py), params.reference_distance)
+            rate = instantaneous_rate(r, budget, params)
+            state = caching.cache_fill(rate, (seg_b - seg_a) / speed, state)
     return stats
 
 
@@ -196,11 +205,8 @@ def _speed_replication(cfg: ScenarioConfig, p_idx: int, rep: int,
     origin = (0.9 * cfg.area_radius * math.cos(phi),
               0.9 * cfg.area_radius * math.sin(phi))
     heading = float(phi + math.pi + rng.uniform(-0.4, 0.4))
-    no_cache = simulate_trajectory(
-        scn, origin, heading, v, cfg.frame, caching_enabled=False).failures
-    with_cache = simulate_trajectory(
-        scn, origin, heading, v, cfg.frame, caching_enabled=True).failures
-    return no_cache, with_cache
+    stats = simulate_trajectory(scn, origin, heading, v, cfg.frame)
+    return stats.conventional_failures, stats.failures
 
 
 def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
@@ -244,7 +250,7 @@ def _run_rate_vs_distance(config: ScenarioConfig, reps: int,
     los = ChannelParams(carrier_frequency=config.carrier_frequency,
                         pathloss_exponent=config.pathloss_los)
     nlos = ChannelParams(carrier_frequency=config.carrier_frequency,
-                         pathloss_exponent=config.pathloss_nlos, los=False)
+                         pathloss_exponent=config.pathloss_nlos)
     speed = 60.0 / 3.6
     theta_hats = [math.radians(d) for d in (20.0, 30.0, 50.0, 70.0)]
     cols: Dict[str, List[float]] = {"distance_m": []}

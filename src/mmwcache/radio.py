@@ -36,7 +36,6 @@ class ChannelParams:
     carrier_frequency: float = 73e9
     reference_distance: float = 1.0
     pathloss_exponent: float = 2.0
-    los: bool = True
 
     def __post_init__(self):
         if self.carrier_frequency <= 0.0:
@@ -53,12 +52,12 @@ class ChannelParams:
     @classmethod
     def los_mmw(cls) -> "ChannelParams":
         """73 GHz line-of-sight preset (exponent 2)."""
-        return cls(carrier_frequency=73e9, pathloss_exponent=2.0, los=True)
+        return cls(carrier_frequency=73e9, pathloss_exponent=2.0)
 
     @classmethod
     def nlos_mmw(cls) -> "ChannelParams":
         """73 GHz non-line-of-sight preset (exponent 3.5)."""
-        return cls(carrier_frequency=73e9, pathloss_exponent=3.5, los=False)
+        return cls(carrier_frequency=73e9, pathloss_exponent=3.5)
 
 
 @dataclass(frozen=True)

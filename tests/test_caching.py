@@ -42,97 +42,6 @@ class TestCacheFill:
             C.cache_fill(-1.0, 1.0, C.CacheState())
 
 
-class TestCoastDistance:
-    def test_table_value(self):
-        state = C.CacheState(segments=1e4)
-        assert C.coast_distance(state, 10.0) == pytest.approx(100.0)
-
-    def test_empty(self):
-        assert C.coast_distance(C.CacheState(segments=0), 5.0) == 0.0
-
-    def test_linear_in_speed(self):
-        state = C.CacheState(segments=1e4)
-        assert C.coast_distance(state, 16.0) == pytest.approx(160.0)
-
-
-class TestSkippedCount:
-    def test_floor(self):
-        assert C.skipped_sbs_count(100.0, 30.0) == 3
-        assert C.skipped_sbs_count(29.0, 30.0) == 0
-
-    def test_matches_line_simulation(self):
-        # cells every l meters; count cells entered before playback runs out
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            speed = rng.uniform(1, 16)
-            segments = rng.uniform(0, 2e4)
-            spacing = rng.uniform(20, 80)
-            state = C.CacheState(segments=segments, capacity=2e4)
-            eta = C.skipped_sbs_count(C.coast_distance(state, speed), spacing)
-            # time-stepped drain simulation
-            dt, pos, t, count = 0.01, 0.0, 0.0, 0
-            cache = segments
-            next_cell = spacing
-            while cache > 0:
-                pos += speed * dt
-                cache -= state.play_rate * dt
-                if pos >= next_cell:
-                    count += 1
-                    next_cell += spacing
-            assert abs(eta - count) <= 1
-
-
-class TestScanEnergy:
-    def test_table_value(self):
-        model = C.EnergyModel(energy_per_scan=3e-3, frame_duration=60.0,
-                              scan_interval=1.0)
-        assert C.scan_energy(model) == pytest.approx(0.180)
-
-    def test_equal_interval(self):
-        model = C.EnergyModel(energy_per_scan=3e-3, frame_duration=7.0,
-                              scan_interval=7.0)
-        assert C.scan_energy(model) == pytest.approx(3e-3)
-
-    def test_matches_scan_counting(self):
-        # periodic scanning over a frame: count * E_s within one quantum
-        model = C.EnergyModel(energy_per_scan=3e-3, frame_duration=60.0,
-                              scan_interval=1.3)
-        t, count = 0.0, 0
-        while t < model.frame_duration:
-            count += 1
-            t += model.scan_interval
-        assert abs(count * model.energy_per_scan - C.scan_energy(model)) \
-            <= model.energy_per_scan
-
-    def test_caching_reduces_by_skip_factor(self):
-        # scans counted along a line of cells: refill at every served cell,
-        # coast over eta cells in between
-        speed, spacing = 10.0, 30.0
-        state = C.CacheState(segments=1e4)
-        eta = C.skipped_sbs_count(C.coast_distance(state, speed), spacing)
-        cells = 120
-        baseline_scans = cells           # one search per cell without caching
-        scans, idx = 0, 0
-        while idx < cells:
-            scans += 1                   # search + serve this cell
-            idx += 1 + eta               # coast over the next eta cells
-        assert scans == pytest.approx(baseline_scans / (1 + eta), abs=1.0)
-
-
-class TestNextScanInterval:
-    def test_muting_headroom(self):
-        state = C.CacheState(segments=1e4)
-        assert C.next_scan_interval(state, ttt=0.5) == pytest.approx(9.5)
-
-    def test_empty_cache_default(self):
-        state = C.CacheState(segments=0)
-        assert C.next_scan_interval(state, ttt=0.5) == 1.0
-
-    def test_boundary_no_headroom(self):
-        state = C.CacheState(segments=500, play_rate=1e3)
-        assert C.next_scan_interval(state, ttt=0.5) == 1.0
-
-
 class TestConservation:
     def test_cache_never_negative_or_over_capacity(self):
         rng = np.random.default_rng(4)
@@ -164,5 +73,3 @@ class TestValidation:
             C.CacheState(segments=-1)
         with pytest.raises(ValueError):
             C.CacheState(segments=20001, capacity=2e4 - 1e4 * 2)
-        with pytest.raises(ValueError):
-            C.EnergyModel(energy_per_scan=0.0)

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -53,7 +54,11 @@ sbs_powers_dbm = 20, 30
         ("epsilon", -1.0), ("epsilon", float("nan")), ("t_mts", -1.0),
         ("segment_size_bits", 0.0), ("segment_size_bits", -1.0),
         ("cache_capacity", -5.0), ("cache_capacity", float("nan")),
-        ("sbs_powers_dbm", ())])
+        ("sbs_powers_dbm", ()), ("area_radius", math.inf),
+        ("bandwidth", math.inf), ("speed_max", math.inf),
+        ("rss_threshold_dbm", -math.inf), ("noise_psd_dbm_hz", math.nan),
+        ("sbs_powers_dbm", (24.0, math.inf)),
+        ("sbs_powers_dbm", (math.nan,))])
     def test_invalid_scenario_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**{key: value})
@@ -223,7 +228,14 @@ class TestCli:
         (["match", "--set", "uw_shadowing_std_db=4"], "uw_shadowing_std_db"),
         (["simulate", "--set", "reference_distance=2"], "reference_distance"),
         (["match", "--set", "main_lobe_gain_db=20"], "main_lobe_gain_db"),
-        (["simulate", "--set", "side_lobe_gain_db=-3"], "side_lobe_gain_db")])
+        (["simulate", "--set", "side_lobe_gain_db=-3"], "side_lobe_gain_db"),
+        # non-finite values
+        (["simulate", "--set", "area_radius=inf"], "area_radius"),
+        (["match", "--set", "area_radius=inf"], "area_radius"),
+        (["simulate", "--set", "bandwidth=inf"], "bandwidth"),
+        (["match", "--set", "speed_max=inf"], "speed_max"),
+        (["match", "--set", "rss_threshold_dbm=-inf"], "rss_threshold_dbm"),
+        (["simulate", "--set", "sbs_powers_dbm=24,inf"], "sbs_powers_dbm")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])

@@ -8,6 +8,8 @@ import pytest
 from mmwcache.config import ConfigError, ScenarioConfig
 from mmwcache import scenario as S
 from mmwcache import experiments as E
+from mmwcache.cli import main
+import reference_trajectory as R
 
 
 def scalar_generate_scenario(config, seed):
@@ -303,13 +305,12 @@ class TestExperiments:
     def test_trajectory_counts(self):
         cfg = ScenarioConfig(seed=6)
         scn = S.generate_scenario(cfg)
-        stats = E.simulate_trajectory(scn, (-400.0, 0.0), 0.0, 16.0, 60.0,
-                                      caching_enabled=False)
-        assert stats.attempts == stats.crossings
-        assert stats.failures <= stats.attempts
-        cached = E.simulate_trajectory(scn, (-400.0, 0.0), 0.0, 16.0, 60.0,
-                                       caching_enabled=True)
-        assert cached.attempts + cached.skips == cached.crossings
+        stats = E.simulate_trajectory(scn, (-400.0, 0.0), 0.0, 16.0, 60.0)
+        assert stats.crossings > 0
+        assert stats.attempts + stats.skips == stats.crossings
+        assert stats.failures <= stats.conventional_failures \
+            <= stats.crossings
+        assert len(stats.entries) == stats.crossings
 
     def test_worker_pool_matches_sequential(self, monkeypatch):
         # two CPUs, so threads=2 runs on a real pool on any machine
@@ -398,3 +399,99 @@ class TestExperiments:
         for key, col in res.columns.items():
             if key.startswith("rate_los"):
                 assert col[idx] > 10.0
+
+
+def event_lines(stats, t_mts, caching):
+    """The simulate CSV rows of one walk, for one of its two users."""
+    lines = []
+    for entry in stats.entries:
+        if caching and entry.skipped:
+            kind = "skip"
+        else:
+            kind = "hof" if entry.tos < t_mts else "ho"
+        lines.append(f"{entry.time:.3f},{kind},{entry.cell},{entry.tos:.3f}")
+    return lines
+
+
+class TestOneWalk:
+    """One walk against the reference copy's two walks, crossing by crossing."""
+
+    @staticmethod
+    def walks():
+        """180 walks on each config: rim, field and in-cell origins."""
+        rng = np.random.default_rng(31)
+        for cfg in (REGION, WIDE_AREA):
+            for seed in range(1, 31):
+                scn = S.generate_scenario(replace(cfg, seed=seed))
+                area = cfg.area_radius
+                for kind in ("rim", "field", "cell") * 2:
+                    phi = rng.uniform(0.0, 2.0 * math.pi)
+                    heading = rng.uniform(0.0, 2.0 * math.pi)
+                    if kind == "rim":
+                        origin = (0.9 * area * math.cos(phi),
+                                  0.9 * area * math.sin(phi))
+                        heading = phi + math.pi + rng.uniform(-0.4, 0.4)
+                    elif kind == "field":
+                        r = area * math.sqrt(rng.uniform())
+                        origin = (r * math.cos(phi), r * math.sin(phi))
+                    else:
+                        site = scn.sbss[int(rng.integers(len(scn.sbss)))]
+                        r = 0.9 * site.radius * math.sqrt(rng.uniform())
+                        origin = (site.position[0] + r * math.cos(phi),
+                                  site.position[1] + r * math.sin(phi))
+                    yield scn, origin, heading, rng.uniform(1.0, 17.0)
+
+    def test_matches_two_walks(self):
+        walks = skips = failures = in_cell = 0
+        for scn, origin, heading, speed in self.walks():
+            frame = scn.config.frame
+            t_mts = scn.config.t_mts
+            new = E.simulate_trajectory(scn, origin, heading, speed, frame)
+            plain, cached = (
+                R.simulate_trajectory(scn, origin, heading, speed, frame,
+                                      caching_enabled=caching,
+                                      collect_events=True)
+                for caching in (False, True))
+            assert (new.crossings, new.attempts, new.failures, new.skips) \
+                == (cached.crossings, cached.attempts, cached.failures,
+                    cached.skips)
+            assert (new.crossings, new.conventional_failures) \
+                == (plain.crossings, plain.failures)
+            assert event_lines(new, t_mts, caching=True) == cached.events
+            assert event_lines(new, t_mts, caching=False) == plain.events
+            walks += 1
+            skips += new.skips
+            failures += new.failures
+            in_cell += bool(new.entries) and new.entries[0].time == 0.0
+        assert walks == 360
+        # the walks reach every branch: skips, failed attempts, and
+        # origins inside a cell
+        assert skips > 0 and failures > 0 and in_cell > 0
+
+    def test_simulate_csv_matches_two_walks(self, tmp_path, monkeypatch,
+                                            capsys):
+        walks = []
+        one_walk = E.simulate_trajectory
+
+        def capture(*args):
+            walks.append(args)
+            return one_walk(*args)
+
+        monkeypatch.setattr(E, "simulate_trajectory", capture)
+        for seed in range(1, 11):
+            for no_caching in (False, True):
+                argv = ["simulate", "--seed", str(seed),
+                        "--speed", str(1.0 + 1.6 * seed),
+                        "--out", str(tmp_path)]
+                rc = main(argv + (["--no-caching"] if no_caching else []))
+                assert rc == 0
+                ref = R.simulate_trajectory(*walks[-1],
+                                            caching_enabled=not no_caching,
+                                            collect_events=True)
+                csv = (tmp_path / "simulate_events.csv").read_text()
+                assert csv == "\n".join(["time_s,event,cell,tos_s"]
+                                        + ref.events) + "\n"
+                assert capsys.readouterr().out.endswith(
+                    f": crossings={ref.crossings} attempts={ref.attempts} "
+                    f"failures={ref.failures} skips={ref.skips}\n")
+        assert len(walks) == 20
