@@ -45,7 +45,6 @@ class ScenarioConfig:
     n_sbs: int = 50
     min_intercell: float = 30.0
     sbs_powers_dbm: Tuple[float, ...] = (24.0, 27.0, 30.0)
-    n_mues: int = 1
     speed_min: float = 1.0
     speed_max: float = 16.0
     frame: float = 60.0

@@ -139,6 +139,12 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
     a cell while cached playback outlasts its traversal; its successful
     attempts refill the cache from the Shannon rate integrated over the
     trajectory's mmW beam segments inside the cell.
+
+    A straight line through a random deployment cuts each cell it crosses
+    at an offset from the centre that is uniform over the radius: the
+    isotropic-line chord law. A cell of radius a then gives a chord
+    shorter than v*T, so a handover failure with T = t_mts, with
+    probability 1 - sqrt(1 - (vT/2a)^2). `hof_vs_speed` follows this law.
     """
     cfg = scn.config
     stats = TrajectoryStats()
@@ -211,6 +217,14 @@ def _speed_replication(cfg: ScenarioConfig, p_idx: int, rep: int,
 
 def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
                       threads: int = 1) -> ExperimentResult:
+    """Handover failures per frame against speed, without and with caching.
+
+    Each replication walks one straight line through a fresh deployment
+    (`_speed_replication`), so its cells are crossed along chords of the
+    isotropic-line law, P(HOF) = 1 - sqrt(1 - (vT/2a)^2) per crossed cell
+    of radius a (see `simulate_trajectory`), not the paper's
+    fixed-entry-point law that `hof_multiuser` follows.
+    """
     speeds = list(range(1, 17)) + [60.0 / 3.6]
     speeds = sorted(set(round(s, 4) for s in speeds))
     cols: Dict[str, List[float]] = {
@@ -485,6 +499,14 @@ def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
 
 def _run_hof_multiuser(config: ScenarioConfig, reps: int,
                        threads: int = 1) -> ExperimentResult:
+    """HOF probability in the focal cell against speed, 20 users a run.
+
+    `build_region_instance` puts each user on the focal cell's rim with a
+    heading uniform over the directions into the cell, so its chord is
+    2a*sin(theta) with theta uniform on (0, pi): the paper's
+    fixed-entry-point chord law, P(HOF) = (2/pi) * arcsin(vT/2a) for a
+    cell of radius a and T = t_mts, which `hof_prob_conventional` follows.
+    """
     speeds = list(range(1, 17))
     cols: Dict[str, List[float]] = {
         "speed_mps": [float(v) for v in speeds], "hof_prob_proposed": [],

@@ -8,14 +8,15 @@ a pure function of (config, seed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig
-from .geometry import TWO_PI, BeamGeometry, Pose
+from .geometry import TWO_PI, BeamGeometry
 from .radio import SPEED_OF_LIGHT
 
 
@@ -49,7 +50,6 @@ class SbsSite(NamedTuple):
 class Scenario:
     config: ScenarioConfig
     sbss: Tuple[SbsSite, ...]
-    mues: Tuple[Pose, ...]
 
     def snapshot_text(self) -> str:
         """Deterministic serialization used for byte-identity checks."""
@@ -58,9 +58,6 @@ class Scenario:
             lines.append(
                 f"sbs,{s.index},{s.position[0]:.9f},{s.position[1]:.9f},"
                 f"{s.power_dbm:.1f},{s.radius:.9f},{s.anchor_angle:.9f}")
-        for i, m in enumerate(self.mues):
-            lines.append(
-                f"mue,{i},{m.x:.9f},{m.y:.9f},{m.heading:.9f},{m.speed:.9f}")
         return "\n".join(lines) + "\n"
 
 
@@ -78,49 +75,44 @@ def uw_cell_radius(power_dbm: float, config: ScenarioConfig) -> float:
 
 def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
                       max_tries: int = 20000) -> Scenario:
-    """Place SBSs (min spacing enforced) and MUEs uniformly over the disk.
+    """Place SBSs uniformly over the disk with min spacing enforced.
 
-    SBS positions are rejection-sampled: each try draws `uniform()` for the
-    radius and `uniform(0, 2*pi)` for the angle, and the candidate is kept
-    when `math.hypot` to every placed site is at least `min_intercell`.
-    `_place_sites` tests a candidate only against the sites of the grid
-    cells around it, which are all the sites that can be that close. The
-    tries draw their doubles in blocks with `rng.random`, which yields
-    the same doubles in the same order as the scalar calls. Afterwards the
-    generator is rewound to its state before placement and advanced by
-    exactly `2 * tries` doubles, so every later draw (powers, anchors, MUE
-    poses) is the one the scalar sampler would make: the result is
+    Every number of a deployment comes from one stream: the doubles of
+    `default_rng(seed)`, drawn in blocks with `rng.random` (which yields
+    the doubles the scalar calls would, in the same order) and taken one
+    at a time. Placement takes two per try, `u_radius` and `u_angle`:
+    the candidate at radius `area_radius * sqrt(u_radius)` and angle
+    `2*pi * u_angle` is kept when `math.hypot` to every placed site is at
+    least `min_intercell`. `_place_sites` tests a candidate only against
+    the sites of the grid cells around it, which are all the sites that
+    can be that close. Placement ends at the `n_sbs`-th kept site, so the
+    positions are those of the first `2 * tries` doubles. Then each site
+    in turn takes two: its power `sbs_powers_dbm[int(k * u)]` for the k
+    configured powers (k * u < k for every double u < 1, so the index is
+    in range) and its anchor azimuth `2*pi * u`. The result is
     bit-for-bit a function of (config, seed). Sites hold their anchor
     azimuth only; `SbsSite.beams` builds a beam layout on demand.
     """
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    positions = _place_sites(config, rng, max_tries)
-
+    # an endless iterator over block-drawn doubles; at the defaults one
+    # block holds every double of 99% of deployments
+    block = 6 * config.n_sbs + 128
+    draws = itertools.chain.from_iterable(
+        iter(lambda: rng.random(block).tolist(), None))
+    levels = [(float(p), uw_cell_radius(p, config))
+              for p in config.sbs_powers_dbm]
+    n_levels = len(levels)
+    positions = _place_sites(config, draws, max_tries)
     sbss = []
-    powers = config.sbs_powers_dbm
-    radii = {}
-    for i, pos in enumerate(positions):
-        # the same draws as rng.choice(powers) and rng.uniform(0, 2*pi)
-        power = float(powers[int(rng.integers(0, len(powers)))])
-        anchor = TWO_PI * rng.random()
-        radius = radii.get(power)
-        if radius is None:
-            radius = radii[power] = uw_cell_radius(power, config)
-        sbss.append(SbsSite(i, pos, power, radius, anchor))
-
-    mues = []
-    for _ in range(config.n_mues):
-        r = config.area_radius * math.sqrt(rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        mues.append(Pose(
-            x=r * math.cos(phi), y=r * math.sin(phi),
-            heading=float(rng.uniform(0.0, 2.0 * math.pi)),
-            speed=float(rng.uniform(config.speed_min, config.speed_max))))
-    return Scenario(config=config, sbss=tuple(sbss), mues=tuple(mues))
+    for i, (pos, u_power, u_anchor) in enumerate(zip(positions, draws,
+                                                     draws)):
+        power, radius = levels[int(n_levels * u_power)]
+        sbss.append(SbsSite(i, pos, power, radius, TWO_PI * u_anchor))
+    return Scenario(config=config, sbss=tuple(sbss))
 
 
-def _place_sites(config: ScenarioConfig, rng: np.random.Generator,
+def _place_sites(config: ScenarioConfig, draws: Iterator[float],
                  max_tries: int) -> List[Tuple[float, float]]:
     """Rejection-sample the SBS positions; see `generate_scenario`.
 
@@ -138,48 +130,45 @@ def _place_sites(config: ScenarioConfig, rng: np.random.Generator,
     candidate passes.
     """
     n_sbs, spacing = config.n_sbs, config.min_intercell
+    positions: List[Tuple[float, float]] = []
+    if n_sbs == 0:
+        return positions
+    # a try places at most one site; failing here also spares drawing a
+    # block sized for more sites than max_tries could ever place
+    if n_sbs > max_tries:
+        max_tries = 0
     cell = spacing + 1e-9 * (config.area_radius + spacing)
     width = 2 * int(config.area_radius / cell) + 5
     around = tuple(i * width + j for i in (-1, 0, 1) for j in (-1, 0, 1))
     grid: Dict[int, List[Tuple[float, float]]] = {}
     listed = grid.get
-    positions: List[Tuple[float, float]] = []
-    start = rng.bit_generator.state
-    # one block is usually enough; the overshoot is rewound below
-    block = 2 * n_sbs + 64
-    tries = 0
-    while len(positions) < n_sbs:
-        draws = iter(rng.random(2 * block).tolist())
-        for u_radius, u_angle in zip(draws, draws):
-            tries += 1
-            if tries > max_tries:
-                raise PackingFailure(
-                    f"could not place {n_sbs} SBSs with spacing "
-                    f"{spacing} m in radius {config.area_radius} m")
-            r = config.area_radius * math.sqrt(u_radius)
-            phi = TWO_PI * u_angle
-            x, y = r * math.cos(phi), r * math.sin(phi)
-            key = math.floor(x / cell) * width + math.floor(y / cell)
-            # explicit loops: `all` over a generator per cell costs more
-            # than the tests themselves
-            for offset in around:
-                near = listed(key + offset)
-                if near is None:
-                    continue
-                for px, py in near:
-                    if not math.hypot(x - px, y - py) >= spacing:
-                        break
-                else:
-                    continue
-                break   # too close to a site of this cell: reject
-            else:
-                positions.append((x, y))
-                grid.setdefault(key, []).append((x, y))
-                if len(positions) == n_sbs:
+    pairs = zip(draws, draws)
+    for _ in range(max_tries):
+        u_radius, u_angle = next(pairs)
+        r = config.area_radius * math.sqrt(u_radius)
+        phi = TWO_PI * u_angle
+        x, y = r * math.cos(phi), r * math.sin(phi)
+        key = math.floor(x / cell) * width + math.floor(y / cell)
+        # explicit loops: `all` over a generator per cell costs more
+        # than the tests themselves
+        for offset in around:
+            near = listed(key + offset)
+            if near is None:
+                continue
+            for px, py in near:
+                if not math.hypot(x - px, y - py) >= spacing:
                     break
-    rng.bit_generator.state = start
-    rng.random(2 * tries)
-    return positions
+            else:
+                continue
+            break   # too close to a site of this cell: reject
+        else:
+            positions.append((x, y))
+            grid.setdefault(key, []).append((x, y))
+            if len(positions) == n_sbs:
+                return positions
+    raise PackingFailure(
+        f"could not place {n_sbs} SBSs with spacing "
+        f"{spacing} m in radius {config.area_radius} m")
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ class TestConfig:
         path.write_text("""
 # scenario
 seed = 9
-n_mues = 12
+n_sbs = 12
 area_radius = 350.5
 sbs_powers_dbm = 20, 30
 """)
         cfg = load_config(str(path))
         assert cfg.seed == 9
-        assert cfg.n_mues == 12
+        assert cfg.n_sbs == 12
         assert cfg.area_radius == 350.5
         assert cfg.sbs_powers_dbm == (20.0, 30.0)
 
@@ -235,7 +235,9 @@ class TestCli:
         (["simulate", "--set", "bandwidth=inf"], "bandwidth"),
         (["match", "--set", "speed_max=inf"], "speed_max"),
         (["match", "--set", "rss_threshold_dbm=-inf"], "rss_threshold_dbm"),
-        (["simulate", "--set", "sbs_powers_dbm=24,inf"], "sbs_powers_dbm")])
+        (["simulate", "--set", "sbs_powers_dbm=24,inf"], "sbs_powers_dbm"),
+        # a deleted key
+        (["match", "--set", "n_mues=4"], "n_mues")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
