@@ -1,9 +1,13 @@
 """Experiment drivers that regenerate the headline result curves at desk scale.
 
 Six named experiments sweep speed, user count and distance axes and emit
-tabular results. Every replication is fully determined by (config, sweep
-point, replication index), so runs are reproducible bit-for-bit; runtimes are
-reported separately from the data columns.
+tabular results. Every replication is fully determined by (config,
+experiment, user count, replication index), so runs are reproducible
+bit-for-bit; runtimes are reported separately from the data columns. No
+draw of a replication depends on the speed, so each replication draws one
+deployment (and its users) and evaluates it at every speed of its sweep:
+common random numbers, under which the curves at different speeds compare
+the same deployments.
 
 The multi-user experiments run on a "target region" extracted from a full
 deployment: a focal cell plus the onward cells each user would reach, with
@@ -17,7 +21,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,14 +200,17 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
     return stats
 
 
-def _speed_replication(cfg: ScenarioConfig, p_idx: int, rep: int,
-                       v: float) -> Tuple[int, int]:
-    """Handover failures of one frame-long walk without and with caching.
+def _speed_replication(cfg: ScenarioConfig, rep: int,
+                       speeds: Sequence[float]) -> List[Tuple[int, int]]:
+    """Handover failures of one frame-long walk without and with caching,
+    one (conventional, cached) pair per speed.
 
-    A pure function of (config, sweep point, replication index), mapped
-    like `_region_replication`.
+    One deployment, origin and heading, drawn under the key (1, rep), are
+    walked at every speed, so element i equals this function's result for
+    `(speeds[i],)` alone. A pure function of (config, replication index,
+    speeds), mapped like `_region_replication`.
     """
-    rng = _rep_rng(cfg.seed, 1, p_idx, rep)
+    rng = _rep_rng(cfg.seed, 1, rep)
     scn = generate_scenario(cfg, seed=int(rng.integers(2 ** 31)))
     # start near the rim aiming through the populated core so the
     # frame-long walk stays inside the deployment
@@ -211,8 +218,11 @@ def _speed_replication(cfg: ScenarioConfig, p_idx: int, rep: int,
     origin = (0.9 * cfg.area_radius * math.cos(phi),
               0.9 * cfg.area_radius * math.sin(phi))
     heading = float(phi + math.pi + rng.uniform(-0.4, 0.4))
-    stats = simulate_trajectory(scn, origin, heading, v, cfg.frame)
-    return stats.conventional_failures, stats.failures
+    failures = []
+    for v in speeds:
+        stats = simulate_trajectory(scn, origin, heading, v, cfg.frame)
+        failures.append((stats.conventional_failures, stats.failures))
+    return failures
 
 
 def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
@@ -223,18 +233,20 @@ def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
     (`_speed_replication`), so its cells are crossed along chords of the
     isotropic-line law, P(HOF) = 1 - sqrt(1 - (vT/2a)^2) per crossed cell
     of radius a (see `simulate_trajectory`), not the paper's
-    fixed-entry-point law that `hof_multiuser` follows.
+    fixed-entry-point law that `hof_multiuser` follows. A replication's
+    deployment, origin and heading are shared by all 17 speeds, so the
+    points of the curve differ only in speed.
     """
     speeds = list(range(1, 17)) + [60.0 / 3.6]
-    speeds = sorted(set(round(s, 4) for s in speeds))
+    speeds = tuple(sorted(set(round(s, 4) for s in speeds)))
     cols: Dict[str, List[float]] = {
         "speed_mps": [], "speed_kmh": [], "hof_per_frame_nocache": [],
         "hof_per_frame_cache": [], "reduction": [], "stderr_nocache": [],
         "stderr_cache": []}
-    jobs = [(p_idx, rep, v) for p_idx, v in enumerate(speeds)
-            for rep in range(reps)]
+    jobs = [(rep, speeds) for rep in range(reps)]
     results = _map_jobs(_speed_replication, config, jobs, threads)
-    for v, failures in zip(speeds, _per_point(results, reps)):
+    # results[rep][i] is one walk at speeds[i]
+    for v, failures in zip(speeds, zip(*results)):
         no_cache, with_cache = (np.array(counts, dtype=float)
                                 for counts in zip(*failures))
         mean_nc, mean_c = float(no_cache.mean()), float(with_cache.mean())
@@ -414,14 +426,33 @@ def _count_measurements(region: RegionInstance,
 
 
 def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
-                        n_mues: int, speed: float) -> Dict[str, float]:
-    """One replication of the target-region epoch; all metrics at once.
+                        n_mues: int, speeds: Sequence[float],
+                        ) -> List[Dict[str, float]]:
+    """One replication of the target-region epoch: all metrics, per speed.
 
-    A pure function of (config, seed key), so replications can be mapped
-    over a worker pool and merged by index.
+    One instance is built at `speeds[0]`. It draws no speed, so the
+    instance at another speed differs only in `MueState.speed`: each
+    other speed re-speeds its users and matches again, and element i
+    equals this function's result for `(speeds[i],)` alone. A pure
+    function of (config, seed key, users, speeds), so replications can be
+    mapped over a worker pool and merged by index.
     """
     rng = _rep_rng(cfg.seed, *seed_key)
-    region = build_region_instance(cfg, n_mues, speed, rng)
+    region = build_region_instance(cfg, n_mues, speeds[0], rng)
+    metrics = []
+    for i, v in enumerate(speeds):
+        if i:
+            game = region.game
+            region = replace(region, game=replace(
+                game, mues=tuple(replace(m, speed=v) for m in game.mues)))
+        metrics.append(_region_metrics(cfg, region))
+    return metrics
+
+
+def _region_metrics(cfg: ScenarioConfig,
+                    region: RegionInstance) -> Dict[str, float]:
+    """Match one region instance and measure the epoch."""
+    n_mues = len(region.game.mues)
     result = dynamic_match(region.game)
     failures = 0
     conventional = 0
@@ -473,27 +504,37 @@ def _map_jobs(fn, cfg: ScenarioConfig, jobs: Sequence[tuple],
                              chunksize=chunksize))
 
 
-def _per_point(results: list, reps: int) -> List[list]:
-    """Cut job-ordered results into the `reps` results of each sweep point."""
-    return [results[i:i + reps] for i in range(0, len(results), reps)]
+def _speed_means(results: Sequence[List[Dict[str, float]]], name: str,
+                 ) -> List[float]:
+    """Mean of metric `name` over replications, one value per speed.
+
+    `results[rep][i]` holds the metrics of one replication at speed i.
+    """
+    return [float(np.mean([m[name] for m in at_speed]))
+            for at_speed in zip(*results)]
 
 
 def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
-                  speeds: Sequence[float], key: int, names: Tuple[str, ...],
+                  speeds: Tuple[float, ...], key: int, names: Tuple[str, ...],
                   threads: int = 1) -> Dict[str, List[float]]:
+    """Metric means per (user count, speed), one job per (users, rep).
+
+    A job draws one instance under the key (key, users, rep) and matches
+    it at every speed, so all speeds of a user count share deployments and
+    users.
+    """
     cols: Dict[str, List[float]] = {"n_mues": [float(u) for u in users]}
     for v in speeds:
         for name in names:
             cols[f"{name}_v{int(v)}"] = []
-    points = [(u_count, v_idx, v) for u_count in users
-              for v_idx, v in enumerate(speeds)]
-    jobs = [((key, u_count, v_idx, rep), u_count, float(v))
-            for u_count, v_idx, v in points for rep in range(reps)]
+    jobs = [((key, u_count, rep), u_count, speeds)
+            for u_count in users for rep in range(reps)]
     results = _map_jobs(_region_replication, config, jobs, threads)
-    for (_, _, v), metrics in zip(points, _per_point(results, reps)):
+    for start in range(0, len(results), reps):
+        per_rep = results[start:start + reps]
         for name in names:
-            cols[f"{name}_v{int(v)}"].append(
-                float(np.mean([m[name] for m in metrics])))
+            for v, mean in zip(speeds, _speed_means(per_rep, name)):
+                cols[f"{name}_v{int(v)}"].append(mean)
     return cols
 
 
@@ -506,22 +547,25 @@ def _run_hof_multiuser(config: ScenarioConfig, reps: int,
     2a*sin(theta) with theta uniform on (0, pi): the paper's
     fixed-entry-point chord law, P(HOF) = (2/pi) * arcsin(vT/2a) for a
     cell of radius a and T = t_mts, which `hof_prob_conventional` follows.
+    A replication draws one instance under the key (3, rep) and matches it
+    at all 16 speeds, so the points of the curve differ only in speed.
     """
-    speeds = list(range(1, 17))
-    cols: Dict[str, List[float]] = {
-        "speed_mps": [float(v) for v in speeds], "hof_prob_proposed": [],
-        "hof_prob_conventional": []}
-    jobs = [((3, v_idx, rep), 20, float(v)) for v_idx, v in enumerate(speeds)
-            for rep in range(reps)]
+    speeds = tuple(float(v) for v in range(1, 17))
+    cols: Dict[str, List[float]] = {"speed_mps": list(speeds)}
+    jobs = [((3, rep), 20, speeds) for rep in range(reps)]
     results = _map_jobs(_region_replication, config, jobs, threads)
-    for metrics in _per_point(results, reps):
-        for name in ("hof_prob_proposed", "hof_prob_conventional"):
-            cols[name].append(float(np.mean([m[name] for m in metrics])))
+    for name in ("hof_prob_proposed", "hof_prob_conventional"):
+        cols[name] = _speed_means(results, name)
     return ExperimentResult("hof_multiuser", cols, reps, config.seed)
 
 
 def _run_load_vs_users(config: ScenarioConfig, reps: int,
                        threads: int = 1) -> ExperimentResult:
+    """Period-1 load of the focal SBS against users at 8, 10 and 12 m/s.
+
+    The instance of each (users, rep), drawn under the key
+    (4, users, rep), serves all three speeds.
+    """
     cols = _region_sweep(config, reps, users=range(5, 55, 5),
                          speeds=(8.0, 10.0, 12.0), key=4, names=("load",),
                          threads=threads)
@@ -530,6 +574,11 @@ def _run_load_vs_users(config: ScenarioConfig, reps: int,
 
 def _run_energy_vs_users(config: ScenarioConfig, reps: int,
                          threads: int = 1) -> ExperimentResult:
+    """Scanning energy and its savings against users at 8, 10 and 12 m/s.
+
+    The instance of each (users, rep), drawn under the key
+    (5, users, rep), serves all three speeds.
+    """
     cols = _region_sweep(config, reps, users=range(5, 55, 5),
                          speeds=(8.0, 10.0, 12.0), key=5,
                          names=("savings", "baseline_mj", "used_mj"),
@@ -539,6 +588,11 @@ def _run_energy_vs_users(config: ScenarioConfig, reps: int,
 
 def _run_overhead_vs_users(config: ScenarioConfig, reps: int,
                            threads: int = 1) -> ExperimentResult:
+    """Proposals to the focal SBS against users at 2, 8, 10 and 12 m/s.
+
+    The instance of each (users, rep), drawn under the key
+    (6, users, rep), serves all four speeds.
+    """
     cols = _region_sweep(config, reps, users=range(5, 55, 5),
                          speeds=(2.0, 8.0, 10.0, 12.0), key=6,
                          names=("proposals",), threads=threads)

@@ -49,11 +49,12 @@ class SbsSite(NamedTuple):
 @dataclass(frozen=True)
 class Scenario:
     config: ScenarioConfig
+    seed: int                   # the seed the sites were drawn from
     sbss: Tuple[SbsSite, ...]
 
     def snapshot_text(self) -> str:
         """Deterministic serialization used for byte-identity checks."""
-        lines = [f"# scenario seed={self.config.seed}"]
+        lines = [f"# scenario seed={self.seed}"]
         for s in self.sbss:
             lines.append(
                 f"sbs,{s.index},{s.position[0]:.9f},{s.position[1]:.9f},"
@@ -109,7 +110,7 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
                                                      draws)):
         power, radius = levels[int(n_levels * u_power)]
         sbss.append(SbsSite(i, pos, power, radius, TWO_PI * u_anchor))
-    return Scenario(config=config, sbss=tuple(sbss))
+    return Scenario(config=config, seed=seed, sbss=tuple(sbss))
 
 
 def _place_sites(config: ScenarioConfig, draws: Iterator[float],

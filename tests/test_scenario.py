@@ -39,7 +39,7 @@ def scalar_generate_scenario(config, seed):
         sbss.append(S.SbsSite(
             index=i, position=pos, power_dbm=power,
             radius=S.uw_cell_radius(power, config), anchor_angle=anchor))
-    return S.Scenario(config=config, sbss=tuple(sbss)), tries
+    return S.Scenario(config=config, seed=seed, sbss=tuple(sbss)), tries
 
 
 def loop_build_region_instance(config, n_mues, speed, rng):
@@ -108,7 +108,7 @@ WIDE_AREA = ScenarioConfig(area_radius=500.0,
 SEVEN_POWERS = (20.0, 21.5, 23.0, 24.5, 26.0, 28.0, 30.0)
 # sha256 of the snapshot texts of seeds 0..49 under ScenarioConfig()
 STREAM_DIGEST = (
-    "2669660713de9da5a10763670c42228e60e79e30f3c2e3b31e6fe2da2af27114")
+    "5c8ea579244c5b80ebc9a2006305ddf778cd8395362cb81f034527a95617fb42")
 
 
 class TestGeneration:
@@ -190,6 +190,14 @@ class TestGeneration:
         u_max = math.nextafter(1.0, 0.0)
         for k in range(1, 1001):
             assert int(k * u_max) < k, k
+
+    def test_snapshot_heads_with_draw_seed(self):
+        cfg = ScenarioConfig(seed=5)
+        for seed, scn in ((7, S.generate_scenario(cfg, seed=7)),
+                          (5, S.generate_scenario(cfg))):
+            assert scn.seed == seed
+            assert scn.snapshot_text().startswith(
+                f"# scenario seed={seed}\n")
 
     def test_stream_digest(self):
         """Tripwire for the random stream of deployments.
@@ -306,6 +314,54 @@ class TestBatchedRegion:
                                     np.random.default_rng(1))
 
 
+class TestCommonRandomNumbers:
+    """A replication evaluated at many speeds equals one run per speed."""
+
+    SPEEDS = (2.0, 8.0, 10.0, 12.0)
+
+    def test_region_replication_per_speed(self):
+        # 5 seeds x 3 user counts x 2 reps x 4 speeds = 120 cases
+        for seed in range(1, 6):
+            cfg = ScenarioConfig(seed=seed)
+            for n_mues in (5, 20, 50):
+                for rep in range(2):
+                    key = (4, n_mues, rep)
+                    joint = E._region_replication(cfg, key, n_mues,
+                                                  self.SPEEDS)
+                    assert len(joint) == len(self.SPEEDS)
+                    for i, v in enumerate(self.SPEEDS):
+                        alone = E._region_replication(cfg, key, n_mues, (v,))
+                        assert joint[i] == alone[0], (seed, n_mues, rep, v)
+
+    def test_speed_replication_per_speed(self):
+        # 4 seeds x 5 reps x 17 speeds = 340 cases
+        speeds = tuple(sorted(set(round(s, 4) for s in
+                                  list(range(1, 17)) + [60.0 / 3.6])))
+        assert len(speeds) == 17
+        for seed in range(1, 5):
+            cfg = ScenarioConfig(seed=seed)
+            for rep in range(5):
+                joint = E._speed_replication(cfg, rep, speeds)
+                assert len(joint) == len(speeds)
+                for i, v in enumerate(speeds):
+                    alone = E._speed_replication(cfg, rep, (v,))
+                    assert joint[i] == alone[0], (seed, rep, v)
+
+    def test_instances_differ_only_in_speed(self):
+        for seed in range(10):
+            for n_mues in (1, 5, 30):
+                rng_a = np.random.default_rng(seed)
+                rng_b = np.random.default_rng(seed)
+                slow = E.build_region_instance(REGION, n_mues, 8.0, rng_a)
+                fast = E.build_region_instance(REGION, n_mues, 12.0, rng_b)
+                assert {m.speed for m in slow.game.mues} == {8.0}
+                assert {m.speed for m in fast.game.mues} == {12.0}
+                respeeded = replace(slow.game, mues=tuple(
+                    replace(m, speed=12.0) for m in slow.game.mues))
+                assert replace(slow, game=respeeded) == fast, (seed, n_mues)
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
 class TestExperiments:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -392,15 +448,15 @@ class TestExperiments:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
         cfg = ScenarioConfig(seed=3)
-        seq = E.run_experiment("hof_vs_speed", cfg, 2, threads=1).to_csv()
-        # hof_vs_speed at 2 reps maps 17 speeds x 2 reps = 34 jobs
+        seq = E.run_experiment("hof_vs_speed", cfg, 40, threads=1).to_csv()
+        # hof_vs_speed at 40 reps maps 40 jobs, one replication each
         for threads, cpus, expected in ((5000, 4, [4]), (3, 64, [3]),
-                                        (5000, 5000, [34]), (2, 1, [])):
+                                        (5000, 5000, [40]), (2, 1, [])):
             sizes.clear()
             monkeypatch.setattr(E.os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)),
                                 raising=False)
-            res = E.run_experiment("hof_vs_speed", cfg, 2, threads=threads)
+            res = E.run_experiment("hof_vs_speed", cfg, 40, threads=threads)
             assert sizes == expected, (threads, cpus)
             assert res.to_csv() == seq
 
