@@ -7,7 +7,7 @@ simulation worker owns each MUE's state with no shared mutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,13 @@ def cache_fill(avg_rate: float, duration: float, state: CacheState) -> CacheStat
         raise ValueError("avg_rate and duration must be nonnegative")
     burst = min(math.floor(avg_rate * duration / state.segment_size_bits),
                 state.capacity)
-    return replace(state, segments=min(state.segments + burst, state.capacity))
+    return CacheState(min(state.segments + burst, state.capacity),
+                      state.segment_size_bits, state.play_rate, state.capacity)
 
 
 def cache_drain(state: CacheState, play_time: float) -> CacheState:
     """Drain continuously at the play rate for play_time seconds."""
     if play_time < 0.0:
         raise ValueError("play_time must be nonnegative")
-    return replace(state,
-                   segments=max(state.segments - state.play_rate * play_time, 0.0))
+    return CacheState(max(state.segments - state.play_rate * play_time, 0.0),
+                      state.segment_size_bits, state.play_rate, state.capacity)

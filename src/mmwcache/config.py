@@ -133,6 +133,17 @@ class ScenarioConfig:
         if not self.cache_capacity >= 0.0:
             raise ConfigError(f"cache_capacity must be >= 0, got "
                               f"{self.cache_capacity!r}")
+        if not self.scan_interval > 0.0:
+            raise ConfigError(f"scan_interval must be positive, got "
+                              f"{self.scan_interval!r}")
+        if not self.energy_per_scan >= 0.0:
+            raise ConfigError(f"energy_per_scan must be >= 0, got "
+                              f"{self.energy_per_scan!r}")
+        if not 0.0 <= self.p_th_min <= self.p_th_max <= 1.0:
+            raise ConfigError(
+                f"p_th_min ({self.p_th_min!r}) and p_th_max "
+                f"({self.p_th_max!r}) must satisfy 0 <= p_th_min <= "
+                f"p_th_max <= 1")
         if not self.t_mts >= 0.0:
             raise ConfigError(f"t_mts must be >= 0, got {self.t_mts!r}")
         if not self.epsilon >= 0.0:

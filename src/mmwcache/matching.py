@@ -21,18 +21,20 @@ For stage two and the single-period matcher (one slot per user) this is
 the theorem; for stage one's atomic two-slot plans the equivalence with the
 proposal-and-restart process is established by differential tests.
 
-Scores are tabulated once per call: each public entry point builds a
-private table (`_Scores`) of each user's payoffs (phi per SBS, the cache
-payoffs) and gamma, fills it on first use and drops it when it returns.
-Plan keys and ranked plan lists are both derived from these payoffs, and
-the public utility functions compute through the same code, so a tabulated
-value equals the direct one bit for bit.
+Scores are tabulated once per game: `build_preferences` builds the
+game's table (`_Scores`) of each user's payoffs (phi per SBS, the cache
+payoffs) and gamma, and the preferences carry it into every matcher, which
+reads it instead of computing a utility again. Plan keys and ranked plan
+lists are both derived from these payoffs, and the public utility
+functions compute through the same code, so a tabulated value equals the
+direct one bit for bit. The blocking scan builds its own table: a
+stability check shares nothing with the matcher it checks.
 
 Determinism: all tie-breaking is lexicographic in (utility, player index),
-so identical instances yield identical matchings. One matching computation
-owns its instance and its table, and touches no process-wide state (HOF
-clamps silently instead of through the warnings machinery), so concurrent
-games share nothing.
+so identical instances yield identical matchings. One game owns its
+instance and its table, which is read-only once `build_preferences`
+returns, and touches no process-wide state (HOF clamps silently instead of
+through the warnings machinery), so concurrent games share nothing.
 """
 
 from __future__ import annotations
@@ -176,17 +178,6 @@ def _refill_distance(instance: GameInstance, u: int) -> float:
     return instance.cache_capacity / instance.play_rate * instance.mues[u].speed
 
 
-def plan_score(instance: GameInstance, u: int, first: Optional[PlayerId],
-               second: Optional[PlayerId]) -> float:
-    """Additive two-period score of an (attempted or realized) outcome.
-
-    A certain, in-hand covered cache period may be valued differently from a
-    projected period-2 one (the latter rides on the realized drain), hence
-    the separate covered payoffs.
-    """
-    return _Scores(instance).score(u, first, second)
-
-
 def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
     if slot is None:
         return (2, 0)
@@ -196,22 +187,6 @@ def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
 
 
 _CACHE_RANK = _slot_rank(None)
-
-
-def plan_key(instance: GameInstance, u: int, plan: Plan) -> tuple:
-    """Total order over plans: higher score first, then SBS-early/low-index."""
-    return _Scores(instance).key(u, plan.first, plan.second)
-
-
-def mue_prefers(instance: GameInstance, u: int, a: Plan, b: Plan) -> bool:
-    """Strict preference of plan/outcome a over b for user u."""
-    scores = _Scores(instance)
-    return scores.key(u, a.first, a.second) < scores.key(u, b.first, b.second)
-
-
-def bs_prefers_mue(instance: GameInstance, k: int, u: int, w: int) -> bool:
-    """Strict preference of SBS k for user u over user w."""
-    return _Scores(instance).bs_prefers(u, w)
 
 
 def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
@@ -225,19 +200,21 @@ def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
 
 
 class _Scores:
-    """The payoffs and priorities of one game, tabulated for one call.
+    """The payoffs and priorities of one game, tabulated once.
 
-    Every public entry point builds its own table and drops it when it
-    returns, so nothing outlives the call and concurrent games share
-    nothing. Entries are filled on first use, so each is computed once.
-    Per user the table holds its payoffs: phi per SBS, the period-1 cache
-    payoff, and the period-2 cache payoff after each kind of first slot.
-    Plan scores, plan keys and ranked plan lists are all derived from these
-    payoffs, and the public utilities compute through a one-use table, so
-    there is a single scoring definition. The table also holds gamma per
-    user, the common priority order, the plans it has built (one object per
-    plan) and, built with a matching, that matching's sorted per-(period,
-    SBS) rosters.
+    `build_preferences` builds the game's table and fills it while it ranks
+    the plans; the preferences carry it into every matcher, which only
+    reads it. `find_blocking_pairs` builds a table of its own, with the
+    matching it scans, so a check shares nothing with what it checks.
+    Entries are filled on first use, so each is computed once. Per user the
+    table holds its payoffs: phi per SBS, the period-1 cache payoff, and
+    the period-2 cache payoff after each kind of first slot. Plan scores,
+    plan keys and ranked plan lists are all derived from these payoffs, and
+    the public utilities compute through a one-use table, so there is a
+    single scoring definition. The table also holds gamma per user, the
+    common priority order, the plans it has built (one object per plan)
+    and, built with a matching, that matching's sorted per-(period, SBS)
+    rosters.
     """
 
     def __init__(self, instance: GameInstance,
@@ -248,6 +225,8 @@ class _Scores:
         self.phi0 = instance.phi_shift       # phi of a zero margin
         self.gamma0 = instance.gamma_shift   # gamma of a zero margin
         scale, shift = instance.phi_scale, instance.phi_shift
+        # phi below which the macro cell admits an SBS user in period 2
+        self.phi_eps = scale * instance.epsilon + shift
         self.mbs_payoff = scale * instance.mbs_payoff + shift
         # cache slot payoffs: covered in period 1, covered in period 2, not
         self._cache = (scale * instance.covered_payoff + shift,
@@ -260,12 +239,6 @@ class _Scores:
         self._rosters = ({} if matching is None else
                          {1: _sbs_rosters(matching.mu1),
                           2: _sbs_rosters(matching.mu2)})
-
-    def margin(self, u: int, k: int) -> float:
-        """Threshold margin p_th - HOF of user u in SBS k, unscaled."""
-        mue = self.instance.mues[u]
-        return mue.p_th - hof_probability_clamped(
-            mue.speed, self.instance.t_mts, self.instance.sbss[k].radius)
 
     def payoffs(self, u: int) -> Tuple[Dict[int, float], float,
                                        Tuple[float, float, float]]:
@@ -291,11 +264,15 @@ class _Scores:
         return value
 
     def phi(self, u: int, k: int) -> float:
+        """Scaled threshold margin p_th - HOF of user u in SBS k."""
         phis = self.payoffs(u)[0]
         value = phis.get(k)
         if value is None:
             instance = self.instance
-            value = phis[k] = (instance.phi_scale * self.margin(u, k)
+            mue = instance.mues[u]
+            hof = hof_probability_clamped(mue.speed, instance.t_mts,
+                                          instance.sbss[k].radius)
+            value = phis[k] = (instance.phi_scale * (mue.p_th - hof)
                                + instance.phi_shift)
         return value
 
@@ -324,12 +301,15 @@ class _Scores:
 
     def keys(self, u: int, first: Optional[PlayerId],
              seconds: Sequence[Optional[PlayerId]]) -> List[tuple]:
-        """plan_key of the plan (first, second) for each of `seconds`.
+        """The key of the plan (first, second) for each of `seconds`.
 
-        This is the one definition of a plan key: (-score,) followed by the
-        ranks of both slots, which name the plan. The score adds the first
-        slot's payoff and the second's; a period-2 cache slot's payoff
-        depends on the kind of the first slot.
+        This is the one definition of a plan key, a total order over plans:
+        (-score,) followed by the ranks of both slots (SBS before macro
+        before cache, then by index), which name the plan. The score adds
+        the first slot's payoff and the second's; a period-2 cache slot's
+        payoff depends on the kind of the first slot, and a certain, in-hand
+        covered cache period may be valued differently from a projected
+        period-2 one, hence the separate covered payoffs.
         """
         phis, cache1, cache2 = self.payoffs(u)
         if first is None:
@@ -354,23 +334,25 @@ class _Scores:
 
     def key(self, u: int, first: Optional[PlayerId],
             second: Optional[PlayerId]) -> tuple:
-        """plan_key of the plan (first, second)."""
+        """The key of the plan (first, second); lower is preferred."""
         return self.keys(u, first, (second,))[0]
 
     def score(self, u: int, first: Optional[PlayerId],
               second: Optional[PlayerId]) -> float:
-        """plan_score of the plan (first, second)."""
+        """Additive two-period score of the plan (first, second)."""
         return -self.key(u, first, second)[0]
 
     def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
-        """(plan_key, plan) of each plan of `plan_universe`, in its order.
+        """(key, plan) of every feasible, individually rational plan of u.
 
-        The keys come from `keys`, one call per first slot. Plans are
-        interned per table by the slot ranks that end each key.
+        SBS slots require a nonnegative threshold margin; SBS-then-macro
+        plans are listed only when the margin is small enough for the macro
+        cell to admit the user in period 2 (`_mbs_admits_p2`). The keys come
+        from `keys`, one call per first slot. Plans are interned per table
+        by the slot ranks that end each key.
         """
         instance, sbs, plans = self.instance, self.sbs, self._plans
-        phi0 = self.phi0
-        eps = instance.phi_scale * instance.epsilon + instance.phi_shift
+        phi0, eps = self.phi0, self.phi_eps
         mue = instance.mues[u]
         cand2 = [sbs[k] for k in mue.cand2 if self.phi(u, k) >= phi0]
         groups = []
@@ -422,27 +404,26 @@ class BsPreference:
 
 @dataclass(frozen=True)
 class Preferences:
+    """Every player's ranking, and the score table they were ranked by.
+
+    The matchers read `scores` instead of computing a utility again; it
+    takes no part in equality or the repr, which show the rankings only.
+    """
+
     mue_profiles: Tuple[PreferenceProfile, ...]
     sbs_profiles: Tuple[BsPreference, ...]
     mbs_profile: BsPreference
-
-
-def plan_universe(instance: GameInstance, u: int) -> List[Plan]:
-    """All geometrically feasible, individually rational plans of user u.
-
-    SBS slots require a nonnegative threshold margin; SBS-then-macro plans
-    are generated only when the margin is small enough for the macro to
-    admit the user in period 2.
-    """
-    return [p for _, p in _Scores(instance).universe(u)]
+    scores: Optional[_Scores] = field(default=None, compare=False, repr=False)
 
 
 def build_preferences(instance: GameInstance) -> Preferences:
     """Rank every player's options; drop plans not beating the self plan.
 
-    One pass per user ranks its plans by the keys `_Scores.universe`
-    derives from the user's payoffs and notes the SBSs of its listed plans;
-    the BS-side lists then follow the common priority order.
+    This builds the game's one score table. One pass per user ranks its
+    plans by the keys `_Scores.universe` derives from the user's payoffs
+    and notes the SBSs of its listed plans; the BS-side lists then follow
+    the common priority order. The table, now holding every phi and gamma
+    the matchers read, leaves with the preferences.
     """
     scores = _Scores(instance)
     n_mues = len(instance.mues)
@@ -482,7 +463,8 @@ def build_preferences(instance: GameInstance) -> Preferences:
     mbs_profile = BsPreference(
         owner=MBS, ranked_mues=tuple(sorted(mbs_masks, key=by_priority)),
         period_masks=mbs_masks)
-    return Preferences(tuple(mue_profiles), sbs_profiles, mbs_profile)
+    return Preferences(tuple(mue_profiles), sbs_profiles, mbs_profile,
+                       scores)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +630,7 @@ def deferred_acceptance(instance: GameInstance,
     dictatorship in the common priority order, which has the same outcome.
     """
     prefs = preferences or build_preferences(instance)
-    scores = _Scores(instance)
+    scores = prefs.scores
     trace = MatchTrace()
     rankings = {u: [Plan(scores.sbs[k], None) for k in _first_sbs_order(prof)]
                 for u, prof in enumerate(prefs.mue_profiles)}
@@ -683,7 +665,7 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                                 ) -> List[Tuple[int, int]]:
     """Classic blocking pairs (user, SBS) of a single-period matching."""
     prefs = preferences or build_preferences(instance)
-    scores = _Scores(instance)
+    scores = prefs.scores
     rosters = _sbs_rosters(mu)
     blocking = []
     for u in range(len(instance.mues)):
@@ -715,13 +697,13 @@ def dynamic_match(instance: GameInstance,
     Both stages are serial dictatorships in the common priority order.
     """
     prefs = preferences or build_preferences(instance)
-    scores = _Scores(instance)
+    scores = prefs.scores
     trace = MatchTrace()
     held = _stage_one(scores, prefs, trace)
     ex_ante = _matching_from_plans(instance, held)
     _period1_fallback(scores, ex_ante)
     matching = ex_ante.copy()
-    _stage_two(scores, prefs, matching, trace)
+    _stage_two(scores, matching, trace)
     matching.validate(instance)
     return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace,
                        preferences=prefs)
@@ -777,30 +759,24 @@ def _mbs_admits_p2(scores: _Scores, u: int,
     """Macro period-2 admission rule."""
     instance = scores.instance
     if first is not None and first.kind == PlayerKind.SBS:
-        return scores.margin(u, first.index) < instance.epsilon
+        return scores.phi(u, first.index) < scores.phi_eps
     if first is not None and first.kind == PlayerKind.MBS:
         return True
     playback = instance.mues[u].segments / instance.play_rate
     return playback < instance.scan_interval
 
 
-def _stage_two(scores: _Scores, prefs: Preferences,
-               matching: DynamicMatching, trace: MatchTrace) -> None:
+def _stage_two(scores: _Scores, matching: DynamicMatching,
+               trace: MatchTrace) -> None:
     """Period-2 deferred acceptance among users still unmatched in period 2.
 
     Options are the period-2 partners consistent with the realized period-1
     assignment: candidate SBSs with remaining quota and the macro cell under
     its admission rule, which always admits. Period-2 members held from
-    stage one are fixed, so an SBS's room is its quota less them. Run as
-    serial dictatorship in the common priority order.
-
-    A user on its cache in period 1 held no plan, and its options are the
-    second slots of its listed (cache, x) plans, which passed the same
-    filter against the same self plan; only the macro admission rule is
-    applied on top. Taking them from `prefs` spares computing phi again in
-    this call's table: on `match --users 3200`, where nearly every
-    stage-two user is on its cache, matching otherwise takes longer than
-    building the preferences.
+    stage one are fixed, so an SBS's room is its quota less them. Each
+    user ranks its options by the plan keys of the game's table, which
+    already holds every phi they need. Run as serial dictatorship in the
+    common priority order.
     """
     instance = scores.instance
     room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
@@ -811,16 +787,9 @@ def _stage_two(scores: _Scores, prefs: Preferences,
         if second is not None:
             continue
         first = matching.mu1[u]
-        admits = _mbs_admits_p2(scores, u, first)
-        if first is None:
-            rankings[u] = [
-                p for p in prefs.mue_profiles[u].ranked_plans
-                if p.first is None
-                and (admits or p.second.kind != PlayerKind.MBS)]
-            continue
         opts = [scores.sbs[k] for k in instance.mues[u].cand2
                 if not scores.phi(u, k) < scores.phi0]
-        if admits:
+        if _mbs_admits_p2(scores, u, first):
             opts.append(MBS)
         self_key, *keys = scores.keys(u, first, [None] + opts)
         keyed = [pair for pair in zip(keys, opts) if pair[0] < self_key]

@@ -223,6 +223,12 @@ class TestCli:
         (["simulate", "--set", "cache_capacity=-5"], "cache_capacity"),
         (["simulate", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
         (["match", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
+        (["match", "--set", "p_th_min=0.3"], "p_th_min"),
+        (["match", "--set", "p_th_min=-0.1"], "p_th_min"),
+        (["match", "--set", "p_th_max=1.5"], "p_th_max"),
+        (["match", "--set", "energy_per_scan=-0.003"], "energy_per_scan"),
+        (["match", "--set", "scan_interval=0"], "scan_interval"),
+        (["simulate", "--set", "scan_interval=-1"], "scan_interval"),
         # names that are not config keys
         (["simulate", "--set", "ttt=5"], "ttt"),
         (["match", "--set", "uw_shadowing_std_db=4"], "uw_shadowing_std_db"),

@@ -60,7 +60,7 @@ class TestUtilities:
         assert M.sbs_utility(1, 0, inst) == pytest.approx(5.0)
         # smaller cache strictly preferred
         assert M.sbs_utility(1, 0, inst) > M.sbs_utility(2, 0, inst)
-        assert M.bs_prefers_mue(inst, 0, 1, 2)
+        assert M._Scores(inst).bs_prefers(1, 2)
 
 
 class TestExample1:
@@ -346,6 +346,14 @@ def _reference_scan(matching, game):
             R.find_blocking_pairs(matching, game, period=2))
 
 
+def _matcher_outputs(game, prefs):
+    """Both matchings, the period-1 map and its blocking pairs of a game."""
+    res = M.dynamic_match(game, preferences=prefs)
+    mu, da = M.deferred_acceptance(game, preferences=prefs)
+    pairs = M.find_single_period_blocking(mu, game, preferences=prefs)
+    return (res.ex_ante, res.matching, res.trace, mu, da, pairs)
+
+
 def _out_of_domain(game):
     """Some user is too fast for some SBS: v*t_mts > 2a, HOF clamps."""
     return any(m.speed * game.t_mts > 2.0 * s.radius
@@ -411,15 +419,19 @@ class TestTabulatedScores:
                         R.mue_utility(u, k, game)
                     assert M.sbs_utility(u, k, game) == \
                         R.sbs_utility(u, k, game)
+                scores = M._Scores(game)
+                self_key = scores.key(u, None, None)
                 for p in R.plan_universe(game, u) + [M.SELF_PLAN]:
-                    assert M.plan_key(game, u, p) == R.plan_key(game, u, p)
-                    assert M.plan_score(game, u, p.first, p.second) == \
+                    key = scores.key(u, p.first, p.second)
+                    assert key == R.plan_key(game, u, p)
+                    assert scores.score(u, p.first, p.second) == \
                         R.plan_score(game, u, p.first, p.second)
-                    assert M.mue_prefers(game, u, p, M.SELF_PLAN) == \
+                    assert (key < self_key) == \
                         R.mue_prefers(game, u, p, M.SELF_PLAN)
-                assert M.plan_universe(game, u) == R.plan_universe(game, u)
+                assert [p for _, p in M._Scores(game).universe(u)] == \
+                    R.plan_universe(game, u)
                 for w in range(len(game.mues)):
-                    assert M.bs_prefers_mue(game, 0, u, w) == \
+                    assert M._Scores(game).bs_prefers(u, w) == \
                         R.bs_prefers_mue(game, 0, u, w)
 
     def test_out_of_domain_game_touches_no_warning_state(self, monkeypatch):
@@ -454,6 +466,27 @@ class TestTabulatedScores:
             assert warnings.filters == before
         assert prefs.mue_profiles[0].ranked_plans
         assert "warnings" not in vars(M)
+
+    def test_matchers_read_the_table_of_the_preferences(self, monkeypatch):
+        # build_preferences computes every phi the matchers need; after it,
+        # a HOF evaluation means a matcher scores the game a second time
+        rng = np.random.default_rng(109)
+        games = [random_game_instance(rng, max_mues=12) for _ in range(300)]
+        config = ScenarioConfig(seed=5)
+        for n_mues in (10, 50, 200):
+            for speed in (2.0, 16.0, None):
+                games.append(experiments.build_region_instance(
+                    config, n_mues, speed, rng).game)
+
+        def hof(*args):
+            raise AssertionError("a matcher evaluated HOF again")
+
+        for game in games:
+            expected = _matcher_outputs(game, None)
+            prefs = M.build_preferences(game)
+            with monkeypatch.context() as patch:
+                patch.setattr(M, "hof_probability_clamped", hof)
+                assert repr(_matcher_outputs(game, prefs)) == repr(expected)
 
 
 class TestSerialDictatorship:
