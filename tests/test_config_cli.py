@@ -223,12 +223,6 @@ class TestCli:
         (["simulate", "--set", "cache_capacity=-5"], "cache_capacity"),
         (["simulate", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
         (["match", "--set", "sbs_powers_dbm="], "sbs_powers_dbm"),
-        (["match", "--set", "p_th_min=0.3"], "p_th_min"),
-        (["match", "--set", "p_th_min=-0.1"], "p_th_min"),
-        (["match", "--set", "p_th_max=1.5"], "p_th_max"),
-        (["match", "--set", "energy_per_scan=-0.003"], "energy_per_scan"),
-        (["match", "--set", "scan_interval=0"], "scan_interval"),
-        (["simulate", "--set", "scan_interval=-1"], "scan_interval"),
         # names that are not config keys
         (["simulate", "--set", "ttt=5"], "ttt"),
         (["match", "--set", "uw_shadowing_std_db=4"], "uw_shadowing_std_db"),
@@ -243,7 +237,14 @@ class TestCli:
         (["match", "--set", "rss_threshold_dbm=-inf"], "rss_threshold_dbm"),
         (["simulate", "--set", "sbs_powers_dbm=24,inf"], "sbs_powers_dbm"),
         # a deleted key
-        (["match", "--set", "n_mues=4"], "n_mues")])
+        (["match", "--set", "n_mues=4"], "n_mues"),
+        # out-of-range game and scan settings
+        (["match", "--set", "p_th_min=0.3"], "p_th_min"),
+        (["match", "--set", "p_th_min=-0.1"], "p_th_min"),
+        (["match", "--set", "p_th_max=1.5"], "p_th_max"),
+        (["match", "--set", "energy_per_scan=-0.003"], "energy_per_scan"),
+        (["match", "--set", "scan_interval=0"], "scan_interval"),
+        (["simulate", "--set", "scan_interval=-1"], "scan_interval")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
