@@ -26,9 +26,9 @@ class ScenarioConfig:
     paper's simulation table: 73 GHz carrier, 5 GHz bandwidth, exponents
     2/3.5, 3 beams of 10 degrees, -174 dBm/Hz noise, 1 s minimum
     time-of-stay, 1k segments/s play rate, 1 Mbit segments, 1-16 m/s
-    speeds, 3 mJ per scan. The rate model's 1 m reference distance and
-    18/-2 dB sector gains are the defaults of `radio.ChannelParams` and
-    `radio.AntennaPattern`.
+    speeds, 3 mJ per scan. The rate model's 1 m reference distance
+    (`radio.REFERENCE_DISTANCE`) and 36 dB combined beamforming gain (18 dB
+    main lobe at each end, the `radio.LinkBudget` default) are constants.
 
     The deployment defaults describe dense small cells: a 190 m area, SBS
     powers of 24/27/30 dBm and a 5.8 GHz microwave band with path-loss

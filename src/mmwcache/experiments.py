@@ -31,7 +31,8 @@ from .config import ConfigError, ScenarioConfig
 from .geometry import TWO_PI
 from .matching import (GameInstance, MueState, PlayerKind, SbsState,
                        dynamic_match, sbs_id, signaling_overhead)
-from .radio import ChannelParams, LinkBudget, instantaneous_rate
+from .radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
+                    instantaneous_rate)
 from .scenario import (Scenario, beam_segments_in_cell, generate_scenario,
                        ray_circle_crossings, ray_crossing_arrays)
 
@@ -194,7 +195,7 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
             mid = 0.5 * (seg_a + seg_b)
             px = origin[0] + mid * math.cos(heading) - site.position[0]
             py = origin[1] + mid * math.sin(heading) - site.position[1]
-            r = max(math.hypot(px, py), params.reference_distance)
+            r = max(math.hypot(px, py), REFERENCE_DISTANCE)
             rate = instantaneous_rate(r, budget, params)
             state = caching.cache_fill(rate, (seg_b - seg_a) / speed, state)
     return stats

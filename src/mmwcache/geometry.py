@@ -19,11 +19,10 @@ elsewhere.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .numerics import adaptive_simpson, clamp_unit, wrap_angle
+from .numerics import clamp_unit, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,10 +44,6 @@ class Pose:
         if self.speed <= 0.0:
             raise ValueError(f"speed must be positive, got {self.speed}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
-
-    @property
-    def position(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -75,18 +70,6 @@ class BeamGeometry:
     @property
     def entry_edge_angle(self) -> float:
         return wrap_angle(self.anchor_angle - self.beamwidth)
-
-
-@dataclass(frozen=True)
-class CellDisk:
-    """Circular cell coverage region."""
-
-    center: Tuple[float, float]
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
 
 
 def beam_coverage_probability(n_beams: int, beamwidth: float) -> float:
@@ -176,12 +159,6 @@ def _require_entry_edge(pose: Pose, beam: BeamGeometry, tol: float = 1e-6
     return r, min_exit_distance(pose, beam)
 
 
-def admissible_heading_interval(beam: BeamGeometry) -> Tuple[float, float]:
-    """Heading interval (width pi - beamwidth) that crosses the sector."""
-    lo = beam.anchor_angle
-    return (lo, lo + math.pi - beam.beamwidth)
-
-
 def caching_duration_cdf(pose: Pose, beam: BeamGeometry, t0: float) -> float:
     """CDF of the sector crossing time for a uniformly random heading.
 
@@ -207,60 +184,12 @@ def caching_duration_cdf(pose: Pose, beam: BeamGeometry, t0: float) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def expected_cache_traverse_distance(pose: Pose, beam: BeamGeometry,
-                                     max_distance: Optional[float] = None,
-                                     tail_eps: float = 1e-6) -> float:
-    """Expected crossing distance E[r_c] = integral of (1 - F(r/v)) dr.
-
-    The crossing-distance distribution has a 1/r tail, so the raw expectation
-    diverges; the integral is truncated where the CDF reaches 1 within
-    tail_eps, or at max_distance when given (censoring r_c there, matching a
-    Monte Carlo estimate capped at the same distance).
-    """
-    r_uk, r_min = _require_entry_edge(pose, beam)
-    v = pose.speed
-    width = math.pi - beam.beamwidth
-    b = math.acos(clamp_unit(r_min / r_uk))
-
-    def survival(r: float) -> float:
-        if r <= r_min:
-            return 1.0
-        a = math.acos(clamp_unit(r_min / r))
-        return 1.0 - min((a + min(b, a)) / width, 1.0)
-
-    if max_distance is None:
-        # F(r) = 1 - eps  <=>  arccos(r_min/r) = (1-eps)*width - B
-        target = (1.0 - tail_eps) * width - b
-        target = min(max(target, 0.0), 0.5 * math.pi - 1e-9)
-        max_distance = r_min / math.cos(target)
-    if max_distance <= r_min:
-        return max_distance
-    tol = max(1e-12 * max_distance, 1e-10)
-    return r_min + adaptive_simpson(survival, r_min, max_distance, tol=tol)
-
-
 def hof_probability(speed: float, t_mts: float, cell_radius: float) -> float:
     """Handover-failure probability (2/pi)*arcsin(v*t_mts / (2a)).
 
-    Outside the domain (v*t_mts > 2a, every chord too short) the probability
-    clamps to 1.0 with a RuntimeWarning instead of raising, so batch sweeps
-    over high speeds and small cells do not abort.
-    """
-    probability = hof_probability_clamped(speed, t_mts, cell_radius)
-    if speed * t_mts / (2.0 * cell_radius) > 1.0:
-        warnings.warn(
-            f"v*t_mts = {speed * t_mts:g} exceeds the cell diameter "
-            f"{2 * cell_radius:g}; HOF probability clamped to 1",
-            RuntimeWarning, stacklevel=2)
-    return probability
-
-
-def hof_probability_clamped(speed: float, t_mts: float,
-                            cell_radius: float) -> float:
-    """`hof_probability` without the warning: out of domain it is 1.0.
-
-    For callers that clamp on purpose, such as the matching game, whose
-    users may be too fast for a cell; it touches no warning state.
+    The probability that a chord of the cell, with one end fixed and a
+    uniform direction, is shorter than v*t_mts. When v*t_mts > 2a every
+    chord is shorter, so the law is exactly 1.0 there.
     """
     if speed < 0.0 or t_mts < 0.0:
         raise ValueError("speed and t_mts must be nonnegative")
@@ -268,24 +197,5 @@ def hof_probability_clamped(speed: float, t_mts: float,
         raise ValueError("cell_radius must be positive")
     ratio = speed * t_mts / (2.0 * cell_radius)
     if ratio > 1.0:
-        return 1.0
-    return (2.0 / math.pi) * math.asin(ratio)
-
-
-def chord_length_pdf(cell: CellDisk, d: float) -> float:
-    """Density 2/(pi*sqrt(4a^2 - d^2)) of a random chord with one end fixed."""
-    if d < 0.0:
-        raise ValueError("chord length must be nonnegative")
-    if d >= 2.0 * cell.radius:
-        raise ValueError("density is singular at and beyond the diameter")
-    return 2.0 / (math.pi * math.sqrt(4.0 * cell.radius ** 2 - d ** 2))
-
-
-def chord_length_cdf(cell: CellDisk, d: float) -> float:
-    """CDF of the random chord length: (2/pi)*arcsin(d / 2a)."""
-    if d < 0.0:
-        return 0.0
-    ratio = d / (2.0 * cell.radius)
-    if ratio >= 1.0:
         return 1.0
     return (2.0 / math.pi) * math.asin(ratio)

@@ -33,8 +33,8 @@ stability check shares nothing with the matcher it checks.
 Determinism: all tie-breaking is lexicographic in (utility, player index),
 so identical instances yield identical matchings. One game owns its
 instance and its table, which is read-only once `build_preferences`
-returns, and touches no process-wide state (HOF clamps silently instead of
-through the warnings machinery), so concurrent games share nothing.
+returns, and touches no process-wide state, so concurrent games share
+nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .geometry import hof_probability_clamped
+from .geometry import hof_probability
 
 
 class PlayerKind(enum.Enum):
@@ -270,8 +270,8 @@ class _Scores:
         if value is None:
             instance = self.instance
             mue = instance.mues[u]
-            hof = hof_probability_clamped(mue.speed, instance.t_mts,
-                                          instance.sbss[k].radius)
+            hof = hof_probability(mue.speed, instance.t_mts,
+                                  instance.sbss[k].radius)
             value = phis[k] = (instance.phi_scale * (mue.p_th - hof)
                                + instance.phi_shift)
         return value

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import geometry, matching
-from .geometry import BeamGeometry, CellDisk, Pose
+from . import matching
+from .geometry import BeamGeometry, Pose
 from .matching import DynamicMatching, GameInstance, PlayerKind, Violation
 
 
@@ -208,18 +208,18 @@ class EmpiricalCdf:
 
 
 def mc_caching_duration(pose: Pose, beam: BeamGeometry, samples: int,
-                        seed: int,
-                        max_distance: Optional[float] = None) -> EmpiricalCdf:
+                        seed: int) -> EmpiricalCdf:
     """Sample admissible headings uniformly and collect crossing times.
 
-    Headings span the width-(pi - beamwidth) interval of sector-crossing
+    Headings span [anchor, anchor + pi - beamwidth], the sector-crossing
     directions; each sample's traverse distance comes from the far-edge
-    intersection, optionally censored at max_distance.
+    intersection.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    lo, hi = geometry.admissible_heading_interval(beam)
+    lo = beam.anchor_angle
+    hi = lo + math.pi - beam.beamwidth
     x = pose.x - beam.sbs_position[0]
     y = pose.y - beam.sbs_position[1]
     t0 = beam.anchor_angle
@@ -230,22 +230,20 @@ def mc_caching_duration(pose: Pose, beam: BeamGeometry, samples: int,
     with np.errstate(divide="ignore"):
         r = num / den
     r = np.where(r <= 0.0, np.inf, r)
-    if max_distance is not None:
-        r = np.minimum(r, max_distance)
     return EmpiricalCdf(r / pose.speed)
 
 
-def sample_chords(cell: CellDisk, samples: int, seed: int) -> np.ndarray:
+def sample_chords(radius: float, samples: int, seed: int) -> np.ndarray:
     """Chord lengths with one endpoint fixed and a uniform angle in [0, pi]."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi, samples)
-    return 2.0 * cell.radius * np.abs(np.sin(theta))
+    return 2.0 * radius * np.abs(np.sin(theta))
 
 
 def mc_hof_frequency(speed: float, t_mts: float, cell_radius: float,
                      samples: int, seed: int) -> Tuple[float, float]:
     """Fraction of sampled chords crossed in less than the minimum stay."""
-    chords = sample_chords(CellDisk((0.0, 0.0), cell_radius), samples, seed)
+    chords = sample_chords(cell_radius, samples, seed)
     fails = chords < speed * t_mts
     p = float(np.mean(fails))
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / samples)

@@ -1,17 +1,15 @@
-"""Link-level models: path loss, sectorized antenna gains, and caching rate.
+"""Link-level models: SNR, Shannon rate and the caching rate.
 
 The achievable caching rate averages the Shannon rate along a sector-crossing
 chord; with path-loss exponent 2 it reduces to a closed form, otherwise it is
-evaluated by adaptive quadrature. Shadowing is never applied inside the rate
-computations (draws are supplied explicitly by callers that want it), which
-keeps every function here deterministic and safe to call concurrently.
+evaluated by adaptive quadrature. No shadowing enters the rate, which keeps
+every function here deterministic and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import geometry
 from .geometry import BeamGeometry, Pose
@@ -19,6 +17,7 @@ from .numerics import adaptive_simpson
 
 SPEED_OF_LIGHT = 299792458.0
 LN2 = math.log(2.0)
+REFERENCE_DISTANCE = 1.0              # r0 of the path-gain law, meters
 
 
 def db_to_linear(db: float) -> float:
@@ -34,14 +33,11 @@ class ChannelParams:
     """Large-scale channel parameters for one band."""
 
     carrier_frequency: float = 73e9
-    reference_distance: float = 1.0
     pathloss_exponent: float = 2.0
 
     def __post_init__(self):
         if self.carrier_frequency <= 0.0:
             raise ValueError("carrier_frequency must be positive")
-        if self.reference_distance <= 0.0:
-            raise ValueError("reference_distance must be positive")
         if self.pathloss_exponent <= 0.0:
             raise ValueError("pathloss_exponent must be positive")
 
@@ -61,26 +57,11 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class AntennaPattern:
-    """Two-level sectorized gain pattern."""
-
-    main_lobe_gain_db: float = 18.0
-    side_lobe_gain_db: float = -2.0
-    main_beamwidth: float = math.radians(10.0)
-
-    def __post_init__(self):
-        if self.main_lobe_gain_db <= self.side_lobe_gain_db:
-            raise ValueError("main lobe gain must exceed side lobe gain")
-        if self.main_beamwidth <= 0.0:
-            raise ValueError("main_beamwidth must be positive")
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """Transmit power, combined beamforming gain, bandwidth and noise floor."""
 
     tx_power: float = 1.0                 # watts
-    combined_gain: float = field(default=db_to_linear(36.0))  # G_max^2, linear
+    combined_gain: float = field(default=db_to_linear(36.0))  # (18 dB)^2, linear
     bandwidth: float = 5e9                # Hz
     noise_psd: float = field(default=dbm_to_watts(-174.0))    # W/Hz
 
@@ -91,49 +72,22 @@ class LinkBudget:
 
     @classmethod
     def from_table(cls, tx_power_dbm: float = 30.0,
-                   pattern: Optional[AntennaPattern] = None,
                    bandwidth: float = 5e9,
                    noise_psd_dbm_hz: float = -174.0) -> "LinkBudget":
-        pattern = pattern or AntennaPattern()
-        gain = db_to_linear(2.0 * pattern.main_lobe_gain_db)
-        return cls(tx_power=dbm_to_watts(tx_power_dbm), combined_gain=gain,
-                   bandwidth=bandwidth, noise_psd=dbm_to_watts(noise_psd_dbm_hz))
+        return cls(tx_power=dbm_to_watts(tx_power_dbm), bandwidth=bandwidth,
+                   noise_psd=dbm_to_watts(noise_psd_dbm_hz))
 
 
 def beta_constant(params: ChannelParams) -> float:
     """Path-gain constant (lambda / 4 pi r0)^2 * r0^alpha."""
-    r0 = params.reference_distance
+    r0 = REFERENCE_DISTANCE
     return (params.wavelength / (4.0 * math.pi * r0)) ** 2 \
         * r0 ** params.pathloss_exponent
 
 
-def path_loss_db(distance: float, params: ChannelParams,
-                 shadowing_draw: Optional[float] = None) -> float:
-    """Large-scale loss 20log10(4 pi r0/lambda) + 10 a log10(r/r0) + chi (dB).
-
-    Valid for distance >= reference_distance; chi is supplied by the caller
-    (in dB) or zero.
-    """
-    r0 = params.reference_distance
-    if distance < r0:
-        raise ValueError(
-            f"distance {distance:g} below reference distance {r0:g}")
-    free_space = 20.0 * math.log10(4.0 * math.pi * r0 / params.wavelength)
-    slope = 10.0 * params.pathloss_exponent * math.log10(distance / r0)
-    chi = shadowing_draw if shadowing_draw is not None else 0.0
-    return free_space + slope + chi
-
-
-def antenna_gain_db(azimuth: float, pattern: AntennaPattern) -> float:
-    """Main-lobe gain strictly inside the main beamwidth, else side lobe."""
-    return (pattern.main_lobe_gain_db
-            if abs(azimuth) < pattern.main_beamwidth
-            else pattern.side_lobe_gain_db)
-
-
 def snr(distance: float, budget: LinkBudget, params: ChannelParams) -> float:
     """Noise-limited SNR beta*P*psi*r^-alpha / (w*N0) at the given distance."""
-    if distance < params.reference_distance:
+    if distance < REFERENCE_DISTANCE:
         raise ValueError("distance below reference distance")
     beta = beta_constant(params)
     return (beta * budget.tx_power * budget.combined_gain
@@ -151,7 +105,6 @@ def instantaneous_rate(distance: float, budget: LinkBudget,
 class CrossingGeometry:
     """Derived quantities for a sector crossing starting on the entry edge."""
 
-    start_distance: float     # r_uk at the entry point
     theta_hat: float          # heading relative to the SBS-to-entry ray
     beamwidth: float
     chord_length: float       # full traverse distance across the sector
@@ -188,7 +141,6 @@ def crossing_geometry(pose: Pose, beam: BeamGeometry) -> CrossingGeometry:
             "beamwidth < theta_hat < pi")
     chord = geometry.beam_traverse_distance(pose, beam)
     return CrossingGeometry(
-        start_distance=r_uk,
         theta_hat=theta_hat,
         beamwidth=beam.beamwidth,
         chord_length=chord,

@@ -1,12 +1,11 @@
 """Test-only copy of the matching path before per-call score tables.
 
 Every function here is the definitional version: each utility, plan key
-and roster is recomputed at every use, HOF goes through the public,
-warning `geometry.hof_probability` inside `warnings.catch_warnings`, and
-rosters are rescanned from the matching. The matchers are the original
-proposal processes: deferred acceptance with displacement for the
-single-period matcher and stage two, and plan proposals with restarts for
-stage one. `tests/test_matching.py` compares the production path (per-call
+and roster is recomputed at every use, HOF goes through the public
+`geometry.hof_probability`, and rosters are rescanned from the matching.
+The matchers are the original proposal processes: deferred acceptance with
+displacement for the single-period matcher and stage two, and plan
+proposals with restarts for stage one. `tests/test_matching.py` compares the production path (per-call
 score tables, serial dictatorship) against it on random and region games.
 The data types (plans, matchings, traces, violations) are the production
 ones, so results compare by `repr`.
@@ -14,7 +13,6 @@ ones, so results compare by `repr`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from mmwcache.geometry import hof_probability
@@ -33,9 +31,7 @@ def mue_utility(u: int, k: int, instance: GameInstance) -> float:
     """User-side utility of an SBS: threshold margin over HOF probability."""
     mue = instance.mues[u]
     sbs = instance.sbss[k]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
+    hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
     return instance.phi_scale * (mue.p_th - hof) + instance.phi_shift
 
 
@@ -443,9 +439,7 @@ def _mbs_admits_p2(instance: GameInstance, u: int,
     if first is not None and first.kind == PlayerKind.SBS:
         mue = instance.mues[u]
         sbs = instance.sbss[first.index]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
+        hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
         return (mue.p_th - hof) < instance.epsilon
     if first is not None and first.kind == PlayerKind.MBS:
         return True

@@ -16,7 +16,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from mmwcache import caching
-from mmwcache.radio import ChannelParams, LinkBudget, instantaneous_rate
+from mmwcache.radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
+                            instantaneous_rate)
 from mmwcache.scenario import (Scenario, beam_segments_in_cell,
                                ray_circle_crossings)
 
@@ -95,7 +96,7 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
                 mid = 0.5 * (seg_a + seg_b)
                 px = origin[0] + mid * math.cos(heading) - site.position[0]
                 py = origin[1] + mid * math.sin(heading) - site.position[1]
-                r = max(math.hypot(px, py), params.reference_distance)
+                r = max(math.hypot(px, py), REFERENCE_DISTANCE)
                 rate = instantaneous_rate(r, budget, params)
                 state = caching.cache_fill(rate, (seg_b - seg_a) / speed, state)
     return stats

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import pytest
 
@@ -95,6 +96,21 @@ class TestCli:
         csv = (tmp_path / "analyze_coverage.csv").read_text().splitlines()
         assert csv[0] == "op,arg1,arg2,value"
         assert float(csv[1].split(",")[-1]) == pytest.approx(1.0, abs=1e-4)
+
+    def test_analyze_hof_small_cell_is_silent(self, tmp_path, capsys):
+        # a 5 m cell: from 10 m/s on, v*t_mts >= 2a and every chord is
+        # crossed too fast, so the law reads exactly 1 without a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["analyze", "--op", "hof", "--radius", "5",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        rows = [row.split(",") for row in
+                (tmp_path / "analyze_hof.csv").read_text().splitlines()[1:]]
+        tail = [row[-1] for row in rows if float(row[1]) >= 10.0]
+        assert tail == ["1.0"] * 7
 
     def test_malformed_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -10,7 +10,6 @@ import reference_matching as R
 from mmwcache import experiments, oracle
 from mmwcache import matching as M
 from mmwcache.config import ScenarioConfig
-from mmwcache.geometry import hof_probability
 from mmwcache.testutil import random_game_instance
 from conftest import example1_instance
 
@@ -355,7 +354,7 @@ def _matcher_outputs(game, prefs):
 
 
 def _out_of_domain(game):
-    """Some user is too fast for some SBS: v*t_mts > 2a, HOF clamps."""
+    """Some user is too fast for some SBS: v*t_mts > 2a, HOF is 1."""
     return any(m.speed * game.t_mts > 2.0 * s.radius
                for m in game.mues for s in game.sbss)
 
@@ -435,7 +434,7 @@ class TestTabulatedScores:
                         R.bs_prefers_mue(game, 0, u, w)
 
     def test_out_of_domain_game_touches_no_warning_state(self, monkeypatch):
-        # u0 is too fast for the 6 m cell (16 m > 12 m), so its HOF clamps
+        # u0 is too fast for the 6 m cell (16 m > 12 m), so its HOF is 1
         game = M.GameInstance(
             mues=(M.MueState(speed=16.0, segments=0.0, p_th=0.3,
                              cand1=(0, 1), cand2=(0, 1), gap1=40.0, gap2=40.0),
@@ -451,8 +450,6 @@ class TestTabulatedScores:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning):
-                hof_probability(16.0, 1.0, 6.0)
             before = list(warnings.filters)
             monkeypatch.setattr(warnings, "catch_warnings", touched)
             monkeypatch.setattr(warnings, "simplefilter", touched)
@@ -485,7 +482,7 @@ class TestTabulatedScores:
             expected = _matcher_outputs(game, None)
             prefs = M.build_preferences(game)
             with monkeypatch.context() as patch:
-                patch.setattr(M, "hof_probability_clamped", hof)
+                patch.setattr(M, "hof_probability", hof)
                 assert repr(_matcher_outputs(game, prefs)) == repr(expected)
 
 

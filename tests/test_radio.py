@@ -12,46 +12,6 @@ def table_budget():
     return R.LinkBudget.from_table(tx_power_dbm=30.0)
 
 
-class TestPathLoss:
-    def test_free_space_term_at_reference(self):
-        params = R.ChannelParams.los_mmw()
-        assert R.path_loss_db(1.0, params) == pytest.approx(69.7, abs=0.1)
-
-    def test_decade_slope(self):
-        params = R.ChannelParams.los_mmw()
-        base = R.path_loss_db(1.0, params)
-        assert R.path_loss_db(10.0, params) - base == pytest.approx(20.0,
-                                                                    abs=1e-9)
-
-    def test_nlos_decade_slope(self):
-        params = R.ChannelParams.nlos_mmw()
-        base = R.path_loss_db(1.0, params)
-        assert R.path_loss_db(10.0, params) - base == pytest.approx(35.0,
-                                                                    abs=1e-9)
-
-    def test_below_reference_raises(self):
-        with pytest.raises(ValueError):
-            R.path_loss_db(0.5, R.ChannelParams.los_mmw())
-
-    def test_shadowing_draw_added(self):
-        params = R.ChannelParams.los_mmw()
-        clean = R.path_loss_db(5.0, params)
-        assert R.path_loss_db(5.0, params, shadowing_draw=3.5) == pytest.approx(
-            clean + 3.5)
-
-
-class TestAntennaGain:
-    def test_boresight(self):
-        assert R.antenna_gain_db(0.0, R.AntennaPattern()) == 18.0
-
-    def test_back_lobe(self):
-        assert R.antenna_gain_db(math.pi, R.AntennaPattern()) == -2.0
-
-    def test_boundary_is_side_lobe(self):
-        pattern = R.AntennaPattern()
-        assert R.antenna_gain_db(pattern.main_beamwidth, pattern) == -2.0
-
-
 class TestInstantaneousRate:
     def test_vanishes_at_distance(self, table_budget):
         params = R.ChannelParams.los_mmw()
