@@ -64,8 +64,7 @@ def cmd_analyze(args) -> int:
         if n < 2:
             raise ConfigError(f"coverage needs at least 2 beams (--n or "
                               f"n_beams), got {n!r}")
-        # the span tolerance of geometry.beam_coverage_probability
-        if not theta > 0.0 or n * theta > 2.0 * math.pi * (1.0 + 1e-4):
+        if not theta > 0.0 or geometry.beam_span_exceeds_circle(n, theta):
             raise ConfigError(f"--theta must be positive with {n} beams "
                               f"spanning at most 2*pi, got {theta!r}")
         value = geometry.beam_coverage_probability(n, theta)

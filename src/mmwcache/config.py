@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
+from .geometry import beam_span_exceeds_circle
+
 
 class ConfigError(ValueError):
     """Malformed configuration input; carries the offending line when known."""
@@ -117,9 +119,8 @@ class ScenarioConfig:
         if not self.beamwidth_deg > 0.0:
             raise ConfigError(
                 f"beamwidth_deg must be positive, got {self.beamwidth_deg!r}")
-        # the tolerance of BeamGeometry, which gets the width in radians
-        if (self.n_beams * math.radians(self.beamwidth_deg)
-                > 2.0 * math.pi * (1.0 + 1e-4)):
+        if beam_span_exceeds_circle(self.n_beams,
+                                    math.radians(self.beamwidth_deg)):
             raise ConfigError(
                 f"n_beams * beamwidth_deg must not exceed 360, got "
                 f"{self.n_beams!r} * {self.beamwidth_deg!r}")

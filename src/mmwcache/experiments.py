@@ -304,8 +304,9 @@ def _run_rate_vs_distance(config: ScenarioConfig, reps: int,
 
 @dataclass
 class RegionInstance:
+    """A region game, whose SBS 0 is the focal cell every user enters."""
+
     game: GameInstance
-    focal: int
     focal_chords: List[float]   # per-MUE chord across the focal cell
 
 
@@ -402,7 +403,7 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
         mbs_payoff=config.mbs_payoff, covered_payoff=config.covered_payoff,
         future_covered_payoff=config.future_covered_payoff,
         shortfall_penalty=config.shortfall_penalty)
-    return RegionInstance(game=game, focal=0, focal_chords=chords)
+    return RegionInstance(game=game, focal_chords=chords)
 
 
 def _count_measurements(region: RegionInstance,
@@ -452,27 +453,28 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
 
 def _region_metrics(cfg: ScenarioConfig,
                     region: RegionInstance) -> Dict[str, float]:
-    """Match one region instance and measure the epoch."""
+    """Match one region instance and measure the epoch at the focal SBS."""
     n_mues = len(region.game.mues)
+    focal = sbs_id(0)
     result = dynamic_match(region.game)
     failures = 0
     conventional = 0
     for u in range(n_mues):
         tos = region.focal_chords[u] / region.game.mues[u].speed
-        conventional += 1 if tos < cfg.t_mts else 0
-        bs = result.matching.mu1[u]
-        if bs is not None and bs.kind == PlayerKind.SBS \
-                and bs.index == region.focal and tos < cfg.t_mts:
-            failures += 1
+        if tos < cfg.t_mts:
+            conventional += 1
+            if result.matching.mu1[u] == focal:
+                failures += 1
     scans = _count_measurements(region, result)
     e_scan_mj = cfg.energy_per_scan * 1e3
     return {
-        "load": float(len(result.matching.members(1, sbs_id(region.focal)))),
+        "load": float(len(result.matching.members(1, focal))),
         "savings": 1.0 - scans / n_mues,
         "baseline_mj": n_mues * e_scan_mj,
         "used_mj": scans * e_scan_mj,
         # serial-dictatorship proposals; see signaling_overhead on restarts
-        "proposals": float(signaling_overhead(result.trace, sbs=region.focal)),
+        "proposals": float(signaling_overhead(result.trace,
+                                              sbs=focal.index)),
         "hof_prob_proposed": failures / n_mues,
         "hof_prob_conventional": conventional / n_mues,
     }

@@ -27,6 +27,15 @@ from .numerics import clamp_unit, wrap_angle
 TWO_PI = 2.0 * math.pi
 
 
+def beam_span_exceeds_circle(n_beams: int, beamwidth: float) -> bool:
+    """Whether n_beams sectors of the beamwidth (radians) overfill 2*pi.
+
+    The span may exceed the full circle by 1e-4 of it, so rounded inputs
+    like theta = 2.0944 for three sectors are accepted.
+    """
+    return n_beams * beamwidth > TWO_PI * (1.0 + 1e-4)
+
+
 class NoBeamCrossing(ValueError):
     """The trajectory does not intersect the far beam edge ahead of the MUE."""
 
@@ -64,7 +73,7 @@ class BeamGeometry:
             raise ValueError("n_beams must be >= 1")
         if self.beamwidth <= 0.0:
             raise ValueError("beamwidth must be positive")
-        if self.n_beams * self.beamwidth > TWO_PI * (1.0 + 1e-4):
+        if beam_span_exceeds_circle(self.n_beams, self.beamwidth):
             raise ValueError("total beam span exceeds the full circle")
 
     @property
@@ -85,11 +94,9 @@ def beam_coverage_probability(n_beams: int, beamwidth: float) -> float:
         raise ValueError("coverage model requires n_beams >= 2")
     if beamwidth <= 0.0:
         raise ValueError("beamwidth must be positive")
-    span = n_beams * beamwidth
-    if span > TWO_PI * (1.0 + 1e-4):
-        # tolerate rounded inputs like theta = 2.0944 for three sectors
+    if beam_span_exceeds_circle(n_beams, beamwidth):
         raise ValueError("total beam span exceeds the full circle")
-    frac = min(span / TWO_PI, 1.0)
+    frac = min(n_beams * beamwidth / TWO_PI, 1.0)
     inscribed = 0.5 * (1.0 - 1.0 / n_beams) + beamwidth / (2.0 * TWO_PI)
     p = frac + (1.0 - frac) * inscribed
     return min(max(p, 0.0), 1.0)

@@ -9,6 +9,15 @@ blocking through a constrained second-period deferred acceptance. Exhaustive
 blocking scans over the same preference primitives verify both stability
 notions.
 
+Both utilities are the paper's, unscaled. A user's utility for SBS k is
+its threshold margin phi = p_th - P(HOF in k): an SBS slot is
+acceptable at phi >= 0, and after one the macro cell admits the user in
+period 2 when phi < epsilon. Every BS's utility for a user is
+gamma = T_s - cached playback: a user with gamma < 0 is refused SBS slots,
+and gamma <= 0 is the rule "the cache outlasts the scan interval", which
+keeps an unserved user on its cache. Macro and cache slots score the
+instance's payoffs as given.
+
 The BS-side utility gamma depends only on the user's cached playback, never
 on the base station ranking it, so every roster ranks users in one common
 priority order, (gamma, -index). Under a common priority, user-proposing
@@ -133,7 +142,13 @@ class SbsState:
 
 @dataclass(frozen=True)
 class GameInstance:
-    """One dynamic matching game."""
+    """One dynamic matching game, scored on the paper's scale.
+
+    phi = p_th - HOF per (user, SBS): acceptable at phi >= 0, macro
+    period-2 admission at phi < epsilon. gamma = scan_interval -
+    segments / play_rate per user: gamma <= 0 when the cache outlasts the
+    scan interval. The payoff fields score macro and cache slots as given.
+    """
 
     mues: Tuple[MueState, ...]
     sbss: Tuple[SbsState, ...]
@@ -147,14 +162,8 @@ class GameInstance:
     future_covered_payoff: float = 0.0  # covered cache slot, period 2
     shortfall_penalty: float = -1.0     # cache slot without coverage
     allow_cross_sbs_plans: bool = True
-    phi_scale: float = 1.0
-    phi_shift: float = 0.0
-    gamma_scale: float = 1.0
-    gamma_shift: float = 0.0
 
     def __post_init__(self):
-        if self.phi_scale <= 0.0 or self.gamma_scale <= 0.0:
-            raise ValueError("utility scales must be positive")
         if not 0.0 <= self.epsilon:
             raise ValueError("epsilon must be nonnegative")
 
@@ -167,15 +176,6 @@ def mue_utility(u: int, k: int, instance: GameInstance) -> float:
 def sbs_utility(u: int, k: int, instance: GameInstance) -> float:
     """BS-side utility of a user: scan interval minus cached playback time."""
     return _Scores(instance).gamma(u)
-
-
-def _coast_distance(instance: GameInstance, u: int) -> float:
-    mue = instance.mues[u]
-    return mue.segments / instance.play_rate * mue.speed
-
-
-def _refill_distance(instance: GameInstance, u: int) -> float:
-    return instance.cache_capacity / instance.play_rate * instance.mues[u].speed
 
 
 def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
@@ -214,7 +214,10 @@ class _Scores:
     single scoring definition. The table also holds gamma per user, the
     common priority order, the plans it has built (one object per plan)
     and, built with a matching, that matching's sorted per-(period, SBS)
-    rosters.
+    rosters. Both utilities are unscaled, so the thresholds are literal:
+    an SBS slot needs phi >= 0, the macro cell admits an SBS user in period
+    2 at phi < epsilon (`mbs_admits_p2`), an SBS refuses gamma < 0, and
+    gamma <= 0 means the cache outlasts the scan interval.
     """
 
     def __init__(self, instance: GameInstance,
@@ -222,16 +225,10 @@ class _Scores:
         self.instance = instance
         self.sbs = [sbs_id(k) for k in range(len(instance.sbss))]
         self.sbs_ranks = [_slot_rank(s) for s in self.sbs]
-        self.phi0 = instance.phi_shift       # phi of a zero margin
-        self.gamma0 = instance.gamma_shift   # gamma of a zero margin
-        scale, shift = instance.phi_scale, instance.phi_shift
-        # phi below which the macro cell admits an SBS user in period 2
-        self.phi_eps = scale * instance.epsilon + shift
-        self.mbs_payoff = scale * instance.mbs_payoff + shift
         # cache slot payoffs: covered in period 1, covered in period 2, not
-        self._cache = (scale * instance.covered_payoff + shift,
-                       scale * instance.future_covered_payoff + shift,
-                       scale * instance.shortfall_penalty + shift)
+        self._cache = (instance.covered_payoff,
+                       instance.future_covered_payoff,
+                       instance.shortfall_penalty)
         self._payoffs: Dict[int, tuple] = {}
         self._gamma: Dict[int, float] = {}
         self._plans: Dict[tuple, Plan] = {}
@@ -247,14 +244,16 @@ class _Scores:
         phi is filled per SBS on first use (`phi`). The period-2 cache
         payoffs follow a first slot at an SBS (the cache was refilled), at
         the macro cell, and on the cache, the order of `_slot_rank`'s kinds.
+        A cache slot is covered when the distance the user coasts on its
+        cache (or, after an SBS slot, on a refilled one) reaches the gap.
         """
         value = self._payoffs.get(u)
         if value is None:
             instance = self.instance
             mue = instance.mues[u]
             covered1, covered2, short = self._cache
-            coast = _coast_distance(instance, u)
-            refill = _refill_distance(instance, u)
+            coast = mue.segments / instance.play_rate * mue.speed
+            refill = instance.cache_capacity / instance.play_rate * mue.speed
             value = self._payoffs[u] = (
                 {},
                 covered1 if coast >= mue.gap1 else short,
@@ -264,7 +263,7 @@ class _Scores:
         return value
 
     def phi(self, u: int, k: int) -> float:
-        """Scaled threshold margin p_th - HOF of user u in SBS k."""
+        """Threshold margin p_th - HOF of user u in SBS k."""
         phis = self.payoffs(u)[0]
         value = phis.get(k)
         if value is None:
@@ -272,18 +271,21 @@ class _Scores:
             mue = instance.mues[u]
             hof = hof_probability(mue.speed, instance.t_mts,
                                   instance.sbss[k].radius)
-            value = phis[k] = (instance.phi_scale * (mue.p_th - hof)
-                               + instance.phi_shift)
+            value = phis[k] = mue.p_th - hof
         return value
 
     def gamma(self, u: int) -> float:
+        """Scan interval minus the cached playback time of user u.
+
+        For finite doubles the rounded difference is 0.0 only when the two
+        are equal and keeps the exact difference's sign, so `gamma(u) <= 0`
+        is exactly "playback >= scan interval".
+        """
         value = self._gamma.get(u)
         if value is None:
             instance = self.instance
             playback = instance.mues[u].segments / instance.play_rate
-            value = self._gamma[u] = (
-                instance.gamma_scale * (instance.scan_interval - playback)
-                + instance.gamma_shift)
+            value = self._gamma[u] = instance.scan_interval - playback
         return value
 
     def bs_prefers(self, u: int, w: int) -> bool:
@@ -317,7 +319,7 @@ class _Scores:
         elif first.kind is PlayerKind.SBS:
             p1, r1 = self.phi(u, first.index), self.sbs_ranks[first.index]
         else:
-            p1, r1 = self.mbs_payoff, _slot_rank(first)
+            p1, r1 = self.instance.mbs_payoff, _slot_rank(first)
         cache2 = cache2[r1[0]]
         out = []
         for second in seconds:
@@ -328,7 +330,7 @@ class _Scores:
                 p2 = phis[k] if k in phis else self.phi(u, k)
                 r2 = self.sbs_ranks[k]
             else:
-                p2, r2 = self.mbs_payoff, _slot_rank(second)
+                p2, r2 = self.instance.mbs_payoff, _slot_rank(second)
             out.append((-(p1 + p2),) + r1 + r2)
         return out
 
@@ -345,22 +347,19 @@ class _Scores:
     def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
         """(key, plan) of every feasible, individually rational plan of u.
 
-        SBS slots require a nonnegative threshold margin; SBS-then-macro
-        plans are listed only when the margin is small enough for the macro
-        cell to admit the user in period 2 (`_mbs_admits_p2`). The keys come
-        from `keys`, one call per first slot. Plans are interned per table
-        by the slot ranks that end each key.
+        SBS slots require phi >= 0; SBS-then-macro plans are listed only
+        when the macro cell admits the user in period 2 (`mbs_admits_p2`).
+        The keys come from `keys`, one call per first slot. Plans are
+        interned per table by the slot ranks that end each key.
         """
         instance, sbs, plans = self.instance, self.sbs, self._plans
-        phi0, eps = self.phi0, self.phi_eps
         mue = instance.mues[u]
-        cand2 = [sbs[k] for k in mue.cand2 if self.phi(u, k) >= phi0]
+        cand2 = [sbs[k] for k in mue.cand2 if self.phi(u, k) >= 0.0]
         groups = []
         for k in mue.cand1:
-            p1 = self.phi(u, k)
-            if p1 >= phi0:
+            if self.phi(u, k) >= 0.0:
                 seconds: List[Optional[PlayerId]] = [None]
-                if p1 < eps:
+                if self.mbs_admits_p2(u, sbs[k]):
                     seconds.append(MBS)
                 seconds += [s for s in cand2
                             if s.index == k or instance.allow_cross_sbs_plans]
@@ -375,6 +374,19 @@ class _Scores:
                     plan = plans[ranks] = Plan(first, second)
                 out.append((key, plan))
         return out
+
+    def mbs_admits_p2(self, u: int, first: Optional[PlayerId]) -> bool:
+        """Macro period-2 admission rule after the first slot `first`.
+
+        After an SBS slot the macro cell admits u when phi < epsilon; after
+        a macro slot it always admits; after a cache slot it admits only a
+        user whose cache does not outlast the scan interval (gamma > 0).
+        """
+        if first is None:
+            return self.gamma(u) > 0.0
+        if first.kind is PlayerKind.SBS:
+            return self.phi(u, first.index) < self.instance.epsilon
+        return True
 
     def members(self, period: int, k: int) -> List[int]:
         """Sorted users of SBS k in the period, in the table's matching."""
@@ -450,7 +462,7 @@ def build_preferences(instance: GameInstance) -> Preferences:
                     seconds.add(second.index)
                 else:
                     mbs_masks[u] = (False, True)
-        if not scores.gamma(u) < scores.gamma0:
+        if not scores.gamma(u) < 0.0:
             for k in firsts | seconds:
                 sbs_masks[k][u] = (k in firsts, k in seconds)
 
@@ -565,7 +577,7 @@ def _serial_dictatorship(scores: _Scores, rankings: Dict[int, Sequence[Plan]],
     """Give each user, best first, the first plan of its ranking with room.
 
     `room` holds the free places per (period, SBS) slot, and a user with
-    gamma below gamma0 is refused every SBS slot. Every BS ranks users in
+    gamma below 0 is refused every SBS slot. Every BS ranks users in
     the same priority order `(gamma, -index)`, so this is the outcome of
     user-proposing deferred acceptance. Each user's proposals are recorded
     as that deferred acceptance makes them: its ranking up to and including
@@ -579,7 +591,7 @@ def _serial_dictatorship(scores: _Scores, rankings: Dict[int, Sequence[Plan]],
         if not ranking:
             continue
         trace.rounds += 1
-        may_serve = not scores.gamma(u) < scores.gamma0
+        may_serve = not scores.gamma(u) < 0.0
         for plan in ranking:
             wanted = slots(plan)
             accepted = wanted is not None and (may_serve or not wanted)
@@ -642,7 +654,7 @@ def deferred_acceptance(instance: GameInstance,
     for u in range(len(instance.mues)):
         if u in held:
             mu[u] = held[u].first
-        elif instance.mues[u].segments / instance.play_rate >= instance.scan_interval:
+        elif scores.gamma(u) <= 0.0:
             mu[u] = None
         else:
             mu[u] = MBS
@@ -679,7 +691,7 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                 break
             members = rosters.get(k, [])
             if len(members) < instance.sbss[k].quota:
-                if scores.gamma(u) > scores.gamma0:
+                if scores.gamma(u) > 0.0:
                     blocking.append((u, k))
             elif any(scores.bs_prefers(u, w) for w in members):
                 blocking.append((u, k))
@@ -715,7 +727,7 @@ def _stage_one(scores: _Scores, prefs: Preferences,
 
     Plans are atomic: a plan is admitted only if every SBS slot it requests
     has room, in period 1 and in period 2. The macro cell takes no stage-1
-    plan, and a user with gamma below gamma0 is refused SBS slots. The
+    plan, and a user with gamma below 0 is refused SBS slots. The
     original process, plan proposals with tentative acceptance in which a
     displaced plan dies entirely and freed capacity restarts the proposals,
     holds the same plans in every game of the differential tests.
@@ -743,27 +755,12 @@ def _period1_fallback(scores: _Scores, matching: DynamicMatching) -> None:
     """Send cache-poor unmatched users to the macro cell for period 1."""
     instance = scores.instance
     for u in range(len(instance.mues)):
-        if matching.mu1[u] is not None:
-            continue
-        playback = instance.mues[u].segments / instance.play_rate
-        if playback >= instance.scan_interval:
+        if matching.mu1[u] is not None or scores.gamma(u) <= 0.0:
             continue
         current = scores.score(u, None, matching.mu2[u])
         rerouted = scores.score(u, MBS, matching.mu2[u])
         if rerouted > current:
             matching.mu1[u] = MBS
-
-
-def _mbs_admits_p2(scores: _Scores, u: int,
-                   first: Optional[PlayerId]) -> bool:
-    """Macro period-2 admission rule."""
-    instance = scores.instance
-    if first is not None and first.kind == PlayerKind.SBS:
-        return scores.phi(u, first.index) < scores.phi_eps
-    if first is not None and first.kind == PlayerKind.MBS:
-        return True
-    playback = instance.mues[u].segments / instance.play_rate
-    return playback < instance.scan_interval
 
 
 def _stage_two(scores: _Scores, matching: DynamicMatching,
@@ -788,8 +785,8 @@ def _stage_two(scores: _Scores, matching: DynamicMatching,
             continue
         first = matching.mu1[u]
         opts = [scores.sbs[k] for k in instance.mues[u].cand2
-                if not scores.phi(u, k) < scores.phi0]
-        if _mbs_admits_p2(scores, u, first):
+                if not scores.phi(u, k) < 0.0]
+        if scores.mbs_admits_p2(u, first):
             opts.append(MBS)
         self_key, *keys = scores.keys(u, first, [None] + opts)
         keyed = [pair for pair in zip(keys, opts) if pair[0] < self_key]
@@ -823,7 +820,7 @@ def _ir_ok(scores: _Scores, u: int, first: Optional[PlayerId],
     """Individual rationality of a deviation: no SBS slot below threshold."""
     for slot in (first, second):
         if slot is not None and slot.kind == PlayerKind.SBS:
-            if scores.phi(u, slot.index) < scores.phi0:
+            if scores.phi(u, slot.index) < 0.0:
                 return False
     return True
 
@@ -833,10 +830,10 @@ def _bs_gains_strictly(scores: _Scores, k: int, u: int, period: int) -> bool:
     members = scores.members(period, k)
     if u in members:
         return False
-    if scores.gamma(u) < scores.gamma0:
+    if scores.gamma(u) < 0.0:
         return False
     if len(members) < scores.instance.sbss[k].quota:
-        return scores.gamma(u) > scores.gamma0
+        return scores.gamma(u) > 0.0
     return any(scores.bs_prefers(u, w) for w in members)
 
 
@@ -855,7 +852,6 @@ def _scan_period1(matching: DynamicMatching,
                   scores: _Scores) -> List[Violation]:
     out: List[Violation] = []
     instance, key, members = scores.instance, scores.key, scores.members
-    gamma0 = scores.gamma0
 
     for u in range(len(instance.mues)):
         if key(u, None, None) < key(u, matching.mu1[u], matching.mu2[u]):
@@ -864,7 +860,7 @@ def _scan_period1(matching: DynamicMatching,
     for k in range(len(instance.sbss)):
         for period in (1, 2):
             for u in members(period, k):
-                if scores.gamma(u) < gamma0:
+                if scores.gamma(u) < 0.0:
                     out.append(Violation(1, "unilateral-bs", u, scores.sbs[k]))
 
     for u in range(len(instance.mues)):
@@ -896,7 +892,7 @@ def _scan_period1(matching: DynamicMatching,
             # 4) mutual divorce
             in_any = u in members(1, k) or u in members(2, k)
             if in_any and key(u, None, None) < current and \
-                    scores.gamma(u) < gamma0:
+                    scores.gamma(u) < 0.0:
                 out.append(Violation(1, "pair-divorce", u, target))
     return out
 
@@ -905,7 +901,6 @@ def _scan_period2(matching: DynamicMatching,
                   scores: _Scores) -> List[Violation]:
     out: List[Violation] = []
     instance, key, members = scores.instance, scores.key, scores.members
-    gamma0 = scores.gamma0
 
     for u in range(len(instance.mues)):
         first = matching.mu1[u]
@@ -923,10 +918,10 @@ def _scan_period2(matching: DynamicMatching,
                 if _bs_gains_strictly(scores, k, u, 2):
                     out.append(Violation(2, "pair-gain", u, target))
             if u in members(2, k) and stay < current and \
-                    scores.gamma(u) < gamma0:
+                    scores.gamma(u) < 0.0:
                 out.append(Violation(2, "pair-divorce", u, target))
 
         if matching.mu2[u] != MBS and key(u, first, MBS) < current and \
-                _mbs_admits_p2(scores, u, first):
+                scores.mbs_admits_p2(u, first):
             out.append(Violation(2, "pair-mbs", u, MBS))
     return out

@@ -267,14 +267,6 @@ class StabilityReport:
             return ["stable: no period-1 or period-2 blocking found"]
         return [f"{v!r}" for v in self.period1 + self.period2]
 
-    def to_csv(self) -> str:
-        rows = ["period,clause,mue,bs"]
-        for v in self.period1 + self.period2:
-            bs = "" if v.bs is None else repr(v.bs)
-            mue = "" if v.mue is None else v.mue
-            rows.append(f"{v.period},{v.clause},{mue},{bs}")
-        return "\n".join(rows) + "\n"
-
 
 def scan_all_blockings(matching_: DynamicMatching,
                        instance: GameInstance) -> StabilityReport:

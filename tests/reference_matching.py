@@ -32,22 +32,13 @@ def mue_utility(u: int, k: int, instance: GameInstance) -> float:
     mue = instance.mues[u]
     sbs = instance.sbss[k]
     hof = hof_probability(mue.speed, instance.t_mts, sbs.radius)
-    return instance.phi_scale * (mue.p_th - hof) + instance.phi_shift
+    return mue.p_th - hof
 
 
 def sbs_utility(u: int, k: int, instance: GameInstance) -> float:
     """BS-side utility of a user: scan interval minus cached playback time."""
     mue = instance.mues[u]
-    gamma = instance.scan_interval - mue.segments / instance.play_rate
-    return instance.gamma_scale * gamma + instance.gamma_shift
-
-
-def _phi_zero(instance: GameInstance) -> float:
-    return instance.phi_shift
-
-
-def _gamma_zero(instance: GameInstance) -> float:
-    return instance.gamma_shift
+    return instance.scan_interval - mue.segments / instance.play_rate
 
 
 def _coast_distance(instance: GameInstance, u: int) -> float:
@@ -76,15 +67,13 @@ def _covered_p2(instance: GameInstance, u: int,
 def _period_payoff(instance: GameInstance, u: int, slot: Optional[PlayerId],
                    covered: bool, period: int) -> float:
     if slot is None:
-        if covered:
-            value = (instance.covered_payoff if period == 1
-                     else instance.future_covered_payoff)
-        else:
-            value = instance.shortfall_penalty
-        return instance.phi_scale * value + instance.phi_shift
+        if not covered:
+            return instance.shortfall_penalty
+        return (instance.covered_payoff if period == 1
+                else instance.future_covered_payoff)
     if slot.kind == PlayerKind.SBS:
         return mue_utility(u, slot.index, instance)
-    return instance.phi_scale * instance.mbs_payoff + instance.phi_shift
+    return instance.mbs_payoff
 
 
 def plan_score(instance: GameInstance, u: int, first: Optional[PlayerId],
@@ -134,14 +123,12 @@ def plan_universe(instance: GameInstance, u: int) -> List[Plan]:
     admit the user in period 2.
     """
     mue = instance.mues[u]
-    phi0 = _phi_zero(instance)
-    eps = instance.phi_scale * instance.epsilon + instance.phi_shift
-    cand1 = [k for k in mue.cand1 if mue_utility(u, k, instance) >= phi0]
-    cand2 = [k for k in mue.cand2 if mue_utility(u, k, instance) >= phi0]
+    cand1 = [k for k in mue.cand1 if mue_utility(u, k, instance) >= 0.0]
+    cand2 = [k for k in mue.cand2 if mue_utility(u, k, instance) >= 0.0]
     plans: List[Plan] = []
     for k in cand1:
         plans.append(Plan(sbs_id(k), None))
-        if mue_utility(u, k, instance) < eps:
+        if mue_utility(u, k, instance) < instance.epsilon:
             plans.append(Plan(sbs_id(k), MBS))
         for k2 in cand2:
             if k2 == k or instance.allow_cross_sbs_plans:
@@ -163,12 +150,11 @@ def build_preferences(instance: GameInstance) -> Preferences:
         mue_profiles.append(PreferenceProfile(owner=mue_id(u),
                                               ranked_plans=tuple(listed)))
 
-    gamma0 = _gamma_zero(instance)
     sbs_profiles = []
     for k in range(len(instance.sbss)):
         masks: Dict[int, Tuple[bool, bool]] = {}
         for u, prof in enumerate(mue_profiles):
-            if sbs_utility(u, k, instance) < gamma0:
+            if sbs_utility(u, k, instance) < 0.0:
                 continue
             p1 = any(p.first == sbs_id(k) for p in prof.ranked_plans)
             p2 = any(p.second == sbs_id(k) for p in prof.ranked_plans)
@@ -210,7 +196,6 @@ def deferred_acceptance(instance: GameInstance,
                     seen.append(plan.first.index)
         rank_lists.append(seen)
 
-    gamma0 = _gamma_zero(instance)
     pointers = [0] * len(instance.mues)
     held: Dict[int, List[int]] = {k: [] for k in range(len(instance.sbss))}
     matched: Dict[int, Optional[int]] = {u: None for u in range(len(instance.mues))}
@@ -226,7 +211,7 @@ def deferred_acceptance(instance: GameInstance,
                 k = rank_lists[u][pointers[u]]
                 pointers[u] += 1
                 active = True
-                accepted = _da_offer(instance, held, matched, u, k, gamma0)
+                accepted = _da_offer(instance, held, matched, u, k)
                 trace.proposals.append(ProposalRecord(
                     stage=1, round=trace.rounds, mue=u,
                     plan=Plan(sbs_id(k), None), accepted=accepted))
@@ -245,10 +230,9 @@ def deferred_acceptance(instance: GameInstance,
 
 
 def _da_offer(instance: GameInstance, held: Dict[int, List[int]],
-              matched: Dict[int, Optional[int]], u: int, k: int,
-              gamma0: float) -> bool:
+              matched: Dict[int, Optional[int]], u: int, k: int) -> bool:
     """Offer user u to SBS k; displace the worst member if it improves k."""
-    if sbs_utility(u, k, instance) < gamma0:
+    if sbs_utility(u, k, instance) < 0.0:
         return False
     roster = held[k]
     if len(roster) < instance.sbss[k].quota:
@@ -270,7 +254,6 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                                 ) -> List[Tuple[int, int]]:
     """Classic blocking pairs (user, SBS) of a single-period matching."""
     prefs = build_preferences(instance)
-    gamma0 = _gamma_zero(instance)
     blocking = []
     for u in range(len(instance.mues)):
         acceptable = []
@@ -287,7 +270,7 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                 break
             members = sorted(w for w, b in mu.items() if b == sbs_id(k))
             if len(members) < instance.sbss[k].quota:
-                if sbs_utility(u, k, instance) > gamma0:
+                if sbs_utility(u, k, instance) > 0.0:
                     blocking.append((u, k))
             elif any(bs_prefers_mue(instance, k, u, w) for w in members):
                 blocking.append((u, k))
@@ -323,7 +306,6 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
     the final rosters.
     """
     n_mues = len(instance.mues)
-    gamma0 = _gamma_zero(instance)
     profiles = [list(p.ranked_plans) for p in prefs.mue_profiles]
     rejected: List[set] = [set() for _ in range(n_mues)]
     held: Dict[int, Plan] = {}
@@ -373,7 +355,7 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
                 if slot is None or slot.kind != PlayerKind.SBS:
                     continue
                 k = slot.index
-                if sbs_utility(u, k, instance) < gamma0:
+                if sbs_utility(u, k, instance) < 0.0:
                     accepted = False
                     break
                 members = [w for w in slot_members(k, period) if w != u]
@@ -455,7 +437,6 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
     assignment: candidate SBSs with remaining quota and the macro cell under
     its admission rule. Period-2 members held from stage one are immutable.
     """
-    gamma0 = _gamma_zero(instance)
     participants = [u for u in range(len(instance.mues))
                     if matching.mu2[u] is None]
     options: Dict[int, List[PlayerId]] = {}
@@ -464,7 +445,7 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
         self_key = plan_key(instance, u, Plan(first, None))
         opts = []
         for k in instance.mues[u].cand2:
-            if mue_utility(u, k, instance) < _phi_zero(instance):
+            if mue_utility(u, k, instance) < 0.0:
                 continue
             opts.append(sbs_id(k))
         if _mbs_admits_p2(instance, u, first):
@@ -489,7 +470,7 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
                 pointers[u] += 1
                 progress = True
                 accepted = _stage_two_offer(
-                    instance, matching, tentative, u, target, gamma0)
+                    instance, matching, tentative, u, target)
                 trace.proposals.append(ProposalRecord(
                     stage=2, round=trace.rounds, mue=u,
                     plan=Plan(matching.mu1[u], target), accepted=accepted))
@@ -505,12 +486,12 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
 
 def _stage_two_offer(instance: GameInstance, matching: DynamicMatching,
                      tentative: Dict[int, Optional[PlayerId]], u: int,
-                     target: PlayerId, gamma0: float) -> bool:
+                     target: PlayerId) -> bool:
     if target.kind == PlayerKind.MBS:
         tentative[u] = MBS
         return True
     k = target.index
-    if sbs_utility(u, k, instance) < gamma0:
+    if sbs_utility(u, k, instance) < 0.0:
         return False
     fixed = matching.members(2, target)
     entrants = [w for w, t in tentative.items() if t == target]
@@ -533,7 +514,7 @@ def _ir_ok(instance: GameInstance, u: int, first: Optional[PlayerId],
     """Individual rationality of a deviation: no SBS slot below threshold."""
     for slot in (first, second):
         if slot is not None and slot.kind == PlayerKind.SBS:
-            if mue_utility(u, slot.index, instance) < _phi_zero(instance):
+            if mue_utility(u, slot.index, instance) < 0.0:
                 return False
     return True
 
@@ -545,10 +526,10 @@ def _bs_gains_strictly(instance: GameInstance, matching: DynamicMatching,
     members = matching.members(period, target)
     if u in members:
         return False
-    if sbs_utility(u, k, instance) < _gamma_zero(instance):
+    if sbs_utility(u, k, instance) < 0.0:
         return False
     if len(members) < instance.sbss[k].quota:
-        return sbs_utility(u, k, instance) > _gamma_zero(instance)
+        return sbs_utility(u, k, instance) > 0.0
     return any(bs_prefers_mue(instance, k, u, w) for w in members)
 
 
@@ -570,7 +551,6 @@ def _current_plan(matching: DynamicMatching, u: int) -> Plan:
 def _scan_period1(matching: DynamicMatching,
                   instance: GameInstance) -> List[Violation]:
     out: List[Violation] = []
-    gamma0 = _gamma_zero(instance)
 
     for u in range(len(instance.mues)):
         current = _current_plan(matching, u)
@@ -580,7 +560,7 @@ def _scan_period1(matching: DynamicMatching,
     for k in range(len(instance.sbss)):
         for period in (1, 2):
             for u in matching.members(period, sbs_id(k)):
-                if sbs_utility(u, k, instance) < gamma0:
+                if sbs_utility(u, k, instance) < 0.0:
                     out.append(Violation(1, "unilateral-bs", u, sbs_id(k)))
 
     for u in range(len(instance.mues)):
@@ -615,7 +595,7 @@ def _scan_period1(matching: DynamicMatching,
             in_any = (u in matching.members(1, target)
                       or u in matching.members(2, target))
             if in_any and mue_prefers(instance, u, SELF_PLAN, current) and \
-                    sbs_utility(u, k, instance) < gamma0:
+                    sbs_utility(u, k, instance) < 0.0:
                 out.append(Violation(1, "pair-divorce", u, target))
     return out
 
@@ -623,7 +603,6 @@ def _scan_period1(matching: DynamicMatching,
 def _scan_period2(matching: DynamicMatching,
                   instance: GameInstance) -> List[Violation]:
     out: List[Violation] = []
-    gamma0 = _gamma_zero(instance)
 
     for u in range(len(instance.mues)):
         current = _current_plan(matching, u)
@@ -642,7 +621,7 @@ def _scan_period2(matching: DynamicMatching,
                     out.append(Violation(2, "pair-gain", u, target))
             if u in matching.members(2, target) and \
                     mue_prefers(instance, u, Plan(first, None), current) and \
-                    sbs_utility(u, k, instance) < gamma0:
+                    sbs_utility(u, k, instance) < 0.0:
                 out.append(Violation(2, "pair-divorce", u, target))
 
         if matching.mu2[u] != MBS and \

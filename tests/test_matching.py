@@ -188,17 +188,6 @@ class TestDynamicMatch:
                         if period == 1:
                             assert M.sbs_utility(u, k, inst) >= 0
 
-    def test_affine_rescaling_invariance(self):
-        rng = np.random.default_rng(41)
-        for _ in range(30):
-            inst = random_game_instance(rng)
-            scaled = replace(inst, phi_scale=3.7, phi_shift=-1.2,
-                             gamma_scale=0.4, gamma_shift=2.5)
-            base = M.dynamic_match(inst)
-            alt = M.dynamic_match(scaled)
-            assert base.matching.mu1 == alt.matching.mu1
-            assert base.matching.mu2 == alt.matching.mu2
-
     def test_perturbed_matching_is_blocked(self):
         # moving a served user off its seat must surface a violation
         rng = np.random.default_rng(43)
@@ -373,12 +362,8 @@ class TestTabulatedScores:
         for i in range(count):
             game = random_game_instance(rng, max_mues=users, max_sbss=sbss)
             if i % 4 == 3:
-                # affine utility variants (nonzero phi0 and gamma0), with
                 # caches that may run dry in period 2 after an SBS period
-                game = replace(game, phi_scale=float(rng.uniform(0.2, 4.0)),
-                               phi_shift=float(rng.uniform(-2.0, 2.0)),
-                               gamma_scale=float(rng.uniform(0.2, 4.0)),
-                               gamma_shift=float(rng.uniform(-2.0, 2.0)),
+                game = replace(game,
                                cache_capacity=float(rng.uniform(0.0, 1e4)))
             clamped += _out_of_domain(game)
             _assert_same_outputs(game)
@@ -401,12 +386,8 @@ class TestTabulatedScores:
         rng = np.random.default_rng(seed)
         for n_mues in (10, 50, 120):
             for speed in (2.0, 8.0, 16.0, None):
-                game = experiments.build_region_instance(
-                    config, n_mues, speed, rng).game
-                scaled = replace(game, phi_scale=2.5, phi_shift=-0.7,
-                                 gamma_scale=0.3, gamma_shift=1.1)
-                for variant in (game, scaled):
-                    _assert_same_outputs(variant)
+                _assert_same_outputs(experiments.build_region_instance(
+                    config, n_mues, speed, rng).game)
 
     def test_public_utilities_match_definitional_values(self):
         rng = np.random.default_rng(107)
@@ -499,10 +480,7 @@ class TestSerialDictatorship:
         for i in range(count):
             game = random_game_instance(rng, max_mues=users, max_sbss=sbss)
             if i % 4 == 3:
-                game = replace(game, phi_scale=float(rng.uniform(0.2, 4.0)),
-                               phi_shift=float(rng.uniform(-2.0, 2.0)),
-                               gamma_scale=float(rng.uniform(0.2, 4.0)),
-                               gamma_shift=float(rng.uniform(-2.0, 2.0)),
+                game = replace(game,
                                cache_capacity=float(rng.uniform(0.0, 1e4)))
             elif i % 4 == 2:
                 game = replace(game, allow_cross_sbs_plans=False)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mmwcache import experiments as E
 from mmwcache import geometry as G
 from mmwcache import matching as M
 from mmwcache import oracle as O
+from mmwcache.config import ScenarioConfig
 from conftest import example1_instance
 
 
@@ -148,11 +150,50 @@ class TestScanAllBlockings:
         assert any("mbs0" in line for line in report.lines())
 
 
-class TestReportCsv:
-    def test_csv_lists_violations(self):
-        inst = example1_instance()
-        res = M.dynamic_match(inst)
-        report = O.scan_all_blockings(res.ex_ante, inst)
-        csv = report.to_csv().splitlines()
-        assert csv[0] == "period,clause,mue,bs"
-        assert any(row.startswith("2,") for row in csv[1:])
+def _entry_chord_cdf(y):
+    """CDF of chord / 2a for a chord from a fixed rim point whose heading is
+    uniform over the half-plane into the disk: 2a*sin(U), U ~ U(0, pi)."""
+    return 2.0 / math.pi * np.arcsin(np.minimum(y, 1.0))
+
+
+class TestRegionChordLaw:
+    """hof_multiuser's users follow the fixed-entry-point chord law; the law
+    is written out here, not taken from `geometry.hof_probability`."""
+
+    def test_focal_chords_follow_entry_point_law(self):
+        # chord / 2a is i.i.d. across users and deployments, so the
+        # normalised chords of all instances pool into one sample
+        cfg = ScenarioConfig(seed=7)
+        rng = np.random.default_rng(11)
+        ys = []
+        for _ in range(200):
+            region = E.build_region_instance(cfg, 400, 8.0, rng)
+            a = region.game.sbss[0].radius
+            ys += [c / (2.0 * a) for c in region.focal_chords]
+        y = np.sort(ys)
+        n = len(y)
+        cdf = _entry_chord_cdf(y)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf),
+                 np.max(cdf - np.arange(n) / n))
+        # Kolmogorov-Smirnov critical value at the 0.1% level
+        assert ks < 1.95 / math.sqrt(n)
+
+    def test_conventional_hof_matches_law_over_focal_radii(self):
+        # users of one replication share their focal cell, so the standard
+        # error is that of the replication means
+        cfg = ScenarioConfig(seed=7)
+        speeds = tuple(float(v) for v in range(1, 17))
+        reps = 300
+        measured = np.empty((reps, len(speeds)))
+        law = np.empty((reps, len(speeds)))
+        for rep in range(reps):
+            metrics = E._region_replication(cfg, (3, rep), 20, speeds)
+            measured[rep] = [m["hof_prob_conventional"] for m in metrics]
+            region = E.build_region_instance(
+                cfg, 20, speeds[0], E._rep_rng(cfg.seed, 3, rep))
+            a = region.game.sbss[0].radius
+            law[rep] = _entry_chord_cdf(np.array(speeds) * cfg.t_mts / (2 * a))
+        se = measured.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert np.all(se > 0.0)
+        z = (measured.mean(axis=0) - law.mean(axis=0)) / se
+        assert np.all(np.abs(z) < 4.0), z

@@ -88,7 +88,7 @@ def loop_build_region_instance(config, n_mues, speed, rng):
         mbs_payoff=config.mbs_payoff, covered_payoff=config.covered_payoff,
         future_covered_payoff=config.future_covered_payoff,
         shortfall_penalty=config.shortfall_penalty)
-    return E.RegionInstance(game=game, focal=0, focal_chords=chords)
+    return E.RegionInstance(game=game, focal_chords=chords)
 
 
 def crossings_from_arrays(i, hit, entry, exit_, chord):
