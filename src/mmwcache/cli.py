@@ -259,8 +259,6 @@ def cmd_reproduce(args) -> int:
     config = _load(args, require_seed=True)
     if args.replications is not None:
         config = replace(config, replications=args.replications)
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     for name in EXPERIMENT_NAMES:
         experiments.check_run(name, config, config.replications, args.threads)
     out = _outdir(args)

@@ -71,7 +71,7 @@ class BeamGeometry:
     def __post_init__(self):
         if self.n_beams < 1:
             raise ValueError("n_beams must be >= 1")
-        if self.beamwidth <= 0.0:
+        if not self.beamwidth > 0.0:
             raise ValueError("beamwidth must be positive")
         if beam_span_exceeds_circle(self.n_beams, self.beamwidth):
             raise ValueError("total beam span exceeds the full circle")
@@ -92,7 +92,7 @@ def beam_coverage_probability(n_beams: int, beamwidth: float) -> float:
     """
     if n_beams < 2:
         raise ValueError("coverage model requires n_beams >= 2")
-    if beamwidth <= 0.0:
+    if not beamwidth > 0.0:
         raise ValueError("beamwidth must be positive")
     if beam_span_exceeds_circle(n_beams, beamwidth):
         raise ValueError("total beam span exceeds the full circle")

@@ -58,7 +58,6 @@ from .geometry import hof_probability
 
 
 class PlayerKind(enum.Enum):
-    MUE = "mue"
     SBS = "sbs"
     MBS = "mbs"
 
@@ -77,10 +76,6 @@ MBS = PlayerId(PlayerKind.MBS, 0)
 
 def sbs_id(index: int) -> PlayerId:
     return PlayerId(PlayerKind.SBS, index)
-
-
-def mue_id(index: int) -> PlayerId:
-    return PlayerId(PlayerKind.MUE, index)
 
 
 @dataclass(frozen=True)
@@ -204,24 +199,22 @@ class _Scores:
 
     `build_preferences` builds the game's table and fills it while it ranks
     the plans; the preferences carry it into every matcher, which only
-    reads it. `find_blocking_pairs` builds a table of its own, with the
-    matching it scans, so a check shares nothing with what it checks.
+    reads it. `find_blocking_pairs` builds a table of its own, so a check
+    shares nothing with what it checks.
     Entries are filled on first use, so each is computed once. Per user the
     table holds its payoffs: phi per SBS, the period-1 cache payoff, and
     the period-2 cache payoff after each kind of first slot. Plan scores,
     plan keys and ranked plan lists are all derived from these payoffs, and
     the public utilities compute through a one-use table, so there is a
     single scoring definition. The table also holds gamma per user, the
-    common priority order, the plans it has built (one object per plan)
-    and, built with a matching, that matching's sorted per-(period, SBS)
-    rosters. Both utilities are unscaled, so the thresholds are literal:
-    an SBS slot needs phi >= 0, the macro cell admits an SBS user in period
-    2 at phi < epsilon (`mbs_admits_p2`), an SBS refuses gamma < 0, and
+    common priority order and the plans it has built (one object per
+    plan). Both utilities are unscaled, so the thresholds are literal: an
+    SBS slot needs phi >= 0, the macro cell admits an SBS user in period 2
+    at phi < epsilon (`mbs_admits_p2`), an SBS refuses gamma < 0, and
     gamma <= 0 means the cache outlasts the scan interval.
     """
 
-    def __init__(self, instance: GameInstance,
-                 matching: Optional[DynamicMatching] = None):
+    def __init__(self, instance: GameInstance):
         self.instance = instance
         self.sbs = [sbs_id(k) for k in range(len(instance.sbss))]
         self.sbs_ranks = [_slot_rank(s) for s in self.sbs]
@@ -233,9 +226,6 @@ class _Scores:
         self._gamma: Dict[int, float] = {}
         self._plans: Dict[tuple, Plan] = {}
         self._priority: Optional[List[int]] = None
-        self._rosters = ({} if matching is None else
-                         {1: _sbs_rosters(matching.mu1),
-                          2: _sbs_rosters(matching.mu2)})
 
     def payoffs(self, u: int) -> Tuple[Dict[int, float], float,
                                        Tuple[float, float, float]]:
@@ -388,10 +378,6 @@ class _Scores:
             return self.phi(u, first.index) < self.instance.epsilon
         return True
 
-    def members(self, period: int, k: int) -> List[int]:
-        """Sorted users of SBS k in the period, in the table's matching."""
-        return self._rosters[period].get(k, [])
-
 
 # ---------------------------------------------------------------------------
 # Preference construction
@@ -401,17 +387,17 @@ class _Scores:
 class PreferenceProfile:
     """Strictly ordered, individually rational plan ranking of one user."""
 
-    owner: PlayerId
     ranked_plans: Tuple[Plan, ...]
 
 
 @dataclass(frozen=True)
 class BsPreference:
-    """BS-side ranking over prospective users plus requestable periods."""
+    """The users whose ranked plans name a BS, in the common priority order.
 
-    owner: PlayerId
+    An SBS lists only the users with gamma >= 0, whom it may serve.
+    """
+
     ranked_mues: Tuple[int, ...]
-    period_masks: Dict[int, Tuple[bool, bool]]
 
 
 @dataclass(frozen=True)
@@ -431,52 +417,35 @@ class Preferences:
 def build_preferences(instance: GameInstance) -> Preferences:
     """Rank every player's options; drop plans not beating the self plan.
 
-    This builds the game's one score table. One pass per user ranks its
-    plans by the keys `_Scores.universe` derives from the user's payoffs
-    and notes the SBSs of its listed plans; the BS-side lists then follow
-    the common priority order. The table, now holding every phi and gamma
-    the matchers read, leaves with the preferences.
+    This builds the game's one score table. One pass in the common priority
+    order ranks each user's plans by the keys `_Scores.universe` derives
+    from its payoffs and appends the user to the `BsPreference` list of
+    each BS they name, so every such list comes out in priority order. The
+    table, now holding every phi and gamma the matchers read, leaves too.
     """
     scores = _Scores(instance)
-    n_mues = len(instance.mues)
-    position = [0] * n_mues
-    for pos, u in enumerate(scores.priority()):
-        position[u] = pos
-    sbs_masks: List[Dict[int, Tuple[bool, bool]]] = [
-        {} for _ in instance.sbss]
-    mbs_masks: Dict[int, Tuple[bool, bool]] = {}
-    mue_profiles = []
-    for u in range(n_mues):
+    profiles: List[Optional[PreferenceProfile]] = [None] * len(instance.mues)
+    sbs_lists: List[List[int]] = [[] for _ in instance.sbss]
+    mbs_list: List[int] = []
+    for u in scores.priority():
         self_key = scores.key(u, None, None)
         keyed = [pair for pair in scores.universe(u) if pair[0] < self_key]
         keyed.sort(key=itemgetter(0))
-        mue_profiles.append(PreferenceProfile(
-            owner=mue_id(u), ranked_plans=tuple([p for _, p in keyed])))
-        firsts, seconds = set(), set()
-        for _, plan in keyed:
-            first, second = plan.first, plan.second
-            if first is not None and first.kind is PlayerKind.SBS:
-                firsts.add(first.index)
-            if second is not None:
-                if second.kind is PlayerKind.SBS:
-                    seconds.add(second.index)
-                else:
-                    mbs_masks[u] = (False, True)
-        if not scores.gamma(u) < 0.0:
-            for k in firsts | seconds:
-                sbs_masks[k][u] = (k in firsts, k in seconds)
-
-    by_priority = position.__getitem__
-    sbs_profiles = tuple(
-        BsPreference(owner=scores.sbs[k],
-                     ranked_mues=tuple(sorted(masks, key=by_priority)),
-                     period_masks=masks)
-        for k, masks in enumerate(sbs_masks))
-    mbs_profile = BsPreference(
-        owner=MBS, ranked_mues=tuple(sorted(mbs_masks, key=by_priority)),
-        period_masks=mbs_masks)
-    return Preferences(tuple(mue_profiles), sbs_profiles, mbs_profile,
-                       scores)
+        plans = tuple([p for _, p in keyed])
+        profiles[u] = PreferenceProfile(plans)
+        may_serve = not scores.gamma(u) < 0.0
+        for plan in plans:
+            for slot in plan.slots():
+                if slot is None or (slot.kind is PlayerKind.SBS
+                                    and not may_serve):
+                    continue
+                listed = (mbs_list if slot.kind is PlayerKind.MBS
+                          else sbs_lists[slot.index])
+                if not listed or listed[-1] != u:  # once per user
+                    listed.append(u)
+    return Preferences(tuple(profiles),
+                       tuple(BsPreference(tuple(us)) for us in sbs_lists),
+                       BsPreference(tuple(mbs_list)), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +482,6 @@ class DynamicMatching:
 @dataclass(frozen=True)
 class ProposalRecord:
     stage: int
-    round: int
     mue: int
     plan: Plan
     accepted: bool
@@ -523,14 +491,12 @@ class ProposalRecord:
 class MatchTrace:
     """Proposals of one matching run, in the order the users took turns.
 
-    A round is one user's turn in the priority order, so `rounds` counts
-    the turns of users with anything to propose. `restarts` is always 0:
-    serial dictatorship never revisits a turn. It is kept for the readers
-    of traces (perfbench's tracer sums it).
+    Each user's proposals of a stage are consecutive, in its ranking's
+    order. `restarts` is always 0: serial dictatorship never revisits a
+    turn. It is kept for the readers of traces (perfbench's tracer sums it).
     """
 
     proposals: List[ProposalRecord] = field(default_factory=list)
-    rounds: int = 0
     restarts: int = 0
 
 
@@ -539,7 +505,6 @@ class MatchResult:
     matching: DynamicMatching
     ex_ante: DynamicMatching
     trace: MatchTrace
-    preferences: Preferences
 
 
 def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
@@ -590,7 +555,6 @@ def _serial_dictatorship(scores: _Scores, rankings: Dict[int, Sequence[Plan]],
         ranking = rankings.get(u)
         if not ranking:
             continue
-        trace.rounds += 1
         may_serve = not scores.gamma(u) < 0.0
         for plan in ranking:
             wanted = slots(plan)
@@ -600,8 +564,7 @@ def _serial_dictatorship(scores: _Scores, rankings: Dict[int, Sequence[Plan]],
                     if room[s] <= 0:
                         accepted = False
                         break
-            proposals.append(
-                ProposalRecord(stage, trace.rounds, u, plan, accepted))
+            proposals.append(ProposalRecord(stage, u, plan, accepted))
             if accepted:
                 for s in wanted:
                     room[s] -= 1
@@ -717,8 +680,7 @@ def dynamic_match(instance: GameInstance,
     matching = ex_ante.copy()
     _stage_two(scores, matching, trace)
     matching.validate(instance)
-    return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace,
-                       preferences=prefs)
+    return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace)
 
 
 def _stage_one(scores: _Scores, prefs: Preferences,
@@ -825,9 +787,14 @@ def _ir_ok(scores: _Scores, u: int, first: Optional[PlayerId],
     return True
 
 
-def _bs_gains_strictly(scores: _Scores, k: int, u: int, period: int) -> bool:
+# The sorted users per SBS index of a matching's period 1 and period 2.
+_Rosters = Tuple[Dict[int, List[int]], Dict[int, List[int]]]
+
+
+def _bs_gains_strictly(scores: _Scores, rosters: _Rosters, k: int, u: int,
+                       period: int) -> bool:
     """Would SBS k strictly improve by adding u in the given period?"""
-    members = scores.members(period, k)
+    members = rosters[period - 1].get(k, [])
     if u in members:
         return False
     if scores.gamma(u) < 0.0:
@@ -841,25 +808,26 @@ def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
                         period: int) -> List[Violation]:
     """Enumerate every blocking configuration of the requested period."""
     matching.validate(instance)
+    rosters = (_sbs_rosters(matching.mu1), _sbs_rosters(matching.mu2))
     if period == 1:
-        return _scan_period1(matching, _Scores(instance, matching))
+        return _scan_period1(matching, _Scores(instance), rosters)
     if period == 2:
-        return _scan_period2(matching, _Scores(instance, matching))
+        return _scan_period2(matching, _Scores(instance), rosters)
     raise ValueError("period must be 1 or 2")
 
 
-def _scan_period1(matching: DynamicMatching,
-                  scores: _Scores) -> List[Violation]:
+def _scan_period1(matching: DynamicMatching, scores: _Scores,
+                  rosters: _Rosters) -> List[Violation]:
     out: List[Violation] = []
-    instance, key, members = scores.instance, scores.key, scores.members
+    instance, key = scores.instance, scores.key
 
     for u in range(len(instance.mues)):
         if key(u, None, None) < key(u, matching.mu1[u], matching.mu2[u]):
             out.append(Violation(1, "unilateral-mue", u))
 
     for k in range(len(instance.sbss)):
-        for period in (1, 2):
-            for u in members(period, k):
+        for roster in rosters:
+            for u in roster.get(k, []):
                 if scores.gamma(u) < 0.0:
                     out.append(Violation(1, "unilateral-bs", u, scores.sbs[k]))
 
@@ -869,38 +837,38 @@ def _scan_period1(matching: DynamicMatching,
         candidates = set(mue.cand1) | set(mue.cand2)
         for k in sorted(candidates):
             target = scores.sbs[k]
+            in1 = u in rosters[0].get(k, [])
+            in2 = u in rosters[1].get(k, [])
             # 1) two-period plan kk against BS serving u both periods
             if k in mue.cand1 and k in mue.cand2 and \
                     _ir_ok(scores, u, target, target):
                 if key(u, target, target) < current:
-                    gains1 = _bs_gains_strictly(scores, k, u, 1)
-                    gains2 = _bs_gains_strictly(scores, k, u, 2)
-                    gain1 = u in members(1, k) or gains1
-                    gain2 = u in members(2, k) or gains2
-                    if gain1 and gain2 and (gains1 or gains2):
+                    gains1 = _bs_gains_strictly(scores, rosters, k, u, 1)
+                    gains2 = _bs_gains_strictly(scores, rosters, k, u, 2)
+                    if (in1 or gains1) and (in2 or gains2) and \
+                            (gains1 or gains2):
                         out.append(Violation(1, "pair-kk", u, target))
             # 2) serve period 1 only
             if k in mue.cand1 and _ir_ok(scores, u, target, None):
                 if key(u, target, None) < current and \
-                        _bs_gains_strictly(scores, k, u, 1):
+                        _bs_gains_strictly(scores, rosters, k, u, 1):
                     out.append(Violation(1, "pair-ku", u, target))
             # 3) serve period 2 only
             if k in mue.cand2 and _ir_ok(scores, u, None, target):
                 if key(u, None, target) < current and \
-                        _bs_gains_strictly(scores, k, u, 2):
+                        _bs_gains_strictly(scores, rosters, k, u, 2):
                     out.append(Violation(1, "pair-uk", u, target))
             # 4) mutual divorce
-            in_any = u in members(1, k) or u in members(2, k)
-            if in_any and key(u, None, None) < current and \
+            if (in1 or in2) and key(u, None, None) < current and \
                     scores.gamma(u) < 0.0:
                 out.append(Violation(1, "pair-divorce", u, target))
     return out
 
 
-def _scan_period2(matching: DynamicMatching,
-                  scores: _Scores) -> List[Violation]:
+def _scan_period2(matching: DynamicMatching, scores: _Scores,
+                  rosters: _Rosters) -> List[Violation]:
     out: List[Violation] = []
-    instance, key, members = scores.instance, scores.key, scores.members
+    instance, key = scores.instance, scores.key
 
     for u in range(len(instance.mues)):
         first = matching.mu1[u]
@@ -911,13 +879,14 @@ def _scan_period2(matching: DynamicMatching,
 
         for k in sorted(set(instance.mues[u].cand2)):
             target = scores.sbs[k]
+            members = rosters[1].get(k, [])
             if _ir_ok(scores, u, None, target) and \
                     key(u, first, target) < current:
-                if len(members(2, k)) >= instance.sbss[k].quota:
+                if len(members) >= instance.sbss[k].quota:
                     continue  # full BSs never period-2 block
-                if _bs_gains_strictly(scores, k, u, 2):
+                if _bs_gains_strictly(scores, rosters, k, u, 2):
                     out.append(Violation(2, "pair-gain", u, target))
-            if u in members(2, k) and stay < current and \
+            if u in members and stay < current and \
                     scores.gamma(u) < 0.0:
                 out.append(Violation(2, "pair-divorce", u, target))
 

@@ -155,7 +155,7 @@ def mc_coverage_probability(n_beams: int, beamwidth: float, samples: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if n_beams < 1 or beamwidth <= 0.0:
+    if n_beams < 1 or not beamwidth > 0.0:
         raise ValueError("invalid beam layout")
     rng = np.random.default_rng(seed)
     two_pi = 2.0 * math.pi

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import geometry
 from .geometry import BeamGeometry, Pose
-from .numerics import adaptive_simpson
+from .numerics import adaptive_simpson, wrap_angle
 
 SPEED_OF_LIGHT = 299792458.0
 LN2 = math.log(2.0)
@@ -131,10 +131,7 @@ def crossing_geometry(pose: Pose, beam: BeamGeometry) -> CrossingGeometry:
     az = math.atan2(y, x)
     if abs(math.sin(az - beam.entry_edge_angle)) > 1e-6:
         raise ValueError("pose is not on the beam entry edge")
-    theta_hat = pose.heading - az
-    theta_hat = math.fmod(theta_hat, 2.0 * math.pi)
-    if theta_hat < 0.0:
-        theta_hat += 2.0 * math.pi
+    theta_hat = wrap_angle(pose.heading - az)
     if not (beam.beamwidth < theta_hat < math.pi):
         raise ValueError(
             "heading does not cross the sector: requires "

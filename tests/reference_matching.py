@@ -19,8 +19,7 @@ from mmwcache.geometry import hof_probability
 from mmwcache.matching import (MBS, SELF_PLAN, BsPreference, DynamicMatching,
                                GameInstance, MatchResult, MatchTrace, PlayerId,
                                PlayerKind, Plan, PreferenceProfile,
-                               Preferences, ProposalRecord, Violation, mue_id,
-                               sbs_id)
+                               Preferences, ProposalRecord, Violation, sbs_id)
 
 
 class ConvergenceError(RuntimeError):
@@ -147,32 +146,22 @@ def build_preferences(instance: GameInstance) -> Preferences:
         listed = [p for p in plan_universe(instance, u)
                   if plan_key(instance, u, p) < self_key]
         listed.sort(key=lambda p: plan_key(instance, u, p))
-        mue_profiles.append(PreferenceProfile(owner=mue_id(u),
-                                              ranked_plans=tuple(listed)))
+        mue_profiles.append(PreferenceProfile(ranked_plans=tuple(listed)))
 
     sbs_profiles = []
     for k in range(len(instance.sbss)):
-        masks: Dict[int, Tuple[bool, bool]] = {}
-        for u, prof in enumerate(mue_profiles):
-            if sbs_utility(u, k, instance) < 0.0:
-                continue
-            p1 = any(p.first == sbs_id(k) for p in prof.ranked_plans)
-            p2 = any(p.second == sbs_id(k) for p in prof.ranked_plans)
-            if p1 or p2:
-                masks[u] = (p1, p2)
-        ranked = sorted(masks, key=lambda u: (-sbs_utility(u, k, instance), u))
-        sbs_profiles.append(BsPreference(owner=sbs_id(k),
-                                         ranked_mues=tuple(ranked),
-                                         period_masks=masks))
+        listed = [u for u, prof in enumerate(mue_profiles)
+                  if not sbs_utility(u, k, instance) < 0.0
+                  and any(sbs_id(k) in p.slots() for p in prof.ranked_plans)]
+        ranked = sorted(listed,
+                        key=lambda u: (-sbs_utility(u, k, instance), u))
+        sbs_profiles.append(BsPreference(ranked_mues=tuple(ranked)))
 
-    mbs_masks: Dict[int, Tuple[bool, bool]] = {}
-    for u, prof in enumerate(mue_profiles):
-        if any(p.second == MBS for p in prof.ranked_plans):
-            mbs_masks[u] = (False, True)
-    mbs_ranked = sorted(mbs_masks,
+    listed = [u for u, prof in enumerate(mue_profiles)
+              if any(p.second == MBS for p in prof.ranked_plans)]
+    mbs_ranked = sorted(listed,
                         key=lambda u: (-sbs_utility(u, 0, instance), u))
-    mbs_profile = BsPreference(owner=MBS, ranked_mues=tuple(mbs_ranked),
-                               period_masks=mbs_masks)
+    mbs_profile = BsPreference(ranked_mues=tuple(mbs_ranked))
     return Preferences(tuple(mue_profiles), tuple(sbs_profiles), mbs_profile)
 
 
@@ -202,7 +191,6 @@ def deferred_acceptance(instance: GameInstance,
 
     active = True
     while active:
-        trace.rounds += 1
         active = False
         for u in range(len(instance.mues)):
             if matched[u] is not None:
@@ -213,8 +201,8 @@ def deferred_acceptance(instance: GameInstance,
                 active = True
                 accepted = _da_offer(instance, held, matched, u, k)
                 trace.proposals.append(ProposalRecord(
-                    stage=1, round=trace.rounds, mue=u,
-                    plan=Plan(sbs_id(k), None), accepted=accepted))
+                    stage=1, mue=u, plan=Plan(sbs_id(k), None),
+                    accepted=accepted))
                 if accepted:
                     break
 
@@ -288,8 +276,7 @@ def dynamic_match(instance: GameInstance,
     matching = ex_ante.copy()
     _stage_two(instance, prefs, matching, trace)
     matching.validate(instance)
-    return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace,
-                       preferences=prefs)
+    return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace)
 
 
 def _stage_one(instance: GameInstance, prefs: Preferences,
@@ -340,7 +327,6 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
         idx = next_index(u)
         plan = profiles[u][idx]
         proposals += 1
-        trace.rounds += 1
         if proposals > max_proposals:
             raise ConvergenceError("stage 1 failed to converge")
 
@@ -370,7 +356,7 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
                     break
 
         trace.proposals.append(ProposalRecord(
-            stage=1, round=trace.rounds, mue=u, plan=plan, accepted=accepted))
+            stage=1, mue=u, plan=plan, accepted=accepted))
         if not accepted:
             rejected[u].add(idx)
             continue
@@ -457,10 +443,7 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
 
     pointers = {u: 0 for u in participants}
     tentative: Dict[int, Optional[PlayerId]] = {u: None for u in participants}
-    rounds = 0
     while True:
-        rounds += 1
-        trace.rounds += 1
         progress = False
         for u in participants:
             if tentative[u] is not None:
@@ -472,8 +455,8 @@ def _stage_two(instance: GameInstance, prefs: Preferences,
                 accepted = _stage_two_offer(
                     instance, matching, tentative, u, target)
                 trace.proposals.append(ProposalRecord(
-                    stage=2, round=trace.rounds, mue=u,
-                    plan=Plan(matching.mu1[u], target), accepted=accepted))
+                    stage=2, mue=u, plan=Plan(matching.mu1[u], target),
+                    accepted=accepted))
                 if accepted:
                     break
         if not progress:

@@ -24,6 +24,8 @@ class TestBeamCoverage:
         with pytest.raises(ValueError):
             G.beam_coverage_probability(3, 0.0)
         with pytest.raises(ValueError):
+            G.beam_coverage_probability(3, math.nan)
+        with pytest.raises(ValueError):
             G.beam_coverage_probability(4, 2.0)   # 4*2 > 2*pi
 
     def test_monotone_in_beamwidth_and_unit_range(self):
@@ -168,3 +170,5 @@ class TestPose:
     def test_beam_invariants(self):
         with pytest.raises(ValueError):
             G.BeamGeometry(n_beams=5, beamwidth=2.0)
+        with pytest.raises(ValueError):
+            G.BeamGeometry(beamwidth=math.nan)

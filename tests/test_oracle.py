@@ -41,6 +41,8 @@ class TestMcCoverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             O.mc_coverage_probability(3, 0.1, 0, seed=1)
+        with pytest.raises(ValueError):
+            O.mc_coverage_probability(3, math.nan, 10, seed=1)
 
 
 class TestMcCachingDuration:
