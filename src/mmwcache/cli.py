@@ -120,8 +120,8 @@ def cmd_simulate(args) -> int:
     phi = rng.uniform(0.0, 2.0 * math.pi)
     origin = (r * math.cos(phi), r * math.sin(phi))
     heading = float(rng.uniform(0.0, 2.0 * math.pi))
-    stats = experiments.simulate_trajectory(scn, origin, heading, speed,
-                                            config.frame)
+    walk = experiments.trace_walk(scn, origin, heading, speed * config.frame)
+    stats = experiments.simulate_trajectory(walk, speed, config.frame)
     # one walk gives both users' outcomes; --no-caching prints the
     # conventional user's, which attempts a handover at every crossing
     lines = ["time_s,event,cell,tos_s"]

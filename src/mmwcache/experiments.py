@@ -33,13 +33,16 @@ from .matching import (GameInstance, MueState, PlayerKind, SbsState,
                        dynamic_match, sbs_id, signaling_overhead)
 from .radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
                     instantaneous_rate)
-from .scenario import (Scenario, beam_segments_in_cell, generate_scenario,
-                       ray_circle_crossings, ray_crossing_arrays)
+from .scenario import (CellCrossing, Scenario, beam_segments_in_cell,
+                       generate_scenario, ray_circle_crossings,
+                       ray_crossing_arrays)
 
 EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
 REGION_EXPERIMENTS = ("hof_multiuser", "load_vs_users", "energy_vs_users",
                       "overhead_vs_users")
+# rate_vs_distance's crossing headings theta-hat, relative to the entry edge
+RATE_THETA_HATS_DEG = (20.0, 30.0, 50.0, 70.0)
 
 
 @dataclass
@@ -86,6 +89,18 @@ def check_run(name: str, config: ScenarioConfig, reps: int,
         raise ConfigError(
             f"hof_vs_speed needs replications >= 2 for its stderr_nocache "
             f"and stderr_cache columns, got {reps!r}")
+    if name == "rate_vs_distance":
+        # the sweep weights by the beam-coverage probability, defined for
+        # two or more beams, and every heading must cross the sector
+        if config.n_beams < 2:
+            raise ConfigError(
+                f"rate_vs_distance needs n_beams >= 2 for the beam-coverage "
+                f"probability, got {config.n_beams!r}")
+        if not config.beamwidth_deg < min(RATE_THETA_HATS_DEG):
+            raise ConfigError(
+                f"rate_vs_distance needs beamwidth_deg below its smallest "
+                f"crossing heading {min(RATE_THETA_HATS_DEG)!r}, got "
+                f"{config.beamwidth_deg!r}")
     if name in REGION_EXPERIMENTS:
         _check_region_sbss(config)
 
@@ -133,17 +148,59 @@ class TrajectoryStats:
     entries: List[CellEntry] = field(default_factory=list)
 
 
-def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
-                        heading: float, speed: float,
+class Walk(NamedTuple):
+    """The geometry of one straight walk, traced once for every speed.
+
+    `crossings` are the cell traversals within `max_range` metres of the
+    origin, ordered by entry; `segments[i]` are the in-sector
+    sub-intervals of `crossings[i]` (`beam_segments_in_cell`). None of it
+    depends on the speed at which the walk is taken.
+    """
+
+    scn: Scenario
+    origin: Tuple[float, float]
+    heading: float
+    max_range: float
+    crossings: Tuple[CellCrossing, ...]
+    segments: Tuple[List[Tuple[float, float]], ...]
+
+
+def trace_walk(scn: Scenario, origin: Tuple[float, float], heading: float,
+               max_range: float) -> Walk:
+    """Trace the straight walk from `origin` along `heading` to `max_range`.
+
+    The crossings come from `ray_circle_crossings` and each crossing's beam
+    segments from `beam_segments_in_cell` over its [entry, exit]. A walk
+    traced to `max_range` serves every speed and duration whose walk is
+    no longer (`simulate_trajectory`).
+    """
+    cfg = scn.config
+    crossings = tuple(ray_circle_crossings(origin, heading, scn.sbss,
+                                           max_range))
+    segments = tuple(
+        beam_segments_in_cell(origin, heading,
+                              scn.sbss[cr.sbs].beams(cfg), cr.entry, cr.exit)
+        for cr in crossings)
+    return Walk(scn, origin, heading, max_range, crossings, segments)
+
+
+def simulate_trajectory(walk: Walk, speed: float,
                         duration: float) -> TrajectoryStats:
-    """Walk a straight trajectory once and count handover outcomes.
+    """Take a traced walk at `speed` for `duration` and count handovers.
+
+    The walk covers `reach = speed * duration` metres. It enters the
+    crossings with entry < reach, which are those that tracing to `reach`
+    itself would give, and their in-sector segments end at reach:
+    segments from reach on are dropped and one that straddles it is cut
+    there. So the result equals that of the walk traced to `reach`.
+    Raises ValueError when the walk was traced shorter than `reach`.
 
     Every entered cell triggers a handover attempt for the conventional
     user, and an attempt fails when the time-of-stay (cell chord over
     speed) is below the minimum time-of-stay. The cache-enabled user skips
     a cell while cached playback outlasts its traversal; its successful
-    attempts refill the cache from the Shannon rate integrated over the
-    trajectory's mmW beam segments inside the cell.
+    attempts refill the cache, each beam segment at the Shannon rate of
+    its midpoint for the time the segment takes.
 
     A straight line through a random deployment cuts each cell it crosses
     at an offset from the centre that is uniform over the radius: the
@@ -151,10 +208,15 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
     shorter than v*T, so a handover failure with T = t_mts, with
     probability 1 - sqrt(1 - (vT/2a)^2). `hof_vs_speed` follows this law.
     """
+    reach = speed * duration
+    if reach > walk.max_range:
+        raise ValueError(f"a walk traced to {walk.max_range!r} m cannot be "
+                         f"taken for {reach!r} m")
+    scn = walk.scn
     cfg = scn.config
     stats = TrajectoryStats()
-    max_range = speed * duration
-    crossings = ray_circle_crossings(origin, heading, scn.sbss, max_range)
+    ox, oy = walk.origin
+    dx, dy = math.cos(walk.heading), math.sin(walk.heading)
     budget_by_power = {p: LinkBudget.from_table(tx_power_dbm=p,
                                                 bandwidth=cfg.bandwidth,
                                                 noise_psd_dbm_hz=cfg.noise_psd_dbm_hz)
@@ -166,7 +228,9 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
                                play_rate=cfg.play_rate,
                                capacity=cfg.cache_capacity)
     path_pos = 0.0
-    for crossing in crossings:
+    for crossing, segments in zip(walk.crossings, walk.segments):
+        if crossing.entry >= reach:
+            break
         # continuous playback drain while moving to this cell
         travel_t = (crossing.entry - path_pos) / speed
         if travel_t > 0:
@@ -189,12 +253,13 @@ def simulate_trajectory(scn: Scenario, origin: Tuple[float, float],
             stats.failures += 1
             continue
         budget = budget_by_power[site.power_dbm]
-        for seg_a, seg_b in beam_segments_in_cell(
-                origin, heading, site.beams(cfg), crossing.entry,
-                crossing.exit):
+        for seg_a, seg_b in segments:
+            if seg_a >= reach:
+                break
+            seg_b = min(seg_b, reach)
             mid = 0.5 * (seg_a + seg_b)
-            px = origin[0] + mid * math.cos(heading) - site.position[0]
-            py = origin[1] + mid * math.sin(heading) - site.position[1]
+            px = ox + mid * dx - site.position[0]
+            py = oy + mid * dy - site.position[1]
             r = max(math.hypot(px, py), REFERENCE_DISTANCE)
             rate = instantaneous_rate(r, budget, params)
             state = caching.cache_fill(rate, (seg_b - seg_a) / speed, state)
@@ -207,9 +272,12 @@ def _speed_replication(cfg: ScenarioConfig, rep: int,
     one (conventional, cached) pair per speed.
 
     One deployment, origin and heading, drawn under the key (1, rep), are
-    walked at every speed, so element i equals this function's result for
-    `(speeds[i],)` alone. A pure function of (config, replication index,
-    speeds), mapped like `_region_replication`.
+    walked at every speed. The walk is traced once, to the frame-long
+    reach of the fastest speed, and `simulate_trajectory` takes it at each
+    speed, so element i equals this function's result for `(speeds[i],)`
+    alone, and `simulate_trajectory(trace_walk(..., v * frame), v, frame)`.
+    A pure function of (config, replication index, speeds), mapped like
+    `_region_replication`.
     """
     rng = _rep_rng(cfg.seed, 1, rep)
     scn = generate_scenario(cfg, seed=int(rng.integers(2 ** 31)))
@@ -219,9 +287,10 @@ def _speed_replication(cfg: ScenarioConfig, rep: int,
     origin = (0.9 * cfg.area_radius * math.cos(phi),
               0.9 * cfg.area_radius * math.sin(phi))
     heading = float(phi + math.pi + rng.uniform(-0.4, 0.4))
+    walk = trace_walk(scn, origin, heading, max(speeds) * cfg.frame)
     failures = []
     for v in speeds:
-        stats = simulate_trajectory(scn, origin, heading, v, cfg.frame)
+        stats = simulate_trajectory(walk, v, cfg.frame)
         failures.append((stats.conventional_failures, stats.failures))
     return failures
 
@@ -236,7 +305,7 @@ def _run_hof_vs_speed(config: ScenarioConfig, reps: int,
     of radius a (see `simulate_trajectory`), not the paper's
     fixed-entry-point law that `hof_multiuser` follows. A replication's
     deployment, origin and heading are shared by all 17 speeds, so the
-    points of the curve differ only in speed.
+    points of the curve differ only in speed, and its walk is traced once.
     """
     speeds = list(range(1, 17)) + [60.0 / 3.6]
     speeds = tuple(sorted(set(round(s, 4) for s in speeds)))
@@ -279,7 +348,7 @@ def _run_rate_vs_distance(config: ScenarioConfig, reps: int,
     nlos = ChannelParams(carrier_frequency=config.carrier_frequency,
                          pathloss_exponent=config.pathloss_nlos)
     speed = 60.0 / 3.6
-    theta_hats = [math.radians(d) for d in (20.0, 30.0, 50.0, 70.0)]
+    theta_hats = [math.radians(d) for d in RATE_THETA_HATS_DEG]
     cols: Dict[str, List[float]] = {"distance_m": []}
     for d in range(5, 52, 3):
         cols["distance_m"].append(float(d))

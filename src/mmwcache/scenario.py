@@ -245,27 +245,47 @@ def ray_crossing_arrays(ox: np.ndarray, oy: np.ndarray, dx: np.ndarray,
 def beam_segments_in_cell(origin: Tuple[float, float], heading: float,
                           beams: BeamGeometry, entry: float, exit: float,
                           ) -> List[Tuple[float, float]]:
-    """Sub-intervals of [entry, exit] lying inside the SBS's mmW sectors."""
+    """Sub-intervals of [entry, exit] lying inside the SBS's mmW sectors.
+
+    Exact, by line clipping against the sector wedges (O'Rourke,
+    *Computational Geometry in C*, ch. 7): a point of the path is inside
+    when its azimuth from the SBS, taken relative to the first entry edge
+    modulo the sector pitch, is at most the beamwidth. That can change
+    only where the path meets one of the 2N sector-edge rays, or where it
+    passes the SBS itself (the azimuth jumps by pi when the line runs
+    through the apex). So the cuts are entry, exit, the closest approach
+    to the SBS and every hit of the line with an edge ray (the line
+    through the edge, on the edge's side of the apex: dot >= 0). Each
+    interval between neighbouring cuts is classified by its midpoint, and
+    inside intervals that touch are merged. Segments come out sorted,
+    disjoint and within [entry, exit]; an empty list means no beam time.
+    """
     ox, oy = origin
     dx, dy = math.cos(heading), math.sin(heading)
     cx, cy = beams.sbs_position
-    pitch = 2.0 * math.pi / beams.n_beams
+    fx, fy = ox - cx, oy - cy
+    width = beams.beamwidth
+    pitch = TWO_PI / beams.n_beams
+    first_edge = beams.anchor_angle - width
+    cuts = {entry, exit, -(fx * dx + fy * dy)}
+    for k in range(beams.n_beams):
+        for edge in (first_edge + k * pitch, beams.anchor_angle + k * pitch):
+            ex, ey = math.cos(edge), math.sin(edge)
+            # f + t*d on the edge's line: cross(f + t*d, e) = 0
+            den = dx * ey - dy * ex
+            if den == 0.0:
+                continue    # parallel: the line never crosses this edge
+            t = (fy * ex - fx * ey) / den
+            if (fx + t * dx) * ex + (fy + t * dy) * ey >= 0.0:
+                cuts.add(t)
+    cuts = sorted(t for t in cuts if entry <= t <= exit)
     segments: List[Tuple[float, float]] = []
-    steps = 64
-    ts = [entry + (exit - entry) * i / steps for i in range(steps + 1)]
-    inside = []
-    for t in ts:
-        px, py = ox + t * dx - cx, oy + t * dy - cy
-        az = math.atan2(py, px) % (2.0 * math.pi)
-        rel = (az - (beams.anchor_angle - beams.beamwidth)) % pitch
-        inside.append(rel <= beams.beamwidth)
-    start = None
-    for i, flag in enumerate(inside):
-        if flag and start is None:
-            start = ts[i]
-        elif not flag and start is not None:
-            segments.append((start, ts[i]))
-            start = None
-    if start is not None:
-        segments.append((start, ts[-1]))
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        az = math.atan2(fy + mid * dy, fx + mid * dx) % TWO_PI
+        if (az - first_edge) % pitch <= width:
+            if segments and segments[-1][1] == a:
+                segments[-1] = (segments[-1][0], b)
+            else:
+                segments.append((a, b))
     return segments

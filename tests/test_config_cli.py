@@ -160,8 +160,8 @@ class TestCli:
 
         walks = []
 
-        def capture(scn, origin, heading, *args, **kwargs):
-            walks.append((scn, origin))
+        def capture(walk, *args, **kwargs):
+            walks.append((walk.scn, walk.origin))
             return experiments.TrajectoryStats()
 
         monkeypatch.setattr(experiments, "simulate_trajectory", capture)
@@ -260,7 +260,12 @@ class TestCli:
         (["match", "--set", "p_th_max=1.5"], "p_th_max"),
         (["match", "--set", "energy_per_scan=-0.003"], "energy_per_scan"),
         (["match", "--set", "scan_interval=0"], "scan_interval"),
-        (["simulate", "--set", "scan_interval=-1"], "scan_interval")])
+        (["simulate", "--set", "scan_interval=-1"], "scan_interval"),
+        # rate_vs_distance: coverage needs 2 beams, every heading must
+        # cross the sector
+        (["analyze", "--op", "rate", "--set", "n_beams=1"], "n_beams"),
+        (["analyze", "--op", "rate", "--set", "beamwidth_deg=25"],
+         "beamwidth_deg")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
@@ -274,7 +279,12 @@ class TestCli:
         (["--replications", "2", "--set", "n_sbs=0"], "n_sbs"),
         (["--replications", "1"], "stderr_nocache"),
         (["--replications", "0"], "replications"),
-        (["--replications", "2", "--threads", "0"], "threads")])
+        (["--replications", "2", "--threads", "0"], "threads"),
+        (["--replications", "2", "--set", "n_beams=1"], "n_beams"),
+        (["--replications", "2", "--set", "beamwidth_deg=25"],
+         "beamwidth_deg"),
+        (["--replications", "2", "--set", "beamwidth_deg=20"],
+         "beamwidth_deg")])
     def test_reproduce_fails_before_writing(self, tmp_path, capsys, argv,
                                             message):
         out = tmp_path / "out"

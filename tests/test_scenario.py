@@ -9,6 +9,7 @@ import pytest
 from mmwcache.config import ConfigError, ScenarioConfig
 from mmwcache import scenario as S
 from mmwcache import experiments as E
+from mmwcache import matching as M
 from mmwcache.cli import main
 import reference_trajectory as R
 
@@ -237,6 +238,144 @@ class TestRayGeometry:
         assert 0.0 < total < 10.0
 
 
+def sampled_inside(origin, heading, beams, ts):
+    """Dense-sampling oracle: which path coordinates `ts` lie in a sector.
+
+    A point is inside when its azimuth from the SBS, relative to the first
+    entry edge and modulo the sector pitch, is at most the beamwidth.
+    """
+    ts = np.asarray(ts, dtype=float)
+    px = origin[0] + ts * math.cos(heading) - beams.sbs_position[0]
+    py = origin[1] + ts * math.sin(heading) - beams.sbs_position[1]
+    az = np.mod(np.arctan2(py, px), 2.0 * math.pi)
+    rel = np.mod(az - (beams.anchor_angle - beams.beamwidth),
+                 2.0 * math.pi / beams.n_beams)
+    return rel <= beams.beamwidth
+
+
+def assert_segments_match_sampling(origin, heading, beams, entry, exit_,
+                                   segments, rng, samples=2000):
+    """Segments sorted, disjoint and in [entry, exit]; every sample point
+    farther than 1e-6 from a segment end and from the closest approach to
+    the SBS (where a line through the SBS has no azimuth) is inside
+    exactly when the oracle says so."""
+    ends = [t for seg in segments for t in seg]
+    assert all(a < b for a, b in segments)
+    assert ends == sorted(ends) and len(set(ends)) == len(ends)
+    assert all(entry <= t <= exit_ for t in ends)
+    ts = np.concatenate([rng.uniform(entry, exit_, samples),
+                         np.linspace(entry, exit_, samples + 1)])
+    closest = ((beams.sbs_position[0] - origin[0]) * math.cos(heading)
+               + (beams.sbs_position[1] - origin[1]) * math.sin(heading))
+    cuts = np.array(ends + [closest])
+    ts = ts[np.abs(ts[:, None] - cuts).min(axis=1) > 1e-6]
+    inside = np.zeros(len(ts), dtype=bool)
+    for a, b in segments:
+        inside |= (ts >= a) & (ts <= b)
+    expected = sampled_inside(origin, heading, beams, ts)
+    bad = np.flatnonzero(inside != expected)
+    assert bad.size == 0, ts[bad[:5]].tolist()
+
+
+class TestExactSegments:
+    """`beam_segments_in_cell` against a dense sampler written here."""
+
+    def test_random_layouts_match_sampling(self):
+        rng = np.random.default_rng(2024)
+        kinds = {"through_sbs": 0, "in_cell": 0, "field": 0}
+        full_width = one_beam = clipped = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            pitch = 2.0 * math.pi / n
+            width = pitch if rng.random() < 0.15 else \
+                pitch * rng.uniform(0.02, 1.0)
+            centre = (float(rng.uniform(-100, 100)),
+                      float(rng.uniform(-100, 100)))
+            radius = float(rng.uniform(5.0, 40.0))
+            beams = S.BeamGeometry(sbs_position=centre, n_beams=n,
+                                   beamwidth=width,
+                                   anchor_angle=rng.uniform(0, 2 * math.pi))
+            heading = float(rng.uniform(0.0, 2.0 * math.pi))
+            kind = ("through_sbs", "in_cell", "field")[int(rng.integers(3))]
+            if kind == "through_sbs":
+                back = rng.uniform(0.0, 2.0 * radius)
+                origin = (centre[0] - back * math.cos(heading),
+                          centre[1] - back * math.sin(heading))
+            elif kind == "in_cell":
+                r = radius * math.sqrt(rng.random())
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                origin = (centre[0] + r * math.cos(phi),
+                          centre[1] + r * math.sin(phi))
+            else:
+                # a line at a uniform offset from the centre, started
+                # outside the cell
+                offset = rng.uniform(-radius, radius)
+                origin = (centre[0] - 2 * radius * math.cos(heading)
+                          - offset * math.sin(heading),
+                          centre[1] - 2 * radius * math.sin(heading)
+                          + offset * math.cos(heading))
+            max_range = 200.0 if rng.random() < 0.8 else \
+                float(rng.uniform(1.0, 3.0 * radius))
+            site = S.SbsSite(0, centre, 30.0, radius, beams.anchor_angle)
+            crossings = S.ray_circle_crossings(origin, heading, [site],
+                                               max_range)
+            if not crossings:
+                continue
+            entry, exit_ = crossings[0].entry, crossings[0].exit
+            segments = S.beam_segments_in_cell(origin, heading, beams,
+                                               entry, exit_)
+            assert_segments_match_sampling(origin, heading, beams, entry,
+                                           exit_, segments, rng)
+            kinds[kind] += 1
+            full_width += width == pitch
+            one_beam += n == 1
+            clipped += exit_ == max_range
+        assert min(kinds.values()) > 300, kinds
+        assert full_width > 100 and one_beam > 100 and clipped > 50
+
+    def test_full_width_covers_the_chord(self):
+        # sectors as wide as the pitch tile the circle: the whole chord is
+        # in-sector, however the line meets the edges, through the SBS too
+        for n in range(1, 7):
+            beams = S.BeamGeometry(sbs_position=(10.0, 0.0), n_beams=n,
+                                   beamwidth=2.0 * math.pi / n,
+                                   anchor_angle=0.7)
+            for y in (0.0, 1.5, -3.0):
+                assert S.beam_segments_in_cell((0.0, y), 0.0, beams, 5.0,
+                                               15.0) == [(5.0, 15.0)]
+
+    def test_line_through_the_sbs(self):
+        # both edge rays meet this line at the SBS, and the azimuth jumps
+        # from pi to 0 there: west of the SBS the path is in the one sector,
+        # around azimuth pi, east of it not
+        beams = S.BeamGeometry(sbs_position=(10.0, 0.0), n_beams=1,
+                               beamwidth=0.5, anchor_angle=math.pi + 0.25)
+        assert S.beam_segments_in_cell((0.0, 0.0), 0.0, beams, 5.0,
+                                       15.0) == [(5.0, 10.0)]
+
+    def test_seed_1_walk_missed_by_64_samples(self):
+        # hof_vs_speed, config seed 1, replication 37 at 60 km/h: the walk
+        # crosses SBS 38's cell along a 56 m chord and passes two sectors
+        # within about 0.5 m each, between the 0.88 m steps of a 65-point
+        # grid, which found no beam time here
+        origin, heading = (-170.36488960103097, -14.724278971431232), \
+            6.529812958878204
+        beams = S.BeamGeometry(
+            sbs_position=(-34.5632197844356, 18.719448282332294), n_beams=3,
+            beamwidth=math.radians(10.0), anchor_angle=0.840365606742992)
+        entry, exit_ = 111.78267133610679, 167.9318607536403
+        grid = np.linspace(entry, exit_, 65)
+        assert not sampled_inside(origin, heading, beams, grid).any()
+        segments = S.beam_segments_in_cell(origin, heading, beams, entry,
+                                           exit_)
+        assert len(segments) == 2
+        assert sum(b - a for a, b in segments) == pytest.approx(1.0379426,
+                                                                rel=1e-6)
+        assert_segments_match_sampling(origin, heading, beams, entry, exit_,
+                                       segments, np.random.default_rng(37),
+                                       samples=200_000)
+
+
 class TestBatchedRegion:
     def test_matches_per_user_loop(self):
         # 1,000 seeds, each (users, speed) case on every 12th of them
@@ -347,6 +486,62 @@ class TestCommonRandomNumbers:
                     alone = E._speed_replication(cfg, rep, (v,))
                     assert joint[i] == alone[0], (seed, rep, v)
 
+    def test_walk_traced_once(self, monkeypatch):
+        # 4 seeds x 50 reps x 17 speeds = 3,400 cases: the walk traced once
+        # at the fastest speed, taken at each speed, against a walk traced
+        # for that speed alone
+        speeds = tuple(sorted(set(round(s, 4) for s in
+                                  list(range(1, 17)) + [60.0 / 3.6])))
+        traced, fills = [], []
+        trace_walk, cache_fill = E.trace_walk, E.caching.cache_fill
+
+        def capture(scn, origin, heading, max_range):
+            walk = trace_walk(scn, origin, heading, max_range)
+            traced.append(walk)
+            return walk
+
+        def record_fill(*args):
+            fills.append(args)
+            return cache_fill(*args)
+
+        def taken(walk, v):
+            """A walk's stats at speed v and the cache fills it made."""
+            fills.clear()
+            stats = E.simulate_trajectory(walk, v, cfg.frame)
+            return stats, list(fills)
+
+        monkeypatch.setattr(E, "trace_walk", capture)
+        monkeypatch.setattr(E.caching, "cache_fill", record_fill)
+        clipped = 0
+        for seed in range(1, 5):
+            cfg = ScenarioConfig(seed=seed)
+            for rep in range(50):
+                traced.clear()
+                joint = E._speed_replication(cfg, rep, speeds)
+                (walk,) = traced
+                assert walk.max_range == max(speeds) * cfg.frame
+                for v, pair in zip(speeds, joint):
+                    alone = taken(trace_walk(walk.scn, walk.origin,
+                                             walk.heading, v * cfg.frame), v)
+                    assert pair == (alone[0].conventional_failures,
+                                    alone[0].failures), (seed, rep, v)
+                    # the same entries and the same fills, bit for bit
+                    assert taken(walk, v) == alone, (seed, rep, v)
+                    reach = v * cfg.frame
+                    clipped += any(a < reach < b for segs in walk.segments
+                                   for a, b in segs)
+        # some speeds end their walk inside a beam segment
+        assert clipped > 0
+
+    def test_walk_past_its_range_raises(self):
+        scn = S.generate_scenario(ScenarioConfig(seed=6))
+        walk = E.trace_walk(scn, (-170.0, 0.0), 0.0, 600.0)
+        assert E.simulate_trajectory(walk, 10.0, 60.0).crossings > 0
+        for speed, duration in ((10.0, 60.5), (math.nextafter(10.0, 11.0),
+                                               60.0), (17.0, 60.0)):
+            with pytest.raises(ValueError, match="traced to"):
+                E.simulate_trajectory(walk, speed, duration)
+
     def test_instances_differ_only_in_speed(self):
         for seed in range(10):
             for n_mues in (1, 5, 30):
@@ -360,6 +555,22 @@ class TestCommonRandomNumbers:
                     replace(m, speed=12.0) for m in slow.game.mues))
                 assert replace(slow, game=respeeded) == fast, (seed, n_mues)
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestRegionKnifeEdge:
+    """At the defaults a full cache plays exactly one scan interval."""
+
+    def test_default_users_have_gamma_zero_and_spawn_priority(self):
+        cfg = ScenarioConfig()
+        assert cfg.cache_capacity / cfg.play_rate == cfg.scan_interval
+        for seed in range(10):
+            for n_mues, speed in ((1, 8.0), (20, None), (50, 10.0)):
+                region = E.build_region_instance(
+                    cfg, n_mues, speed, np.random.default_rng(seed))
+                scores = M._Scores(region.game)
+                assert [scores.gamma(u) for u in range(n_mues)] \
+                    == [0.0] * n_mues
+                assert scores.priority() == list(range(n_mues))
 
 
 class TestExperiments:
@@ -391,7 +602,8 @@ class TestExperiments:
     def test_trajectory_counts(self):
         cfg = ScenarioConfig(seed=6)
         scn = S.generate_scenario(cfg)
-        stats = E.simulate_trajectory(scn, (-400.0, 0.0), 0.0, 16.0, 60.0)
+        walk = E.trace_walk(scn, (-400.0, 0.0), 0.0, 16.0 * 60.0)
+        stats = E.simulate_trajectory(walk, 16.0, 60.0)
         assert stats.crossings > 0
         assert stats.attempts + stats.skips == stats.crossings
         assert stats.failures <= stats.conventional_failures \
@@ -466,7 +678,9 @@ class TestExperiments:
         ("load_vs_users", 0, 1, {}, "replications"),
         ("rate_vs_distance", 0, 1, {}, "replications"),
         ("hof_vs_speed", 1, 1, {}, "stderr_nocache"),
-        ("hof_multiuser", 2, 2, {"n_sbs": 0}, "n_sbs")])
+        ("hof_multiuser", 2, 2, {"n_sbs": 0}, "n_sbs"),
+        ("rate_vs_distance", 1, 1, {"n_beams": 1}, "n_beams"),
+        ("rate_vs_distance", 1, 1, {"beamwidth_deg": 20.0}, "beamwidth_deg")])
     def test_bad_run_raises_before_work(self, monkeypatch, name, reps,
                                         threads, overrides, message):
         def no_work(*args, **kwargs):
@@ -532,7 +746,9 @@ class TestOneWalk:
         for scn, origin, heading, speed in self.walks():
             frame = scn.config.frame
             t_mts = scn.config.t_mts
-            new = E.simulate_trajectory(scn, origin, heading, speed, frame)
+            new = E.simulate_trajectory(
+                E.trace_walk(scn, origin, heading, speed * frame), speed,
+                frame)
             plain, cached = (
                 R.simulate_trajectory(scn, origin, heading, speed, frame,
                                       caching_enabled=caching,
@@ -571,7 +787,9 @@ class TestOneWalk:
                         "--out", str(tmp_path)]
                 rc = main(argv + (["--no-caching"] if no_caching else []))
                 assert rc == 0
-                ref = R.simulate_trajectory(*walks[-1],
+                walk, speed, duration = walks[-1]
+                ref = R.simulate_trajectory(walk.scn, walk.origin,
+                                            walk.heading, speed, duration,
                                             caching_enabled=not no_caching,
                                             collect_events=True)
                 csv = (tmp_path / "simulate_events.csv").read_text()
