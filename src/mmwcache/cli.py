@@ -42,7 +42,11 @@ def _load(args, require_seed: bool = False) -> ScenarioConfig:
 
 def _outdir(args) -> str:
     out = args.out or os.environ.get(DEFAULT_OUT_ENV) or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out!r}: "
+                          f"{exc.strerror}")
     return out
 
 
@@ -332,9 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PackingFailure as exc:

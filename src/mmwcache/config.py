@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import beam_span_exceeds_circle
+from .radio import dbm_to_watts
 
 
 class ConfigError(ValueError):
@@ -149,6 +150,27 @@ class ScenarioConfig:
             raise ConfigError(f"t_mts must be >= 0, got {self.t_mts!r}")
         if not self.epsilon >= 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        for name in ("bandwidth", "carrier_frequency", "pathloss_los",
+                     "pathloss_nlos", "uw_carrier_frequency",
+                     "uw_pathloss_exponent"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
+        # a power or radius past the float range raises OverflowError (or
+        # is inf) deep inside a run; scenario imports this module
+        from .scenario import uw_cell_radius
+        if not _finite(dbm_to_watts, self.noise_psd_dbm_hz):
+            raise ConfigError(f"noise_psd_dbm_hz {self.noise_psd_dbm_hz!r} "
+                              f"is out of range in watts")
+        for power in self.sbs_powers_dbm:
+            if not _finite(dbm_to_watts, power):
+                raise ConfigError(f"sbs_powers_dbm entry {power!r} is out "
+                                  f"of range in watts")
+            if not _finite(uw_cell_radius, power, self):
+                raise ConfigError(
+                    f"sbs_powers_dbm entry {power!r} gives a cell radius out "
+                    f"of range (uw_pathloss_exponent="
+                    f"{self.uw_pathloss_exponent!r})")
 
     def canonical_text(self) -> str:
         lines = []
@@ -163,40 +185,46 @@ class ScenarioConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
+def _finite(fn, *args) -> bool:
+    """Whether `fn(*args)` is a finite float, not inf or an overflow."""
+    try:
+        return math.isfinite(fn(*args))
+    except OverflowError:
+        return False
+
+
 def _parse_value(name: str, raw: str, line_no: Optional[int]):
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {name!r}", line_no)
     current = getattr(ScenarioConfig(), name)
     raw = raw.strip()
     try:
-        if isinstance(current, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(current, int):
-            return int(raw)
-        if isinstance(current, float):
-            return float(raw)
         if isinstance(current, tuple):
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            return tuple(float(p) for p in parts)
-        return raw
+            return tuple(float(p) for p in raw.replace(",", " ").split())
+        return type(current)(raw)     # every other field is int or float
     except ValueError as exc:
         raise ConfigError(f"cannot parse value for {name!r}: {exc}", line_no)
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse a `key = value` config file (# comments, blank lines allowed)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}")
     values: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"expected 'key = value', got {stripped!r}",
-                                  line_no)
-            name, raw = stripped.split("=", 1)
-            name = name.strip()
-            values[name] = _parse_value(name, raw, line_no)
+    # read in universal-newline mode, so lines end in "\n" only
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"expected 'key = value', got {stripped!r}",
+                              line_no)
+        name, raw = stripped.split("=", 1)
+        name = name.strip()
+        values[name] = _parse_value(name, raw, line_no)
     return replace(ScenarioConfig(), **values)
 
 

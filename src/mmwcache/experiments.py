@@ -33,9 +33,9 @@ from .matching import (GameInstance, MueState, PlayerKind, SbsState,
                        dynamic_match, sbs_id, signaling_overhead)
 from .radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
                     instantaneous_rate)
-from .scenario import (CellCrossing, Scenario, beam_segments_in_cell,
-                       generate_scenario, ray_circle_crossings,
-                       ray_crossing_arrays)
+from .scenario import (CellCrossing, SbsSite, Scenario,
+                       beam_segments_in_cell, generate_scenario,
+                       ray_circle_crossings, ray_crossing_arrays)
 
 EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
@@ -149,12 +149,16 @@ class TrajectoryStats:
 
 
 class Walk(NamedTuple):
-    """The geometry of one straight walk, traced once for every speed.
+    """The geometry and link state of one straight walk, traced once for
+    every speed.
 
     `crossings` are the cell traversals within `max_range` metres of the
     origin, ordered by entry; `segments[i]` are the in-sector
-    sub-intervals of `crossings[i]` (`beam_segments_in_cell`). None of it
-    depends on the speed at which the walk is taken.
+    sub-intervals of `crossings[i]` (`beam_segments_in_cell`), and
+    `rates[i][k]` is the Shannon rate at the midpoint of `segments[i][k]`
+    (`_midpoint_rate`). `budgets` holds the link budget of every
+    configured SBS power and `params` the line-of-sight channel. None of
+    it depends on the speed at which the walk is taken.
     """
 
     scn: Scenario
@@ -163,25 +167,52 @@ class Walk(NamedTuple):
     max_range: float
     crossings: Tuple[CellCrossing, ...]
     segments: Tuple[List[Tuple[float, float]], ...]
+    rates: Tuple[List[float], ...]
+    budgets: Dict[float, LinkBudget]
+    params: ChannelParams
+
+
+def _midpoint_rate(origin: Tuple[float, float], heading: float,
+                   site: SbsSite, budget: LinkBudget, params: ChannelParams,
+                   a: float, b: float) -> float:
+    """Shannon rate from `site` at the midpoint of the walk's [a, b]."""
+    mid = 0.5 * (a + b)
+    px = origin[0] + mid * math.cos(heading) - site.position[0]
+    py = origin[1] + mid * math.sin(heading) - site.position[1]
+    r = max(math.hypot(px, py), REFERENCE_DISTANCE)
+    return instantaneous_rate(r, budget, params)
 
 
 def trace_walk(scn: Scenario, origin: Tuple[float, float], heading: float,
                max_range: float) -> Walk:
     """Trace the straight walk from `origin` along `heading` to `max_range`.
 
-    The crossings come from `ray_circle_crossings` and each crossing's beam
-    segments from `beam_segments_in_cell` over its [entry, exit]. A walk
-    traced to `max_range` serves every speed and duration whose walk is
-    no longer (`simulate_trajectory`).
+    The crossings come from `ray_circle_crossings`, each crossing's beam
+    segments from `beam_segments_in_cell` over its [entry, exit], and each
+    segment's rate from `_midpoint_rate`. A walk traced to `max_range`
+    serves every speed and duration whose walk is no longer
+    (`simulate_trajectory`).
     """
     cfg = scn.config
+    budgets = {p: LinkBudget.from_table(tx_power_dbm=p,
+                                        bandwidth=cfg.bandwidth,
+                                        noise_psd_dbm_hz=cfg.noise_psd_dbm_hz)
+               for p in cfg.sbs_powers_dbm}
+    params = ChannelParams(carrier_frequency=cfg.carrier_frequency,
+                           pathloss_exponent=cfg.pathloss_los)
     crossings = tuple(ray_circle_crossings(origin, heading, scn.sbss,
                                            max_range))
-    segments = tuple(
-        beam_segments_in_cell(origin, heading,
-                              scn.sbss[cr.sbs].beams(cfg), cr.entry, cr.exit)
-        for cr in crossings)
-    return Walk(scn, origin, heading, max_range, crossings, segments)
+    segments, rates = [], []
+    for cr in crossings:
+        site = scn.sbss[cr.sbs]
+        segs = beam_segments_in_cell(origin, heading, site.beams(cfg),
+                                     cr.entry, cr.exit)
+        segments.append(segs)
+        rates.append([_midpoint_rate(origin, heading, site,
+                                     budgets[site.power_dbm], params, a, b)
+                      for a, b in segs])
+    return Walk(scn, origin, heading, max_range, crossings, tuple(segments),
+                tuple(rates), budgets, params)
 
 
 def simulate_trajectory(walk: Walk, speed: float,
@@ -192,8 +223,9 @@ def simulate_trajectory(walk: Walk, speed: float,
     crossings with entry < reach, which are those that tracing to `reach`
     itself would give, and their in-sector segments end at reach:
     segments from reach on are dropped and one that straddles it is cut
-    there. So the result equals that of the walk traced to `reach`.
-    Raises ValueError when the walk was traced shorter than `reach`.
+    there, with the rate of the cut segment's midpoint. So the result
+    equals that of the walk traced to `reach`. Raises ValueError when the
+    walk was traced shorter than `reach`.
 
     Every entered cell triggers a handover attempt for the conventional
     user, and an attempt fails when the time-of-stay (cell chord over
@@ -215,20 +247,13 @@ def simulate_trajectory(walk: Walk, speed: float,
     scn = walk.scn
     cfg = scn.config
     stats = TrajectoryStats()
-    ox, oy = walk.origin
-    dx, dy = math.cos(walk.heading), math.sin(walk.heading)
-    budget_by_power = {p: LinkBudget.from_table(tx_power_dbm=p,
-                                                bandwidth=cfg.bandwidth,
-                                                noise_psd_dbm_hz=cfg.noise_psd_dbm_hz)
-                       for p in cfg.sbs_powers_dbm}
-    params = ChannelParams(carrier_frequency=cfg.carrier_frequency,
-                           pathloss_exponent=cfg.pathloss_los)
     state = caching.CacheState(segments=0.0,
                                segment_size_bits=cfg.segment_size_bits,
                                play_rate=cfg.play_rate,
                                capacity=cfg.cache_capacity)
     path_pos = 0.0
-    for crossing, segments in zip(walk.crossings, walk.segments):
+    for crossing, segments, rates in zip(walk.crossings, walk.segments,
+                                         walk.rates):
         if crossing.entry >= reach:
             break
         # continuous playback drain while moving to this cell
@@ -252,16 +277,14 @@ def simulate_trajectory(walk: Walk, speed: float,
         if failed:
             stats.failures += 1
             continue
-        budget = budget_by_power[site.power_dbm]
-        for seg_a, seg_b in segments:
+        for (seg_a, seg_b), rate in zip(segments, rates):
             if seg_a >= reach:
                 break
-            seg_b = min(seg_b, reach)
-            mid = 0.5 * (seg_a + seg_b)
-            px = ox + mid * dx - site.position[0]
-            py = oy + mid * dy - site.position[1]
-            r = max(math.hypot(px, py), REFERENCE_DISTANCE)
-            rate = instantaneous_rate(r, budget, params)
+            if seg_b > reach:
+                seg_b = reach
+                rate = _midpoint_rate(walk.origin, walk.heading, site,
+                                      walk.budgets[site.power_dbm],
+                                      walk.params, seg_a, seg_b)
             state = caching.cache_fill(rate, (seg_b - seg_a) / speed, state)
     return stats
 

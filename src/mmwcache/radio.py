@@ -125,12 +125,9 @@ def crossing_geometry(pose: Pose, beam: BeamGeometry) -> CrossingGeometry:
     Requires the pose on the entry edge and a heading that actually crosses
     the sector: 0 < theta_hat - beamwidth and sin(theta_hat) > 0.
     """
-    x = pose.x - beam.sbs_position[0]
-    y = pose.y - beam.sbs_position[1]
-    r_uk = math.hypot(x, y)
-    az = math.atan2(y, x)
-    if abs(math.sin(az - beam.entry_edge_angle)) > 1e-6:
-        raise ValueError("pose is not on the beam entry edge")
+    r_uk, _ = geometry._require_entry_edge(pose, beam)
+    az = math.atan2(pose.y - beam.sbs_position[1],
+                    pose.x - beam.sbs_position[0])
     theta_hat = wrap_angle(pose.heading - az)
     if not (beam.beamwidth < theta_hat < math.pi):
         raise ValueError(

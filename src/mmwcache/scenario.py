@@ -189,25 +189,16 @@ class CellCrossing:
 def ray_circle_crossings(origin: Tuple[float, float], heading: float,
                          sites: Sequence[SbsSite],
                          max_range: float) -> List[CellCrossing]:
-    """All cell traversals of the ray within max_range, ordered by entry."""
-    ox, oy = origin
-    dx, dy = math.cos(heading), math.sin(heading)
-    out: List[CellCrossing] = []
-    for site in sites:
-        cx, cy = site.position
-        fx, fy = ox - cx, oy - cy
-        b = fx * dx + fy * dy
-        c = fx * fx + fy * fy - site.radius ** 2
-        disc = b * b - c
-        if disc <= 0.0:
-            continue
-        root = math.sqrt(disc)
-        t_in, t_out = -b - root, -b + root
-        if t_out <= 0.0 or t_in >= max_range:
-            continue
-        out.append(CellCrossing(sbs=site.index, entry=max(t_in, 0.0),
-                                exit=min(t_out, max_range),
-                                chord=t_out - t_in))
+    """All cell traversals of the ray within max_range, ordered by entry
+    and then site index: the one-ray view of `ray_crossing_arrays`."""
+    hit, entry, exit_, chord = ray_crossing_arrays(
+        np.array([origin[0]]), np.array([origin[1]]),
+        np.array([math.cos(heading)]), np.array([math.sin(heading)]),
+        sites, max_range)
+    entry, exit_, chord = (a[0].tolist() for a in (entry, exit_, chord))
+    out = [CellCrossing(sbs=sites[j].index, entry=entry[j], exit=exit_[j],
+                        chord=chord[j])
+           for j in np.flatnonzero(hit[0]).tolist()]
     out.sort(key=lambda cr: (cr.entry, cr.sbs))
     return out
 
@@ -217,14 +208,16 @@ def ray_crossing_arrays(ox: np.ndarray, oy: np.ndarray, dx: np.ndarray,
                         max_range: float,
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                    np.ndarray]:
-    """`ray_circle_crossings` for many rays at once, as (rays x sites) arrays.
+    """The cell traversals of many rays at once, as (rays x sites) arrays.
 
     Ray i starts at (ox[i], oy[i]) with unit direction (dx[i], dy[i]).
     Returns (hit, entry, exit, chord): hit[i, j] says whether ray i
-    traverses site j's cell within max_range, and where it does, entry,
-    exit and chord hold the values of that traversal's `CellCrossing`,
-    bit for bit: the float operations are those of the scalar function,
-    in the same order. Entries where hit is False are meaningless.
+    traverses site j's cell within max_range, and where it does, the
+    path coordinates where it enters and leaves the cell (clipped to [0,
+    max_range]) and the full chord of the ray's line through it. A
+    tangent ray (discriminant exactly 0) does not traverse the cell.
+    Entries where hit is False are meaningless. The one crossing kernel:
+    walks read it through `ray_circle_crossings`, region users directly.
     """
     cx = np.array([s.position[0] for s in sites])
     cy = np.array([s.position[1] for s in sites])

@@ -1,25 +1,56 @@
-"""Test-only copy of the two-walk trajectory simulator.
+"""Test-only copies of the two-walk trajectory simulator and its kernel.
 
-This is `experiments.simulate_trajectory` as it was when the speed sweep
-walked every ray twice: once with `caching_enabled=False` and once with
-`caching_enabled=True`, each walk preformatting its own event lines.
-`tests/test_scenario.py` compares the one-walk simulator, which returns
-both users' outcomes from a single walk, against both of these walks.
+`simulate_trajectory` is `experiments.simulate_trajectory` as it was when
+the speed sweep walked every ray twice: once with `caching_enabled=False`
+and once with `caching_enabled=True`, each walk preformatting its own
+event lines. `tests/test_scenario.py` compares the one-walk simulator,
+which returns both users' outcomes from a single walk, against both of
+these walks.
+
+`ray_circle_crossings` is the definitional ray-circle kernel: one scalar
+loop over the sites, solving |f + t*d|^2 = r^2 for each. The program's
+one kernel, `scenario.ray_crossing_arrays`, is tested against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from mmwcache import caching
 from mmwcache.radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
                             instantaneous_rate)
-from mmwcache.scenario import (Scenario, beam_segments_in_cell,
-                               ray_circle_crossings)
+from mmwcache.scenario import (CellCrossing, SbsSite, Scenario,
+                               beam_segments_in_cell)
+
+
+def ray_circle_crossings(origin: Tuple[float, float], heading: float,
+                         sites: Sequence[SbsSite],
+                         max_range: float) -> List[CellCrossing]:
+    """All cell traversals of the ray within max_range, ordered by entry."""
+    ox, oy = origin
+    dx, dy = math.cos(heading), math.sin(heading)
+    out: List[CellCrossing] = []
+    for site in sites:
+        cx, cy = site.position
+        fx, fy = ox - cx, oy - cy
+        b = fx * dx + fy * dy
+        c = fx * fx + fy * fy - site.radius ** 2
+        disc = b * b - c
+        if disc <= 0.0:
+            continue
+        root = math.sqrt(disc)
+        t_in, t_out = -b - root, -b + root
+        if t_out <= 0.0 or t_in >= max_range:
+            continue
+        out.append(CellCrossing(sbs=site.index, entry=max(t_in, 0.0),
+                                exit=min(t_out, max_range),
+                                chord=t_out - t_in))
+    out.sort(key=lambda cr: (cr.entry, cr.sbs))
+    return out
 
 
 @dataclass

@@ -125,6 +125,41 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--seed", "1", "--config", str(path),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_unusable_outdir_exit_2(self, tmp_path, capsys, monkeypatch,
+                                    under_file, via_env):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory\n")
+        out = blocker / "sub" if under_file else blocker
+        argv = ["analyze", "--op", "coverage"]
+        if via_env:
+            monkeypatch.setenv("MMWCACHE_OUT", str(out))
+        else:
+            argv += ["--out", str(out)]
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert blocker.read_text() == "a file, not a directory\n"
+
     def test_match_subcommand(self, tmp_path):
         rc = main(["match", "--users", "8", "--speed", "8.0", "--seed", "3",
                    "--out", str(tmp_path)])
@@ -265,7 +300,27 @@ class TestCli:
         # cross the sector
         (["analyze", "--op", "rate", "--set", "n_beams=1"], "n_beams"),
         (["analyze", "--op", "rate", "--set", "beamwidth_deg=25"],
-         "beamwidth_deg")])
+         "beamwidth_deg"),
+        # link and microwave values that must be positive, and powers
+        # beyond floating-point range
+        (["simulate", "--set", "bandwidth=-1"], "bandwidth"),
+        (["simulate", "--set", "carrier_frequency=0"], "carrier_frequency"),
+        (["simulate", "--set", "pathloss_los=0"], "pathloss_los"),
+        (["analyze", "--op", "rate", "--set", "pathloss_nlos=0"],
+         "pathloss_nlos"),
+        (["simulate", "--set", "uw_carrier_frequency=0"],
+         "uw_carrier_frequency"),
+        (["simulate", "--set", "uw_pathloss_exponent=0"],
+         "uw_pathloss_exponent"),
+        (["simulate", "--set", "uw_pathloss_exponent=-1"],
+         "uw_pathloss_exponent"),
+        (["match", "--set", "sbs_powers_dbm=1e9"], "sbs_powers_dbm"),
+        (["analyze", "--op", "rate", "--set", "sbs_powers_dbm=1e9"],
+         "sbs_powers_dbm"),
+        (["match", "--set", "uw_pathloss_exponent=1e-300"],
+         "sbs_powers_dbm"),
+        (["simulate", "--set", "noise_psd_dbm_hz=1e9"],
+         "noise_psd_dbm_hz")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
@@ -284,7 +339,9 @@ class TestCli:
         (["--replications", "2", "--set", "beamwidth_deg=25"],
          "beamwidth_deg"),
         (["--replications", "2", "--set", "beamwidth_deg=20"],
-         "beamwidth_deg")])
+         "beamwidth_deg"),
+        (["--replications", "2", "--set", "pathloss_nlos=0"],
+         "pathloss_nlos")])
     def test_reproduce_fails_before_writing(self, tmp_path, capsys, argv,
                                             message):
         out = tmp_path / "out"

@@ -3,9 +3,10 @@
 `perfbench/tracer.py` wraps program functions by name and reads fields of
 their results. This test installs it, plays one stability game and three
 small experiments through the wrapped names, and checks that every span
-recorded a call and that uninstalling restores every name, so renaming or
-deleting what the tracer reads fails here rather than in a traced
-benchmark run.
+and every counted utility the run reaches recorded a call and that
+uninstalling restores every name, so renaming or deleting what the tracer
+reads, or a rate path that bypasses a traced name, fails here rather than
+in a traced benchmark run.
 """
 
 import importlib
@@ -42,5 +43,12 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     silent = [f"{mod}.{fn}" for mod, fn, _ in tracer.SPANNED
               if not rec.counters.get(f"{mod}.{fn}.calls")]
     assert silent == []
+    # matching.mue_utility and matching.sbs_utility are counted too, but no
+    # program code calls them
+    uncounted = [name for name in ("radio.instantaneous_rate",
+                                   "caching.cache_fill", "caching.cache_drain",
+                                   "geometry.hof_probability")
+                 if not rec.counters.get(f"{name}.calls")]
+    assert uncounted == []
     assert rec.counters["matching.build_preferences.plans"] > 0
     assert rec.counters["matching.stage1.proposals"] > 0

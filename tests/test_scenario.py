@@ -415,7 +415,7 @@ class TestBatchedRegion:
             dy = np.array([math.sin(h) for h in headings])
             arrays = S.ray_crossing_arrays(ox, oy, dx, dy, sites, max_range)
             for i, (origin, heading) in enumerate(zip(origins, headings)):
-                ref = S.ray_circle_crossings(origin, heading, sites,
+                ref = R.ray_circle_crossings(origin, heading, sites,
                                              max_range)
                 assert repr(crossings_from_arrays(i, *arrays)) == \
                     repr(ref), (seed, i)
@@ -532,6 +532,53 @@ class TestCommonRandomNumbers:
                                    for a, b in segs)
         # some speeds end their walk inside a beam segment
         assert clipped > 0
+
+    def test_rates_computed_once_per_walk(self, monkeypatch):
+        # 3 seeds x 20 reps at all 17 speeds: each beam segment's midpoint
+        # rate is computed once per walk, and again only where a speed's
+        # reach cuts the segment in a cell the cached user fills from
+        speeds = tuple(sorted(set(round(s, 4) for s in
+                                  list(range(1, 17)) + [60.0 / 3.6])))
+        traced, taken, rates = [], [], []
+        trace_walk, simulate = E.trace_walk, E.simulate_trajectory
+        instantaneous_rate = E.instantaneous_rate
+
+        def capture_walk(*args):
+            traced.append(trace_walk(*args))
+            return traced[-1]
+
+        def capture_stats(walk, v, duration):
+            taken.append((v * duration, simulate(walk, v, duration)))
+            return taken[-1][1]
+
+        def count_rate(*args):
+            rates.append(args)
+            return instantaneous_rate(*args)
+
+        monkeypatch.setattr(E, "trace_walk", capture_walk)
+        monkeypatch.setattr(E, "simulate_trajectory", capture_stats)
+        monkeypatch.setattr(E, "instantaneous_rate", count_rate)
+        total_cut = 0
+        for seed in range(1, 4):
+            cfg = ScenarioConfig(seed=seed)
+            for rep in range(20):
+                for captured in (traced, taken, rates):
+                    captured.clear()
+                E._speed_replication(cfg, rep, speeds)
+                (walk,) = traced
+                assert len(taken) == len(speeds)
+                cut = 0
+                for reach, stats in taken:
+                    # entries[i] is the entry into walk.crossings[i]
+                    for entry, segs in zip(stats.entries, walk.segments):
+                        fills = not entry.skipped and entry.tos >= cfg.t_mts
+                        cut += fills and any(a < reach < b for a, b in segs)
+                segments = sum(len(segs) for segs in walk.segments)
+                assert len(rates) == segments + cut, (seed, rep)
+                assert [len(r) for r in walk.rates] == \
+                    [len(s) for s in walk.segments]
+                total_cut += cut
+        assert total_cut > 0
 
     def test_walk_past_its_range_raises(self):
         scn = S.generate_scenario(ScenarioConfig(seed=6))
