@@ -40,12 +40,14 @@ def cache_fill(avg_rate: float, duration: float, state: CacheState) -> CacheStat
 
     The burst contributes floor(rate*duration/B) segments, itself clamped to
     capacity, then merges additively with the existing content and is
-    re-clamped (multi-cell trajectories accumulate fills).
+    re-clamped (multi-cell trajectories accumulate fills). A burst that
+    overflows to inf (a tiny B, an infinite rate) is clamped the same way.
     """
     if avg_rate < 0.0 or duration < 0.0:
         raise ValueError("avg_rate and duration must be nonnegative")
-    burst = min(math.floor(avg_rate * duration / state.segment_size_bits),
-                state.capacity)
+    segments = avg_rate * duration / state.segment_size_bits
+    burst = (state.capacity if segments == math.inf
+             else min(math.floor(segments), state.capacity))
     return CacheState(min(state.segments + burst, state.capacity),
                       state.segment_size_bits, state.play_rate, state.capacity)
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import beam_span_exceeds_circle
-from .radio import dbm_to_watts
+from .radio import (SPEED_OF_LIGHT, ChannelParams, beta_constant,
+                    dbm_to_watts)
 
 
 class ConfigError(ValueError):
@@ -156,10 +157,19 @@ class ScenarioConfig:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
-        # a power or radius past the float range raises OverflowError (or
-        # is inf) deep inside a run; scenario imports this module
+        # a wavelength, power or radius past the float range raises
+        # OverflowError (or is inf, or 0) deep inside a run; scenario
+        # imports this module
         from .scenario import uw_cell_radius
-        if not _finite(dbm_to_watts, self.noise_psd_dbm_hz):
+        for name in ("carrier_frequency", "uw_carrier_frequency"):
+            if not math.isfinite(SPEED_OF_LIGHT / getattr(self, name)):
+                raise ConfigError(f"{name} {getattr(self, name)!r} gives a "
+                                  f"wavelength out of range")
+        if not _finite(beta_constant, ChannelParams(self.carrier_frequency)):
+            raise ConfigError(f"carrier_frequency {self.carrier_frequency!r} "
+                              f"gives a path gain out of range")
+        if not (_finite(dbm_to_watts, self.noise_psd_dbm_hz)
+                and dbm_to_watts(self.noise_psd_dbm_hz) > 0.0):
             raise ConfigError(f"noise_psd_dbm_hz {self.noise_psd_dbm_hz!r} "
                               f"is out of range in watts")
         for power in self.sbs_powers_dbm:

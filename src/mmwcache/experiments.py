@@ -537,8 +537,9 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     for i, v in enumerate(speeds):
         if i:
             game = region.game
-            region = replace(region, game=replace(
-                game, mues=tuple(replace(m, speed=v) for m in game.mues)))
+            region = replace(region, game=replace(game, mues=tuple(
+                MueState(v, m.segments, m.p_th, m.cand1, m.cand2, m.gap1,
+                         m.gap2) for m in game.mues)))
         metrics.append(_region_metrics(cfg, region))
     return metrics
 

@@ -153,7 +153,10 @@ def entry_pose(beam: BeamGeometry, distance: float, heading: float,
 
 def _require_entry_edge(pose: Pose, beam: BeamGeometry, tol: float = 1e-6
                         ) -> Tuple[float, float]:
-    """Validate the pose sits on the entry edge; return (r_uk, r_min)."""
+    """Validate the pose sits on the entry edge; return (r_uk, azimuth).
+
+    The azimuth is the pose's bearing from the SBS, atan2 of its offset.
+    """
     x, y = _relative(pose, beam)
     r = math.hypot(x, y)
     if r <= 0.0:
@@ -163,7 +166,7 @@ def _require_entry_edge(pose: Pose, beam: BeamGeometry, tol: float = 1e-6
         raise ValueError(
             "pose is not on the beam entry edge; positions off the edge are "
             "rejected rather than silently projected")
-    return r, min_exit_distance(pose, beam)
+    return r, az
 
 
 def caching_duration_cdf(pose: Pose, beam: BeamGeometry, t0: float) -> float:
@@ -181,7 +184,8 @@ def caching_duration_cdf(pose: Pose, beam: BeamGeometry, t0: float) -> float:
     """
     if t0 < 0.0:
         raise ValueError("t0 must be nonnegative")
-    r_uk, r_min = _require_entry_edge(pose, beam)
+    r_uk, _ = _require_entry_edge(pose, beam)
+    r_min = min_exit_distance(pose, beam)
     v = pose.speed
     if v * t0 <= 0.0 or r_min > v * t0:
         return 0.0

@@ -31,19 +31,23 @@ the theorem; for stage one's atomic two-slot plans the equivalence with the
 proposal-and-restart process is established by differential tests.
 
 Scores are tabulated once per game: `build_preferences` builds the
-game's table (`_Scores`) of each user's payoffs (phi per SBS, the cache
-payoffs) and gamma, and the preferences carry it into every matcher, which
-reads it instead of computing a utility again. Plan keys and ranked plan
-lists are both derived from these payoffs, and the public utility
+game's table (`_Scores`) in one pass over the users, holding each user's
+payoffs (phi per candidate SBS, the cache payoffs) and gamma, and the
+preferences carry it into every matcher, which reads it instead of
+computing a utility again. HOF is evaluated once per distinct (speed, SBS)
+of the game. The table names slots by integer codes (SBS k is k, the macro
+cell n, the cache n + 1) and interns each plan once per pair of codes, so
+ranking plans hashes no `PlayerId`. Plan keys and ranked plan lists are
+both derived from the payoffs by one helper, and the public utility
 functions compute through the same code, so a tabulated value equals the
 direct one bit for bit. The blocking scan builds its own table: a
 stability check shares nothing with the matcher it checks.
 
 Determinism: all tie-breaking is lexicographic in (utility, player index),
 so identical instances yield identical matchings. One game owns its
-instance and its table, which is read-only once `build_preferences`
-returns, and touches no process-wide state, so concurrent games share
-nothing.
+instance and its table, to which the matchers add only interned plans and
+memoized HOF values once `build_preferences` returns, and touches no
+process-wide state, so concurrent games share nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .geometry import hof_probability
 
@@ -181,8 +186,6 @@ def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
     return (1, slot.index)
 
 
-_CACHE_RANK = _slot_rank(None)
-
 
 def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
     """Sorted users per SBS index of one period's association map."""
@@ -194,75 +197,100 @@ def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
     return rosters
 
 
-class _Scores:
-    """The payoffs and priorities of one game, tabulated once.
+class _PlanEntry(NamedTuple):
+    """A plan interned by a score table, with the BS codes it names."""
 
-    `build_preferences` builds the game's table and fills it while it ranks
-    the plans; the preferences carry it into every matcher, which only
-    reads it. `find_blocking_pairs` builds a table of its own, so a check
-    shares nothing with what it checks.
-    Entries are filled on first use, so each is computed once. Per user the
-    table holds its payoffs: phi per SBS, the period-1 cache payoff, and
-    the period-2 cache payoff after each kind of first slot. Plan scores,
-    plan keys and ranked plan lists are all derived from these payoffs, and
-    the public utilities compute through a one-use table, so there is a
-    single scoring definition. The table also holds gamma per user, the
-    common priority order and the plans it has built (one object per
-    plan). Both utilities are unscaled, so the thresholds are literal: an
-    SBS slot needs phi >= 0, the macro cell admits an SBS user in period 2
-    at phi < epsilon (`mbs_admits_p2`), an SBS refuses gamma < 0, and
-    gamma <= 0 means the cache outlasts the scan interval.
+    plan: Plan
+    bss: Tuple[int, ...]        # codes of the BSs it names
+    macro: Tuple[int, ...]      # the macro code, if it names the macro cell
+
+
+class _Scores:
+    """The payoffs and priorities of one game, tabulated in one pass.
+
+    `build_preferences` builds the game's table and ranks the plans from
+    it; the preferences carry it into every matcher, which only reads it.
+    `find_blocking_pairs` builds a table of its own, so a check shares
+    nothing with what it checks.
+
+    The constructor fills the whole table in one loop over the users: gamma
+    per user, the common priority order (one stable sort), and per user a
+    payoff row keyed by slot code. Slot codes are integers: SBS k is k, the
+    macro cell n and the cache n + 1, for n SBSs, so code order is
+    `_slot_rank` order. A row holds phi for every SBS among the user's
+    candidates, the macro payoff and the period-1 cache payoff; beside it
+    are the user's period-2 cache payoffs. HOF is evaluated once per
+    distinct (speed, SBS) of the game, and `phi` of an SBS outside a user's
+    candidates computes through the same memo. Each code's slot rank is
+    tabulated once, and a key names its plan by the pair code of its two
+    slots; the plans that get ranked are interned per pair code on first
+    use (`entry`), with the BS codes they name, so ranking plans hashes no
+    `PlayerId` and a scan that only compares keys builds no plan. Plan
+    scores, keys and ranked plan lists all come from `_keyed`, and the
+    public utilities compute through a one-use
+    table, so there is a single scoring definition. Both utilities are
+    unscaled, so the thresholds are literal: an SBS slot needs phi >= 0,
+    the macro cell admits an SBS user in period 2 at phi < epsilon
+    (`mbs_admits_p2`), an SBS refuses gamma < 0, and gamma <= 0 means the
+    cache outlasts the scan interval.
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
-        self.sbs = [sbs_id(k) for k in range(len(instance.sbss))]
-        self.sbs_ranks = [_slot_rank(s) for s in self.sbs]
-        # cache slot payoffs: covered in period 1, covered in period 2, not
-        self._cache = (instance.covered_payoff,
-                       instance.future_covered_payoff,
-                       instance.shortfall_penalty)
-        self._payoffs: Dict[int, tuple] = {}
-        self._gamma: Dict[int, float] = {}
-        self._plans: Dict[tuple, Plan] = {}
-        self._priority: Optional[List[int]] = None
+        n = len(instance.sbss)
+        self.sbs = [sbs_id(k) for k in range(n)]
+        self._n = n
+        self._slots: List[Optional[PlayerId]] = self.sbs + [MBS, None]
+        self._ranks = [_slot_rank(s) for s in self._slots]
+        self._hofs: Dict[Tuple[float, int], float] = {}
+        self._plans: Dict[int, _PlanEntry] = {}
+        covered1 = instance.covered_payoff
+        covered2 = instance.future_covered_payoff
+        short = instance.shortfall_penalty
+        play_rate, scan = instance.play_rate, instance.scan_interval
+        full = instance.cache_capacity / play_rate
+        mbs_payoff, cache = instance.mbs_payoff, n + 1
+        self._gamma: List[float] = []
+        self._rows: List[Dict[int, float]] = []
+        self._cache2: List[Tuple[float, float, float]] = []
+        for mue in instance.mues:
+            speed, p_th, gap1, gap2 = mue.speed, mue.p_th, mue.gap1, mue.gap2
+            playback = mue.segments / play_rate
+            self._gamma.append(scan - playback)
+            # the cache payoffs: a cache slot is covered when the distance
+            # the user coasts on its cache (or, after an SBS slot, on a
+            # refilled one) reaches the gap
+            coast, refill = playback * speed, full * speed
+            row = {n: mbs_payoff, cache: covered1 if coast >= gap1 else short}
+            for k in mue.cand1 + mue.cand2:
+                row[k] = p_th - self._hof(speed, k)
+            self._rows.append(row)
+            # after a first slot at an SBS (the cache was refilled), at the
+            # macro cell, and on the cache: the order of the slot kinds
+            self._cache2.append(
+                (covered2 if refill >= gap2 else short,
+                 covered2 if coast >= gap2 else short,
+                 covered2 if coast >= gap1 + gap2 else short))
+        # a stable sort by -gamma keeps ties in index order
+        ranks = [-g for g in self._gamma]
+        self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
 
-    def payoffs(self, u: int) -> Tuple[Dict[int, float], float,
-                                       Tuple[float, float, float]]:
-        """(phi per SBS, period-1 cache payoff, period-2 cache payoffs).
-
-        phi is filled per SBS on first use (`phi`). The period-2 cache
-        payoffs follow a first slot at an SBS (the cache was refilled), at
-        the macro cell, and on the cache, the order of `_slot_rank`'s kinds.
-        A cache slot is covered when the distance the user coasts on its
-        cache (or, after an SBS slot, on a refilled one) reaches the gap.
-        """
-        value = self._payoffs.get(u)
+    def _hof(self, speed: float, k: int) -> float:
+        """P(HOF) of SBS k at `speed`, evaluated once per pair of the game."""
+        value = self._hofs.get((speed, k))
         if value is None:
             instance = self.instance
-            mue = instance.mues[u]
-            covered1, covered2, short = self._cache
-            coast = mue.segments / instance.play_rate * mue.speed
-            refill = instance.cache_capacity / instance.play_rate * mue.speed
-            value = self._payoffs[u] = (
-                {},
-                covered1 if coast >= mue.gap1 else short,
-                (covered2 if refill >= mue.gap2 else short,
-                 covered2 if coast >= mue.gap2 else short,
-                 covered2 if coast >= mue.gap1 + mue.gap2 else short))
+            value = self._hofs[(speed, k)] = hof_probability(
+                speed, instance.t_mts, instance.sbss[k].radius)
         return value
 
     def phi(self, u: int, k: int) -> float:
         """Threshold margin p_th - HOF of user u in SBS k."""
-        phis = self.payoffs(u)[0]
-        value = phis.get(k)
-        if value is None:
-            instance = self.instance
-            mue = instance.mues[u]
-            hof = hof_probability(mue.speed, instance.t_mts,
-                                  instance.sbss[k].radius)
-            value = phis[k] = mue.p_th - hof
-        return value
+        row = self._rows[u]
+        if k < self._n and k in row:
+            return row[k]
+        mue = self.instance.mues[u]
+        return mue.p_th - self._hof(mue.speed, k)
 
     def gamma(self, u: int) -> float:
         """Scan interval minus the cached playback time of user u.
@@ -271,29 +299,26 @@ class _Scores:
         are equal and keeps the exact difference's sign, so `gamma(u) <= 0`
         is exactly "playback >= scan interval".
         """
-        value = self._gamma.get(u)
-        if value is None:
-            instance = self.instance
-            playback = instance.mues[u].segments / instance.play_rate
-            value = self._gamma[u] = instance.scan_interval - playback
-        return value
+        return self._gamma[u]
 
     def bs_prefers(self, u: int, w: int) -> bool:
         """Strict preference of any BS for user u over user w."""
-        gu, gw = self.gamma(u), self.gamma(w)
+        gu, gw = self._gamma[u], self._gamma[w]
         return gu > gw or (gu == gw and u < w)
 
     def priority(self) -> List[int]:
         """All users, best first in the order every BS ranks them."""
-        if self._priority is None:
-            # a stable sort by -gamma keeps ties in index order
-            ranks = [-self.gamma(u) for u in range(len(self.instance.mues))]
-            self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
         return self._priority
 
-    def keys(self, u: int, first: Optional[PlayerId],
-             seconds: Sequence[Optional[PlayerId]]) -> List[tuple]:
-        """The key of the plan (first, second) for each of `seconds`.
+    def code(self, slot: Optional[PlayerId]) -> int:
+        """The slot code of a BS, or of the cache for None."""
+        if slot is None:
+            return self._n + 1
+        return slot.index if slot.kind is PlayerKind.SBS else self._n
+
+    def _keyed(self, u: int, first: int, seconds: Sequence[int],
+               ) -> List[Tuple[tuple, int]]:
+        """(key, pair code) of the plan (first, second) per second code.
 
         This is the one definition of a plan key, a total order over plans:
         (-score,) followed by the ranks of both slots (SBS before macro
@@ -301,69 +326,85 @@ class _Scores:
         the first slot's payoff and the second's; a period-2 cache slot's
         payoff depends on the kind of the first slot, and a certain, in-hand
         covered cache period may be valued differently from a projected
-        period-2 one, hence the separate covered payoffs.
+        period-2 one, hence the separate covered payoffs. An SBS outside
+        u's candidates, which only the blocking scans name, is scored by
+        `phi`. The pair code `first * (n + 2) + second` names the plan for
+        `entry`.
         """
-        phis, cache1, cache2 = self.payoffs(u)
-        if first is None:
-            p1, r1 = cache1, _CACHE_RANK
-        elif first.kind is PlayerKind.SBS:
-            p1, r1 = self.phi(u, first.index), self.sbs_ranks[first.index]
-        else:
-            p1, r1 = self.instance.mbs_payoff, _slot_rank(first)
-        cache2 = cache2[r1[0]]
+        row, n, ranks = self._rows[u], self._n, self._ranks
+        try:
+            p1 = row[first]
+        except KeyError:
+            p1 = self.phi(u, first)
+        r1, base, cache = ranks[first], first * (n + 2), n + 1
+        cache2 = self._cache2[u][r1[0]]     # by the first slot's kind
         out = []
         for second in seconds:
-            if second is None:
-                p2, r2 = cache2, _CACHE_RANK
-            elif second.kind is PlayerKind.SBS:
-                k = second.index
-                p2 = phis[k] if k in phis else self.phi(u, k)
-                r2 = self.sbs_ranks[k]
-            else:
-                p2, r2 = self.instance.mbs_payoff, _slot_rank(second)
-            out.append((-(p1 + p2),) + r1 + r2)
+            try:
+                p2 = cache2 if second == cache else row[second]
+            except KeyError:
+                p2 = self.phi(u, second)
+            out.append(((-(p1 + p2),) + r1 + ranks[second], base + second))
         return out
+
+    def entry(self, pair: int) -> _PlanEntry:
+        """The plan of a pair code, interned on first use."""
+        entry = self._plans.get(pair)
+        if entry is None:
+            n = self._n
+            first, second = divmod(pair, n + 2)
+            named = tuple([c for c in (first, second) if c <= n])
+            entry = self._plans[pair] = _PlanEntry(
+                Plan(self._slots[first], self._slots[second]), named,
+                (n,) if n in named else ())
+        return entry
+
+    def keys(self, u: int, first: Optional[PlayerId],
+             seconds: Sequence[Optional[PlayerId]]) -> List[tuple]:
+        """The key of the plan (first, second) for each of `seconds`."""
+        code = self.code
+        return [key for key, _ in
+                self._keyed(u, code(first), [code(s) for s in seconds])]
 
     def key(self, u: int, first: Optional[PlayerId],
             second: Optional[PlayerId]) -> tuple:
         """The key of the plan (first, second); lower is preferred."""
-        return self.keys(u, first, (second,))[0]
+        return self._keyed(u, self.code(first), (self.code(second),))[0][0]
 
     def score(self, u: int, first: Optional[PlayerId],
               second: Optional[PlayerId]) -> float:
         """Additive two-period score of the plan (first, second)."""
         return -self.key(u, first, second)[0]
 
-    def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
-        """(key, plan) of every feasible, individually rational plan of u.
+    def _universe(self, u: int) -> Tuple[tuple, List[Tuple[tuple, int]]]:
+        """The self plan's key, and (key, pair code) of u's other plans.
 
-        SBS slots require phi >= 0; SBS-then-macro plans are listed only
-        when the macro cell admits the user in period 2 (`mbs_admits_p2`).
-        The keys come from `keys`, one call per first slot. Plans are
-        interned per table by the slot ranks that end each key.
+        The other plans are the feasible, individually rational ones: SBS
+        slots require phi >= 0; SBS-then-macro plans are listed only when
+        the macro cell admits the user in period 2 (`mbs_admits_p2`). One
+        `_keyed` call per first slot; the cache-first call starts with the
+        self plan.
         """
-        instance, sbs, plans = self.instance, self.sbs, self._plans
-        mue = instance.mues[u]
-        cand2 = [sbs[k] for k in mue.cand2 if self.phi(u, k) >= 0.0]
-        groups = []
-        for k in mue.cand1:
-            if self.phi(u, k) >= 0.0:
-                seconds: List[Optional[PlayerId]] = [None]
-                if self.mbs_admits_p2(u, sbs[k]):
-                    seconds.append(MBS)
-                seconds += [s for s in cand2
-                            if s.index == k or instance.allow_cross_sbs_plans]
-                groups.append((sbs[k], seconds))
-        groups.append((None, cand2 + [MBS]))
+        instance = self.instance
+        row, n = self._rows[u], self._n
+        mue, macro, cache = instance.mues[u], n, n + 1
+        cand2 = [k for k in mue.cand2 if row[k] >= 0.0]
+        cross = instance.allow_cross_sbs_plans
         out = []
-        for first, seconds in groups:
-            for key, second in zip(self.keys(u, first, seconds), seconds):
-                ranks = key[1:]
-                plan = plans.get(ranks)
-                if plan is None:
-                    plan = plans[ranks] = Plan(first, second)
-                out.append((key, plan))
-        return out
+        for k in mue.cand1:
+            phi = row[k]
+            if phi >= 0.0:
+                seconds = [cache, macro] if phi < instance.epsilon else [cache]
+                seconds += cand2 if cross else [c for c in cand2 if c == k]
+                out += self._keyed(u, k, seconds)
+        own, *rest = self._keyed(u, cache, [cache] + cand2 + [macro])
+        out += rest
+        return own[0], out
+
+    def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
+        """(key, plan) of every feasible, individually rational plan of u."""
+        return [(key, self.entry(pair).plan)
+                for key, pair in self._universe(u)[1]]
 
     def mbs_admits_p2(self, u: int, first: Optional[PlayerId]) -> bool:
         """Macro period-2 admission rule after the first slot `first`.
@@ -373,7 +414,7 @@ class _Scores:
         user whose cache does not outlast the scan interval (gamma > 0).
         """
         if first is None:
-            return self.gamma(u) > 0.0
+            return self._gamma[u] > 0.0
         if first.kind is PlayerKind.SBS:
             return self.phi(u, first.index) < self.instance.epsilon
         return True
@@ -414,38 +455,40 @@ class Preferences:
     scores: Optional[_Scores] = field(default=None, compare=False, repr=False)
 
 
+def _beating(self_key: tuple, keyed: List[Tuple[tuple, int]],
+             ) -> List[Tuple[tuple, int]]:
+    """The keyed plans that beat the self plan, best first."""
+    keyed = [pair for pair in keyed if pair[0] < self_key]
+    keyed.sort(key=itemgetter(0))
+    return keyed
+
+
 def build_preferences(instance: GameInstance) -> Preferences:
     """Rank every player's options; drop plans not beating the self plan.
 
     This builds the game's one score table. One pass in the common priority
-    order ranks each user's plans by the keys `_Scores.universe` derives
+    order ranks each user's plans by the keys `_Scores._universe` derives
     from its payoffs and appends the user to the `BsPreference` list of
-    each BS they name, so every such list comes out in priority order. The
-    table, now holding every phi and gamma the matchers read, leaves too.
+    each BS they name, so every such list comes out in priority order. An
+    SBS lists only users it may serve (gamma >= 0). The table leaves too.
     """
     scores = _Scores(instance)
+    n = len(instance.sbss)
     profiles: List[Optional[PreferenceProfile]] = [None] * len(instance.mues)
-    sbs_lists: List[List[int]] = [[] for _ in instance.sbss]
-    mbs_list: List[int] = []
+    bs_lists: List[List[int]] = [[] for _ in range(n + 1)]  # macro last
     for u in scores.priority():
-        self_key = scores.key(u, None, None)
-        keyed = [pair for pair in scores.universe(u) if pair[0] < self_key]
-        keyed.sort(key=itemgetter(0))
-        plans = tuple([p for _, p in keyed])
-        profiles[u] = PreferenceProfile(plans)
+        entries = [scores.entry(pair)
+                   for _, pair in _beating(*scores._universe(u))]
+        profiles[u] = PreferenceProfile(tuple([e.plan for e in entries]))
         may_serve = not scores.gamma(u) < 0.0
-        for plan in plans:
-            for slot in plan.slots():
-                if slot is None or (slot.kind is PlayerKind.SBS
-                                    and not may_serve):
-                    continue
-                listed = (mbs_list if slot.kind is PlayerKind.MBS
-                          else sbs_lists[slot.index])
+        for entry in entries:
+            for c in (entry.bss if may_serve else entry.macro):
+                listed = bs_lists[c]
                 if not listed or listed[-1] != u:  # once per user
                     listed.append(u)
     return Preferences(tuple(profiles),
-                       tuple(BsPreference(tuple(us)) for us in sbs_lists),
-                       BsPreference(tuple(mbs_list)), scores)
+                       tuple(BsPreference(tuple(us)) for us in bs_lists[:n]),
+                       BsPreference(tuple(bs_lists[n])), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -734,26 +777,26 @@ def _stage_two(scores: _Scores, matching: DynamicMatching,
     its admission rule, which always admits. Period-2 members held from
     stage one are fixed, so an SBS's room is its quota less them. Each
     user ranks its options by the plan keys of the game's table, which
-    already holds every phi they need. Run as serial dictatorship in the
-    common priority order.
+    already holds every phi they need, and takes the plans it interns. Run
+    as serial dictatorship in the common priority order.
     """
     instance = scores.instance
     room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
     for k, members in _sbs_rosters(matching.mu2).items():
         room[(2, k)] -= len(members)
+    macro, cache = scores.code(MBS), scores.code(None)
     rankings: Dict[int, List[Plan]] = {}
     for u, second in matching.mu2.items():
         if second is not None:
             continue
         first = matching.mu1[u]
-        opts = [scores.sbs[k] for k in instance.mues[u].cand2
+        opts = [k for k in instance.mues[u].cand2
                 if not scores.phi(u, k) < 0.0]
         if scores.mbs_admits_p2(u, first):
-            opts.append(MBS)
-        self_key, *keys = scores.keys(u, first, [None] + opts)
-        keyed = [pair for pair in zip(keys, opts) if pair[0] < self_key]
-        keyed.sort(key=itemgetter(0))
-        rankings[u] = [Plan(first, o) for _, o in keyed]
+            opts.append(macro)
+        own, *keyed = scores._keyed(u, scores.code(first), [cache] + opts)
+        rankings[u] = [scores.entry(pair).plan
+                       for _, pair in _beating(own[0], keyed)]
     held = _serial_dictatorship(scores, rankings, _second_slot, room, trace,
                                 stage=2)
     for u, plan in held.items():

@@ -125,9 +125,7 @@ def crossing_geometry(pose: Pose, beam: BeamGeometry) -> CrossingGeometry:
     Requires the pose on the entry edge and a heading that actually crosses
     the sector: 0 < theta_hat - beamwidth and sin(theta_hat) > 0.
     """
-    r_uk, _ = geometry._require_entry_edge(pose, beam)
-    az = math.atan2(pose.y - beam.sbs_position[1],
-                    pose.x - beam.sbs_position[0])
+    r_uk, az = geometry._require_entry_edge(pose, beam)
     theta_hat = wrap_angle(pose.heading - az)
     if not (beam.beamwidth < theta_hat < math.pi):
         raise ValueError(

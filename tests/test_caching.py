@@ -17,6 +17,17 @@ class TestCacheFill:
         out = C.cache_fill(1e12, 100.0, state)
         assert out.segments == state.capacity
 
+    def test_infinite_burst_clamps_to_capacity(self):
+        # 1e10 bits over a 1e-320 bit segment overflow to inf segments
+        state = C.CacheState(segments=0, segment_size_bits=1e-320)
+        assert C.cache_fill(1e10, 1.0, state).segments == state.capacity
+        assert C.cache_fill(math.inf, 1.0, C.CacheState()).segments == \
+            state.capacity
+        # finite bursts keep floor(rate * duration / B), clamped
+        for rate, duration in ((2e9, 1.0), (1.5e6, 3.0), (1e300, 1e8)):
+            assert C.cache_fill(rate, duration, C.CacheState()).segments == \
+                min(math.floor(rate * duration / 1e6), 1e4)
+
     def test_additive_merge(self):
         state = C.CacheState(segments=9500)
         out = C.cache_fill(2e9, 1.0, state)

@@ -320,6 +320,16 @@ class TestCli:
         (["match", "--set", "uw_pathloss_exponent=1e-300"],
          "sbs_powers_dbm"),
         (["simulate", "--set", "noise_psd_dbm_hz=1e9"],
+         "noise_psd_dbm_hz"),
+        # wavelengths, a path gain and a noise floor beyond floating-point
+        # range
+        (["simulate", "--set", "carrier_frequency=1e-300"],
+         "carrier_frequency"),
+        (["analyze", "--op", "rate", "--set", "carrier_frequency=1e-200"],
+         "carrier_frequency"),
+        (["match", "--set", "uw_carrier_frequency=1e-300"],
+         "uw_carrier_frequency"),
+        (["simulate", "--set", "noise_psd_dbm_hz=-1e300"],
          "noise_psd_dbm_hz")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
@@ -329,6 +339,16 @@ class TestCli:
         assert message in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "segment_size_bits=1e-300"],
+        ["reproduce", "--replications", "2", "--set",
+         "segment_size_bits=1e-320"]])
+    def test_burst_beyond_float_range_fills_the_cache(self, tmp_path, capsys,
+                                                      argv):
+        # rate * duration / segment size overflows to inf segments
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
         (["--replications", "2", "--set", "n_sbs=0"], "n_sbs"),

@@ -466,6 +466,72 @@ class TestTabulatedScores:
                 patch.setattr(M, "hof_probability", hof)
                 assert repr(_matcher_outputs(game, prefs)) == repr(expected)
 
+    def test_hof_once_per_speed_and_sbs(self, monkeypatch):
+        # the table evaluates HOF once per distinct (speed, SBS index)
+        # among the users' candidates, however many users share them
+        rng = np.random.default_rng(110)
+        games = [random_game_instance(rng) for _ in range(200)]
+        config = ScenarioConfig(seed=6)
+        for n_mues in (10, 50, 200):
+            for speed in (2.0, 8.0, 16.0):
+                games.append(experiments.build_region_instance(
+                    config, n_mues, speed, rng).game)
+        calls = []
+
+        def hof(*args):
+            calls.append(args)
+            return math.nan
+
+        monkeypatch.setattr(M, "hof_probability", hof)
+        for game in games:
+            calls.clear()
+            M.build_preferences(game)
+            pairs = {(m.speed, k) for m in game.mues
+                     for k in m.cand1 + m.cand2}
+            assert len(calls) == len(pairs)
+            assert sorted(calls) == sorted(
+                (v, game.t_mts, game.sbss[k].radius) for v, k in pairs)
+
+    def test_profiles_are_ranked_by_the_plan_key(self):
+        # every ranked plan carries the key `_Scores.key` gives it, so the
+        # preference pass and the scans share one key definition
+        for game in _tabulated_games():
+            prefs = M.build_preferences(game)
+            scores = prefs.scores
+            for u, profile in enumerate(prefs.mue_profiles):
+                keys = [scores.key(u, p.first, p.second)
+                        for p in profile.ranked_plans]
+                assert keys == sorted(set(keys))
+                assert all(key < scores.key(u, None, None) for key in keys)
+                listed = {plan: key for key, plan in scores.universe(u)}
+                assert [listed[p] for p in profile.ranked_plans] == keys
+
+
+def _tabulated_games():
+    """The random and region games of `TestTabulatedScores`."""
+    for users, sbss, count, seed in ((8, 4, 2000, 101), (12, 4, 2000, 102),
+                                     (20, 6, 1000, 103), (40, 8, 40, 104)):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            game = random_game_instance(rng, max_mues=users, max_sbss=sbss)
+            if i % 4 == 3:
+                game = replace(game,
+                               cache_capacity=float(rng.uniform(0.0, 1e4)))
+            yield game
+    rng, large = np.random.default_rng(108), 0
+    while large < 3:
+        game = random_game_instance(rng, max_mues=125, max_sbss=10)
+        if len(game.mues) >= 115 and len(game.sbss) == 10:
+            large += 1
+            yield game
+    for seed in (1, 2, 3):
+        config = ScenarioConfig(seed=seed)
+        rng = np.random.default_rng(seed)
+        for n_mues in (10, 50, 120):
+            for speed in (2.0, 8.0, 16.0, None):
+                yield experiments.build_region_instance(
+                    config, n_mues, speed, rng).game
+
 
 class TestSerialDictatorship:
     """Serial dictatorship in the common priority order against the
