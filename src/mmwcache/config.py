@@ -8,8 +8,15 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import beam_span_exceeds_circle
-from .radio import (SPEED_OF_LIGHT, ChannelParams, beta_constant,
-                    dbm_to_watts)
+from .radio import (REFERENCE_DISTANCE, SPEED_OF_LIGHT, ChannelParams,
+                    LinkBudget, beta_constant, dbm_to_watts, snr)
+
+# The largest cell radius, in area radii, that a config may give. The
+# deployment geometry computes in coordinates as large as a cell, so its
+# rounding errors grow with the radius; near 1e17 area radii they exceed
+# the range of a walk and a region user's ray misses the cell it starts
+# on. No deployment the model describes comes near a million.
+_MAX_CELL_TO_AREA = 1e6
 
 
 class ConfigError(ValueError):
@@ -173,7 +180,8 @@ class ScenarioConfig:
             raise ConfigError(f"noise_psd_dbm_hz {self.noise_psd_dbm_hz!r} "
                               f"is out of range in watts")
         for power in self.sbs_powers_dbm:
-            if not _finite(dbm_to_watts, power):
+            if not (_finite(dbm_to_watts, power)
+                    and dbm_to_watts(power) > 0.0):
                 raise ConfigError(f"sbs_powers_dbm entry {power!r} is out "
                                   f"of range in watts")
             if not _finite(uw_cell_radius, power, self):
@@ -181,6 +189,28 @@ class ScenarioConfig:
                     f"sbs_powers_dbm entry {power!r} gives a cell radius out "
                     f"of range (uw_pathloss_exponent="
                     f"{self.uw_pathloss_exponent!r})")
+            radius = uw_cell_radius(power, self)
+            if radius > _MAX_CELL_TO_AREA * self.area_radius:
+                raise ConfigError(
+                    f"sbs_powers_dbm entry {power!r} gives a cell radius of "
+                    f"{radius:.3g} m, over {_MAX_CELL_TO_AREA:g} times "
+                    f"area_radius (uw_carrier_frequency="
+                    f"{self.uw_carrier_frequency!r}, uw_pathloss_exponent="
+                    f"{self.uw_pathloss_exponent!r}, rss_threshold_dbm="
+                    f"{self.rss_threshold_dbm!r})")
+        # no link is stronger than the one at the reference distance from
+        # the strongest SBS; past float range its SNR makes the closed-form
+        # rate nan
+        strongest = max(self.sbs_powers_dbm)
+        budget = LinkBudget.from_table(strongest, self.bandwidth,
+                                       self.noise_psd_dbm_hz)
+        if not _finite(snr, REFERENCE_DISTANCE, budget,
+                       ChannelParams(self.carrier_frequency)):
+            raise ConfigError(
+                f"the SNR {REFERENCE_DISTANCE:g} m from a {strongest!r} dBm "
+                f"SBS is out of range (carrier_frequency="
+                f"{self.carrier_frequency!r}, bandwidth={self.bandwidth!r}, "
+                f"noise_psd_dbm_hz={self.noise_psd_dbm_hz!r})")
 
     def canonical_text(self) -> str:
         lines = []
@@ -196,10 +226,11 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def _finite(fn, *args) -> bool:
-    """Whether `fn(*args)` is a finite float, not inf or an overflow."""
+    """Whether `fn(*args)` is a finite float, not inf, an overflow or a
+    division by a product that underflowed to 0."""
     try:
         return math.isfinite(fn(*args))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return False
 
 

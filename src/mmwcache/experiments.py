@@ -21,7 +21,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -498,8 +498,7 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
     return RegionInstance(game=game, focal_chords=chords)
 
 
-def _count_measurements(region: RegionInstance,
-                        result: matching.MatchResult) -> int:
+def _count_measurements(result: matching.MatchResult) -> int:
     """Users needing an inter-frequency measurement during the epoch.
 
     Handover execution requires measuring the target, users bound for the
@@ -508,12 +507,12 @@ def _count_measurements(region: RegionInstance,
     runs out. Only users coasting toward an arranged period-2 association
     mute the search entirely.
     """
-    game = region.game
+    mu1, mu2 = result.matching.mu1, result.matching.mu2
     scans = 0
-    for u in range(len(game.mues)):
-        mu1 = result.matching.mu1[u]
-        mu2 = result.matching.mu2[u]
-        if mu1 is None and mu2 is not None and mu2.kind == PlayerKind.SBS:
+    for u in range(len(mu1)):
+        second = mu2[u]
+        if mu1[u] is None and second is not None \
+                and second.kind == PlayerKind.SBS:
             continue
         scans += 1
     return scans
@@ -525,40 +524,46 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     """One replication of the target-region epoch: all metrics, per speed.
 
     One instance is built at `speeds[0]`. It draws no speed, so the
-    instance at another speed differs only in `MueState.speed`: each
-    other speed re-speeds its users and matches again, and element i
-    equals this function's result for `(speeds[i],)` alone. A pure
+    instance at another speed differs only in `MueState.speed`: the
+    replication keeps one score table, whose gamma, priority order and
+    plan slots do not depend on speed, re-speeds it for each other speed
+    (`matching._Scores.respeed`) and matches again, and element i equals
+    this function's result for `(speeds[i],)` alone. A pure
     function of (config, seed key, users, speeds), so replications can be
     mapped over a worker pool and merged by index.
     """
     rng = _rep_rng(cfg.seed, *seed_key)
     region = build_region_instance(cfg, n_mues, speeds[0], rng)
+    scores = matching._Scores(region.game)
     metrics = []
     for i, v in enumerate(speeds):
         if i:
-            game = region.game
-            region = replace(region, game=replace(game, mues=tuple(
-                MueState(v, m.segments, m.p_th, m.cand1, m.cand2, m.gap1,
-                         m.gap2) for m in game.mues)))
-        metrics.append(_region_metrics(cfg, region))
+            scores = scores.respeed(v)
+        metrics.append(_region_metrics(cfg, region.focal_chords,
+                                       scores.rank()))
     return metrics
 
 
-def _region_metrics(cfg: ScenarioConfig,
-                    region: RegionInstance) -> Dict[str, float]:
-    """Match one region instance and measure the epoch at the focal SBS."""
-    n_mues = len(region.game.mues)
+def _region_metrics(cfg: ScenarioConfig, focal_chords: Sequence[float],
+                    prefs: matching.Preferences) -> Dict[str, float]:
+    """Match one region game and measure the epoch at the focal SBS.
+
+    The game is the one `prefs` were ranked on; user u crosses the focal
+    cell on the chord `focal_chords[u]`.
+    """
+    game = prefs.scores.instance
+    n_mues = len(game.mues)
     focal = sbs_id(0)
-    result = dynamic_match(region.game)
+    result = dynamic_match(game, prefs)
     failures = 0
     conventional = 0
-    for u in range(n_mues):
-        tos = region.focal_chords[u] / region.game.mues[u].speed
+    for u, mue in enumerate(game.mues):
+        tos = focal_chords[u] / mue.speed
         if tos < cfg.t_mts:
             conventional += 1
             if result.matching.mu1[u] == focal:
                 failures += 1
-    scans = _count_measurements(region, result)
+    scans = _count_measurements(result)
     e_scan_mj = cfg.energy_per_scan * 1e3
     return {
         "load": float(len(result.matching.members(1, focal))),

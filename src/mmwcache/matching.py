@@ -30,34 +30,46 @@ For stage two and the single-period matcher (one slot per user) this is
 the theorem; for stage one's atomic two-slot plans the equivalence with the
 proposal-and-restart process is established by differential tests.
 
-Scores are tabulated once per game: `build_preferences` builds the
-game's table (`_Scores`) in one pass over the users, holding each user's
-payoffs (phi per candidate SBS, the cache payoffs) and gamma, and the
-preferences carry it into every matcher, which reads it instead of
+Scores are tabulated once per game: the game's table (`_Scores`) holds
+each user's payoffs (phi per candidate SBS, the cache payoffs) and gamma,
+and the preferences carry it into every matcher, which reads it instead of
 computing a utility again. HOF is evaluated once per distinct (speed, SBS)
 of the game. The table names slots by integer codes (SBS k is k, the macro
-cell n, the cache n + 1) and interns each plan once per pair of codes, so
-ranking plans hashes no `PlayerId`. Plan keys and ranked plan lists are
-both derived from the payoffs by one helper, and the public utility
-functions compute through the same code, so a tabulated value equals the
-direct one bit for bit. The blocking scan builds its own table: a
-stability check shares nothing with the matcher it checks.
+cell n, the cache n + 1) and interns each plan once per pair of codes,
+with the slots it occupies in each stage, so ranking plans hashes no
+`PlayerId` and a proposal computes no slots. Plan keys and ranked plan
+lists are both derived from the payoffs by one helper, and the public
+utility functions compute through the same code, so a tabulated value
+equals the direct one bit for bit. The blocking scan builds its own table:
+a stability check shares nothing with the matcher it checks.
+
+A table has a speed-free part (gamma, the priority order, the slot codes
+and their ranks, the `PlayerId`s and the interned plans) and a per-speed
+part (the HOF memo, the payoff rows and the period-2 cache payoffs).
+`_Scores.respeed` gives the table of the same game with every user at one
+speed: it builds that instance itself and recomputes only the per-speed
+part, so one replication of a speed sweep pays once for the rest.
 
 Determinism: all tie-breaking is lexicographic in (utility, player index),
-so identical instances yield identical matchings. One game owns its
-instance and its table, to which the matchers add only interned plans and
-memoized HOF values once `build_preferences` returns, and touches no
-process-wide state, so concurrent games share nothing.
+so identical instances yield identical matchings. One replication owns its
+instance and every table re-speeded from it. The tables share the
+speed-free part, to which they add only interned plans, which do not
+depend on speed; once `_Scores.rank` has ranked a table, the matchers add
+to it only memoized HOF values. No process-wide state is touched, so
+concurrent replications share nothing.
+
+The records (`PlayerId`, `Plan`, `MueState`, `ProposalRecord`) are named
+tuples: a game creates many of them, and tuples are built and compared in
+C.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import hof_probability
 
@@ -67,8 +79,7 @@ class PlayerKind(enum.Enum):
     MBS = "mbs"
 
 
-@dataclass(frozen=True)
-class PlayerId:
+class PlayerId(NamedTuple):
     kind: PlayerKind
     index: int
 
@@ -83,8 +94,7 @@ def sbs_id(index: int) -> PlayerId:
     return PlayerId(PlayerKind.SBS, index)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """Two-period association intention; None means cache use (self-match)."""
 
     first: Optional[PlayerId]
@@ -95,10 +105,10 @@ class Plan:
 
     def sbs_targets(self) -> Tuple[int, ...]:
         out = []
-        for slot in self.slots():
-            if slot is not None and slot.kind == PlayerKind.SBS:
-                if slot.index not in out:
-                    out.append(slot.index)
+        for slot in self:
+            if slot is not None and slot.kind is PlayerKind.SBS \
+                    and slot.index not in out:
+                out.append(slot.index)
         return tuple(out)
 
     def __repr__(self):
@@ -110,8 +120,7 @@ class Plan:
 SELF_PLAN = Plan(None, None)
 
 
-@dataclass(frozen=True)
-class MueState:
+class MueState(NamedTuple):
     """Matching-relevant snapshot of one mobile user.
 
     gap1 is the unassociated distance to the period-2 rendezvous when
@@ -197,40 +206,59 @@ def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
     return rosters
 
 
+# The (period, SBS index) slots a plan occupies: () when it occupies none
+# and is always admitted, None when it is never admitted.
+_Slots = Optional[Tuple[Tuple[int, int], ...]]
+
+
 class _PlanEntry(NamedTuple):
-    """A plan interned by a score table, with the BS codes it names."""
+    """A plan interned by a score table, with the BS codes it names and
+    the slots it occupies in each stage."""
 
     plan: Plan
     bss: Tuple[int, ...]        # codes of the BSs it names
     macro: Tuple[int, ...]      # the macro code, if it names the macro cell
+    # stage one: the slots of both periods, None if it names the macro
+    # cell (which takes no stage-one plan); stage two: its period-2 SBS
+    # slot, () for the macro cell, which always admits
+    slots: Tuple[_Slots, _Slots]
 
 
 class _Scores:
     """The payoffs and priorities of one game, tabulated in one pass.
 
     `build_preferences` builds the game's table and ranks the plans from
-    it; the preferences carry it into every matcher, which only reads it.
-    `find_blocking_pairs` builds a table of its own, so a check shares
-    nothing with what it checks.
+    it (`rank`); the preferences carry it into every matcher, which only
+    reads it. `find_blocking_pairs` builds a table of its own, so a check
+    shares nothing with what it checks.
 
-    The constructor fills the whole table in one loop over the users: gamma
-    per user, the common priority order (one stable sort), and per user a
-    payoff row keyed by slot code. Slot codes are integers: SBS k is k, the
-    macro cell n and the cache n + 1, for n SBSs, so code order is
-    `_slot_rank` order. A row holds phi for every SBS among the user's
-    candidates, the macro payoff and the period-1 cache payoff; beside it
-    are the user's period-2 cache payoffs. HOF is evaluated once per
-    distinct (speed, SBS) of the game, and `phi` of an SBS outside a user's
-    candidates computes through the same memo. Each code's slot rank is
-    tabulated once, and a key names its plan by the pair code of its two
-    slots; the plans that get ranked are interned per pair code on first
-    use (`entry`), with the BS codes they name, so ranking plans hashes no
-    `PlayerId` and a scan that only compares keys builds no plan. Plan
-    scores, keys and ranked plan lists all come from `_keyed`, and the
-    public utilities compute through a one-use
-    table, so there is a single scoring definition. Both utilities are
-    unscaled, so the thresholds are literal: an SBS slot needs phi >= 0,
-    the macro cell admits an SBS user in period 2 at phi < epsilon
+    The table has two parts. The speed-free part, built once per instance
+    by the constructor, holds gamma per user, the common priority order
+    (one stable sort), the slot codes with their ranks, one `PlayerId` per
+    SBS and the plans interned so far. Slot codes are integers: SBS k is
+    k, the macro cell n and the cache n + 1, for n SBSs, so code order is
+    `_slot_rank` order. The per-speed part (`_fill`) holds the HOF memo,
+    per user a payoff row keyed by slot code, with phi for every SBS among
+    the user's candidates, the macro payoff and the period-1 cache payoff,
+    beside it the user's period-2 cache payoffs, and the rankings `rank`
+    derives from them. HOF is
+    evaluated once per distinct (speed, SBS) of the game, and `phi` of an
+    SBS outside a user's candidates computes through the same memo.
+    `respeed` gives the table of the same game with every user at one
+    speed: it shares the speed-free part and fills only a new per-speed
+    part, so one replication of a speed sweep builds the speed-free part
+    once for all its speeds.
+
+    Plans are ordered by (-score, pair code), where the pair code of the
+    two slots names the plan; the plans that get ranked are interned per
+    pair code on first use (`entry`), with the BS codes they name and
+    their slots, so ranking plans hashes no `PlayerId`, a scan that only
+    compares orders builds no plan and a proposal computes no slots. Plan
+    scores, orders, keys and ranked plan lists all come from `_keyed`, and
+    the public utilities compute through a one-use table, so there is a
+    single scoring definition. Both utilities
+    are unscaled, so the thresholds are literal: an SBS slot needs phi >=
+    0, the macro cell admits an SBS user in period 2 at phi < epsilon
     (`mbs_admits_p2`), an SBS refuses gamma < 0, and gamma <= 0 means the
     cache outlasts the scan interval.
     """
@@ -238,32 +266,59 @@ class _Scores:
     def __init__(self, instance: GameInstance):
         self.instance = instance
         n = len(instance.sbss)
-        self.sbs = [sbs_id(k) for k in range(n)]
         self._n = n
+        self.sbs = [sbs_id(k) for k in range(n)]
         self._slots: List[Optional[PlayerId]] = self.sbs + [MBS, None]
         self._ranks = [_slot_rank(s) for s in self._slots]
-        self._hofs: Dict[Tuple[float, int], float] = {}
+        # per period, the (period, SBS) slot each code holds: SBS codes hold
+        # one, the macro cell and the cache none
+        self._held = {period: [((period, k),) for k in range(n)] + [(), ()]
+                      for period in (1, 2)}
         self._plans: Dict[int, _PlanEntry] = {}
+        play_rate, scan = instance.play_rate, instance.scan_interval
+        self._playback = [mue.segments / play_rate for mue in instance.mues]
+        self._gamma = [scan - playback for playback in self._playback]
+        # a stable sort by -gamma keeps ties in index order
+        ranks = [-g for g in self._gamma]
+        self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
+        self._fill()
+
+    def respeed(self, speed: float) -> "_Scores":
+        """The table of this game with every user at `speed`.
+
+        It builds the re-speeded instance itself, shares this table's
+        speed-free part and fills a per-speed part of its own; this table
+        is left as it was.
+        """
+        instance = self.instance
+        table = copy.copy(self)
+        table.instance = replace(instance, mues=tuple(
+            [mue._replace(speed=speed) for mue in instance.mues]))
+        table._fill()
+        return table
+
+    def _fill(self) -> None:
+        """Fill the per-speed part: the HOF memo, rows and cache payoffs."""
+        instance, n = self.instance, self._n
         covered1 = instance.covered_payoff
         covered2 = instance.future_covered_payoff
         short = instance.shortfall_penalty
-        play_rate, scan = instance.play_rate, instance.scan_interval
-        full = instance.cache_capacity / play_rate
+        full = instance.cache_capacity / instance.play_rate
         mbs_payoff, cache = instance.mbs_payoff, n + 1
-        self._gamma: List[float] = []
+        self._hofs: Dict[Tuple[float, int], float] = {}
         self._rows: List[Dict[int, float]] = []
         self._cache2: List[Tuple[float, float, float]] = []
-        for mue in instance.mues:
+        self.rankings: List[Sequence[_PlanEntry]] = []
+        hof = self._hof
+        for mue, playback in zip(instance.mues, self._playback):
             speed, p_th, gap1, gap2 = mue.speed, mue.p_th, mue.gap1, mue.gap2
-            playback = mue.segments / play_rate
-            self._gamma.append(scan - playback)
             # the cache payoffs: a cache slot is covered when the distance
             # the user coasts on its cache (or, after an SBS slot, on a
             # refilled one) reaches the gap
             coast, refill = playback * speed, full * speed
             row = {n: mbs_payoff, cache: covered1 if coast >= gap1 else short}
             for k in mue.cand1 + mue.cand2:
-                row[k] = p_th - self._hof(speed, k)
+                row[k] = p_th - hof(speed, k)
             self._rows.append(row)
             # after a first slot at an SBS (the cache was refilled), at the
             # macro cell, and on the cache: the order of the slot kinds
@@ -271,9 +326,6 @@ class _Scores:
                 (covered2 if refill >= gap2 else short,
                  covered2 if coast >= gap2 else short,
                  covered2 if coast >= gap1 + gap2 else short))
-        # a stable sort by -gamma keeps ties in index order
-        ranks = [-g for g in self._gamma]
-        self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
 
     def _hof(self, speed: float, k: int) -> float:
         """P(HOF) of SBS k at `speed`, evaluated once per pair of the game."""
@@ -317,67 +369,92 @@ class _Scores:
         return slot.index if slot.kind is PlayerKind.SBS else self._n
 
     def _keyed(self, u: int, first: int, seconds: Sequence[int],
-               ) -> List[Tuple[tuple, int]]:
-        """(key, pair code) of the plan (first, second) per second code.
+               ) -> List[Tuple[float, int]]:
+        """The order (-score, pair code) of the plan (first, second) per
+        second code.
 
-        This is the one definition of a plan key, a total order over plans:
-        (-score,) followed by the ranks of both slots (SBS before macro
-        before cache, then by index), which name the plan. The score adds
-        the first slot's payoff and the second's; a period-2 cache slot's
-        payoff depends on the kind of the first slot, and a certain, in-hand
-        covered cache period may be valued differently from a projected
-        period-2 one, hence the separate covered payoffs. An SBS outside
-        u's candidates, which only the blocking scans name, is scored by
-        `phi`. The pair code `first * (n + 2) + second` names the plan for
-        `entry`.
+        This is the one definition of a plan's score and of the total order
+        over plans. The score adds the first slot's payoff and the
+        second's; a period-2 cache slot's payoff depends on the kind of the
+        first slot, and a certain, in-hand covered cache period may be
+        valued differently from a projected period-2 one, hence the
+        separate covered payoffs. An SBS outside u's candidates, which only
+        the blocking scans name, is scored by `phi`. The pair code
+        `first * (n + 2) + second` names the plan for `entry`, and since
+        code order is slot-rank order, it orders plans of equal score as
+        the ranks of their two slots do (SBS before macro before cache,
+        then by index): (-score, pair code) sorts as the plan key `key`.
         """
-        row, n, ranks = self._rows[u], self._n, self._ranks
+        row, n = self._rows[u], self._n
         try:
             p1 = row[first]
         except KeyError:
             p1 = self.phi(u, first)
-        r1, base, cache = ranks[first], first * (n + 2), n + 1
-        cache2 = self._cache2[u][r1[0]]     # by the first slot's kind
+        base, cache = first * (n + 2), n + 1
+        cache2 = self._cache2[u][self._ranks[first][0]]  # by the slot kind
         out = []
         for second in seconds:
             try:
                 p2 = cache2 if second == cache else row[second]
             except KeyError:
                 p2 = self.phi(u, second)
-            out.append(((-(p1 + p2),) + r1 + ranks[second], base + second))
+            out.append((-(p1 + p2), base + second))
         return out
 
     def entry(self, pair: int) -> _PlanEntry:
         """The plan of a pair code, interned on first use."""
         entry = self._plans.get(pair)
         if entry is None:
-            n = self._n
+            n, slots, held = self._n, self._slots, self._held
             first, second = divmod(pair, n + 2)
-            named = tuple([c for c in (first, second) if c <= n])
+            if n in (first, second):
+                # the macro cell takes no stage-one plan
+                macro, stage1 = (n,), None
+            else:
+                macro, stage1 = (), held[1][first] + held[2][second]
             entry = self._plans[pair] = _PlanEntry(
-                Plan(self._slots[first], self._slots[second]), named,
-                (n,) if n in named else ())
+                Plan(slots[first], slots[second]),
+                tuple([c for c in (first, second) if c <= n]), macro,
+                (stage1, held[2][second]))
         return entry
 
-    def keys(self, u: int, first: Optional[PlayerId],
-             seconds: Sequence[Optional[PlayerId]]) -> List[tuple]:
-        """The key of the plan (first, second) for each of `seconds`."""
-        code = self.code
-        return [key for key, _ in
-                self._keyed(u, code(first), [code(s) for s in seconds])]
+    def _beating(self, own: Tuple[float, int],
+                 keyed: List[Tuple[float, int]]) -> List[_PlanEntry]:
+        """The interned plans of `keyed` that beat `own`, best first."""
+        keyed = [item for item in keyed if item < own]
+        keyed.sort()
+        interned, entry = self._plans.get, self.entry
+        return [interned(pair) or entry(pair) for _, pair in keyed]
+
+    def _key(self, order: Tuple[float, int]) -> tuple:
+        """The plan key of a plan's (-score, pair code)."""
+        ranks = self._ranks
+        first, second = divmod(order[1], self._n + 2)
+        return (order[0],) + ranks[first] + ranks[second]
+
+    def order(self, u: int, first: Optional[PlayerId],
+              second: Optional[PlayerId]) -> Tuple[float, int]:
+        """The (-score, pair code) of the plan (first, second), which
+        sorts as its key; lower is preferred."""
+        return self._keyed(u, self.code(first), (self.code(second),))[0]
 
     def key(self, u: int, first: Optional[PlayerId],
             second: Optional[PlayerId]) -> tuple:
-        """The key of the plan (first, second); lower is preferred."""
-        return self._keyed(u, self.code(first), (self.code(second),))[0][0]
+        """The key of the plan (first, second); lower is preferred.
+
+        (-score,) followed by the ranks of both slots, which name the plan:
+        a total order over plans, the one `order` and `_keyed` sort by.
+        """
+        return self._key(self.order(u, first, second))
 
     def score(self, u: int, first: Optional[PlayerId],
               second: Optional[PlayerId]) -> float:
         """Additive two-period score of the plan (first, second)."""
-        return -self.key(u, first, second)[0]
+        return -self.order(u, first, second)[0]
 
-    def _universe(self, u: int) -> Tuple[tuple, List[Tuple[tuple, int]]]:
-        """The self plan's key, and (key, pair code) of u's other plans.
+    def _universe(self, u: int,
+                  ) -> Tuple[Tuple[float, int], List[Tuple[float, int]]]:
+        """The (-score, pair code) of the self plan and of u's other plans.
 
         The other plans are the feasible, individually rational ones: SBS
         slots require phi >= 0; SBS-then-macro plans are listed only when
@@ -399,12 +476,12 @@ class _Scores:
                 out += self._keyed(u, k, seconds)
         own, *rest = self._keyed(u, cache, [cache] + cand2 + [macro])
         out += rest
-        return own[0], out
+        return own, out
 
     def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
         """(key, plan) of every feasible, individually rational plan of u."""
-        return [(key, self.entry(pair).plan)
-                for key, pair in self._universe(u)[1]]
+        return [(self._key(order), self.entry(order[1]).plan)
+                for order in self._universe(u)[1]]
 
     def mbs_admits_p2(self, u: int, first: Optional[PlayerId]) -> bool:
         """Macro period-2 admission rule after the first slot `first`.
@@ -419,6 +496,33 @@ class _Scores:
             return self.phi(u, first.index) < self.instance.epsilon
         return True
 
+    def rank(self) -> "Preferences":
+        """Rank every player's options from this table; see
+        `build_preferences`. The ranked entries stay in `rankings`, which
+        stage one reads."""
+        n, n_mues = self._n, len(self.instance.mues)
+        profiles = [_NO_PLANS] * n_mues
+        rankings: List[Sequence[_PlanEntry]] = [()] * n_mues
+        bs_lists: List[List[int]] = [[] for _ in range(n + 1)]  # macro last
+        gamma, universe, beating = self._gamma, self._universe, self._beating
+        for u in self._priority:
+            entries = beating(*universe(u))
+            if not entries:
+                continue
+            rankings[u] = entries
+            profiles[u] = PreferenceProfile(tuple([e.plan for e in entries]))
+            may_serve = not gamma[u] < 0.0
+            for entry in entries:
+                for c in (entry.bss if may_serve else entry.macro):
+                    listed = bs_lists[c]
+                    if not listed or listed[-1] != u:  # once per user
+                        listed.append(u)
+        self.rankings = rankings
+        return Preferences(tuple(profiles),
+                           tuple(BsPreference(tuple(us))
+                                 for us in bs_lists[:n]),
+                           BsPreference(tuple(bs_lists[n])), self)
+
 
 # ---------------------------------------------------------------------------
 # Preference construction
@@ -429,6 +533,10 @@ class PreferenceProfile:
     """Strictly ordered, individually rational plan ranking of one user."""
 
     ranked_plans: Tuple[Plan, ...]
+
+
+# the profile of every user that ranks no plan above its cache
+_NO_PLANS = PreferenceProfile(())
 
 
 @dataclass(frozen=True)
@@ -445,8 +553,9 @@ class BsPreference:
 class Preferences:
     """Every player's ranking, and the score table they were ranked by.
 
-    The matchers read `scores` instead of computing a utility again; it
-    takes no part in equality or the repr, which show the rankings only.
+    The matchers read `scores` instead of computing a utility again, and
+    stage one takes the interned plans of each ranking from it; it takes
+    no part in equality or the repr, which show the rankings only.
     """
 
     mue_profiles: Tuple[PreferenceProfile, ...]
@@ -455,40 +564,18 @@ class Preferences:
     scores: Optional[_Scores] = field(default=None, compare=False, repr=False)
 
 
-def _beating(self_key: tuple, keyed: List[Tuple[tuple, int]],
-             ) -> List[Tuple[tuple, int]]:
-    """The keyed plans that beat the self plan, best first."""
-    keyed = [pair for pair in keyed if pair[0] < self_key]
-    keyed.sort(key=itemgetter(0))
-    return keyed
-
-
 def build_preferences(instance: GameInstance) -> Preferences:
     """Rank every player's options; drop plans not beating the self plan.
 
     This builds the game's one score table. One pass in the common priority
-    order ranks each user's plans by the keys `_Scores._universe` derives
-    from its payoffs and appends the user to the `BsPreference` list of
-    each BS they name, so every such list comes out in priority order. An
-    SBS lists only users it may serve (gamma >= 0). The table leaves too.
+    order ranks each user's plans: the orders `_Scores._universe` derives
+    from its payoffs are filtered against the self plan's, sorted and
+    interned. The pass appends the user to the `BsPreference` list of each
+    BS they name, so every such list comes out in priority order. An SBS
+    lists only users it may serve (gamma >= 0). Users with no ranked plan
+    share one empty profile. The table leaves too.
     """
-    scores = _Scores(instance)
-    n = len(instance.sbss)
-    profiles: List[Optional[PreferenceProfile]] = [None] * len(instance.mues)
-    bs_lists: List[List[int]] = [[] for _ in range(n + 1)]  # macro last
-    for u in scores.priority():
-        entries = [scores.entry(pair)
-                   for _, pair in _beating(*scores._universe(u))]
-        profiles[u] = PreferenceProfile(tuple([e.plan for e in entries]))
-        may_serve = not scores.gamma(u) < 0.0
-        for entry in entries:
-            for c in (entry.bss if may_serve else entry.macro):
-                listed = bs_lists[c]
-                if not listed or listed[-1] != u:  # once per user
-                    listed.append(u)
-    return Preferences(tuple(profiles),
-                       tuple(BsPreference(tuple(us)) for us in bs_lists[:n]),
-                       BsPreference(tuple(bs_lists[n])), scores)
+    return _Scores(instance).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +609,7 @@ class DynamicMatching:
         return DynamicMatching(dict(self.mu1), dict(self.mu2))
 
 
-@dataclass(frozen=True)
-class ProposalRecord:
+class ProposalRecord(NamedTuple):
     stage: int
     mue: int
     plan: Plan
@@ -573,64 +659,46 @@ def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
 # Serial dictatorship in the common priority order
 # ---------------------------------------------------------------------------
 
-# The (period, SBS index) slots a plan occupies: () when it occupies none
-# and is always admitted, None when it is never admitted.
-_Slots = Optional[Tuple[Tuple[int, int], ...]]
-
-
-def _serial_dictatorship(scores: _Scores, rankings: Dict[int, Sequence[Plan]],
-                         slots: Callable[[Plan], _Slots],
+def _serial_dictatorship(scores: _Scores,
+                         rankings: Sequence[Sequence[_PlanEntry]],
                          room: Dict[Tuple[int, int], int], trace: MatchTrace,
                          stage: int) -> Dict[int, Plan]:
     """Give each user, best first, the first plan of its ranking with room.
 
-    `room` holds the free places per (period, SBS) slot, and a user with
-    gamma below 0 is refused every SBS slot. Every BS ranks users in
-    the same priority order `(gamma, -index)`, so this is the outcome of
-    user-proposing deferred acceptance. Each user's proposals are recorded
-    as that deferred acceptance makes them: its ranking up to and including
-    the plan it holds, or its whole ranking if it holds nothing; only the
-    held plan's record is accepted. Returns each holder's plan.
+    `rankings[u]` holds user u's interned plans, best first, whose slots
+    of this stage are checked. `room` holds the free places per (period,
+    SBS) slot, and a user with gamma below 0 is refused every SBS slot.
+    Every BS ranks users in the same priority order `(gamma, -index)`, so
+    this is the outcome of user-proposing deferred acceptance. Each user's
+    proposals are recorded as that deferred acceptance makes them: its
+    ranking up to and including the plan it holds, or its whole ranking if
+    it holds nothing; only the held plan's record is accepted. Returns
+    each holder's plan.
     """
     held: Dict[int, Plan] = {}
     proposals = trace.proposals
+    gamma = scores.gamma
+    which = stage - 1
     for u in scores.priority():
-        ranking = rankings.get(u)
+        ranking = rankings[u]
         if not ranking:
             continue
-        may_serve = not scores.gamma(u) < 0.0
-        for plan in ranking:
-            wanted = slots(plan)
+        may_serve = not gamma(u) < 0.0
+        for entry in ranking:
+            wanted = entry.slots[which]
             accepted = wanted is not None and (may_serve or not wanted)
             if accepted:
                 for s in wanted:
                     if room[s] <= 0:
                         accepted = False
                         break
-            proposals.append(ProposalRecord(stage, u, plan, accepted))
+            proposals.append(ProposalRecord(stage, u, entry.plan, accepted))
             if accepted:
                 for s in wanted:
                     room[s] -= 1
-                held[u] = plan
+                held[u] = entry.plan
                 break
     return held
-
-
-def _plan_slots(plan: Plan) -> _Slots:
-    """Slots of both periods; the macro cell takes no stage-1 plan."""
-    slots = []
-    for period, slot in ((1, plan.first), (2, plan.second)):
-        if slot is not None:
-            if slot.kind == PlayerKind.MBS:
-                return None
-            slots.append((period, slot.index))
-    return tuple(slots)
-
-
-def _second_slot(plan: Plan) -> _Slots:
-    """The period-2 slot; the macro cell always admits."""
-    second = plan.second
-    return () if second.kind == PlayerKind.MBS else ((2, second.index),)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +718,12 @@ def deferred_acceptance(instance: GameInstance,
     prefs = preferences or build_preferences(instance)
     scores = prefs.scores
     trace = MatchTrace()
-    rankings = {u: [Plan(scores.sbs[k], None) for k in _first_sbs_order(prof)]
-                for u, prof in enumerate(prefs.mue_profiles)}
+    entry, cache = scores.entry, scores.code(None)
+    width = cache + 1   # pair code of (SBS k, cache): k * width + cache
+    rankings = [[entry(k * width + cache) for k in _first_sbs_order(prof)]
+                for prof in prefs.mue_profiles]
     room = {(1, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
-    held = _serial_dictatorship(scores, rankings, _plan_slots, room, trace,
-                                stage=1)
+    held = _serial_dictatorship(scores, rankings, room, trace, stage=1)
 
     mu: Dict[int, Optional[PlayerId]] = {}
     for u in range(len(instance.mues)):
@@ -737,11 +806,9 @@ def _stage_one(scores: _Scores, prefs: Preferences,
     displaced plan dies entirely and freed capacity restarts the proposals,
     holds the same plans in every game of the differential tests.
     """
-    rankings = {u: prof.ranked_plans
-                for u, prof in enumerate(prefs.mue_profiles)}
     room = {(period, k): sbs.quota for period in (1, 2)
             for k, sbs in enumerate(scores.instance.sbss)}
-    return _serial_dictatorship(scores, rankings, _plan_slots, room, trace,
+    return _serial_dictatorship(scores, scores.rankings, room, trace,
                                 stage=1)
 
 
@@ -785,7 +852,7 @@ def _stage_two(scores: _Scores, matching: DynamicMatching,
     for k, members in _sbs_rosters(matching.mu2).items():
         room[(2, k)] -= len(members)
     macro, cache = scores.code(MBS), scores.code(None)
-    rankings: Dict[int, List[Plan]] = {}
+    rankings: List[Sequence[_PlanEntry]] = [()] * len(instance.mues)
     for u, second in matching.mu2.items():
         if second is not None:
             continue
@@ -795,10 +862,8 @@ def _stage_two(scores: _Scores, matching: DynamicMatching,
         if scores.mbs_admits_p2(u, first):
             opts.append(macro)
         own, *keyed = scores._keyed(u, scores.code(first), [cache] + opts)
-        rankings[u] = [scores.entry(pair).plan
-                       for _, pair in _beating(own[0], keyed)]
-    held = _serial_dictatorship(scores, rankings, _second_slot, room, trace,
-                                stage=2)
+        rankings[u] = scores._beating(own, keyed)
+    held = _serial_dictatorship(scores, rankings, room, trace, stage=2)
     for u, plan in held.items():
         matching.mu2[u] = plan.second
 
@@ -862,7 +927,7 @@ def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
 def _scan_period1(matching: DynamicMatching, scores: _Scores,
                   rosters: _Rosters) -> List[Violation]:
     out: List[Violation] = []
-    instance, key = scores.instance, scores.key
+    instance, key = scores.instance, scores.order
 
     for u in range(len(instance.mues)):
         if key(u, None, None) < key(u, matching.mu1[u], matching.mu2[u]):
@@ -911,7 +976,7 @@ def _scan_period1(matching: DynamicMatching, scores: _Scores,
 def _scan_period2(matching: DynamicMatching, scores: _Scores,
                   rosters: _Rosters) -> List[Violation]:
     out: List[Violation] = []
-    instance, key = scores.instance, scores.key
+    instance, key = scores.instance, scores.order
 
     for u in range(len(instance.mues)):
         first = matching.mu1[u]

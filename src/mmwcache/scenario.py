@@ -118,17 +118,19 @@ def _place_sites(config: ScenarioConfig, draws: Iterator[float],
     """Rejection-sample the SBS positions; see `generate_scenario`.
 
     A site can fail the spacing test only within `spacing` of the
-    candidate in both coordinates. Each accepted site is listed once, in
-    its own grid cell, under the integer key `gx * width + gy`; a candidate
-    is tested against the sites listed in its cell and the 8 cells around
-    it, whose keys are its own plus the offsets in `around`. `width`
-    exceeds the number of cells across the disk (with a margin for the
-    neighbours of its rim cells), so no two cells share a key. The cells
-    are a hair wider than `spacing` (a margin far above the rounding of
-    `x / cell` for coordinates up to area_radius), so a site two cells
-    away is always `spacing` or more away in one coordinate and passes the
-    test. With spacing 0 the cells are 1e-9 * area_radius wide and every
-    candidate passes.
+    candidate in both coordinates. Grid cells have the integer keys
+    `gx * width + gy`, and each accepted site is listed in its own cell and
+    the 8 cells around it, whose keys are its own plus the offsets in
+    `around`; a candidate is tested against the one list of its own cell,
+    which holds every site of the 9 cells around it. Whether a candidate
+    passes does not depend on the order of its tests, so the placement is
+    that of an all-pairs test. `width` exceeds the number of cells across
+    the disk (with a margin for the neighbours of its rim cells), so no two
+    cells share a key. The cells are a hair wider than `spacing` (a margin
+    far above the rounding of `x / cell` for coordinates up to
+    area_radius), so a site two cells away is always `spacing` or more
+    away in one coordinate and passes the test. With spacing 0 the cells
+    are 1e-9 * area_radius wide and every candidate passes.
     """
     n_sbs, spacing = config.n_sbs, config.min_intercell
     positions: List[Tuple[float, float]] = []
@@ -150,23 +152,22 @@ def _place_sites(config: ScenarioConfig, draws: Iterator[float],
         phi = TWO_PI * u_angle
         x, y = r * math.cos(phi), r * math.sin(phi)
         key = math.floor(x / cell) * width + math.floor(y / cell)
-        # explicit loops: `all` over a generator per cell costs more
-        # than the tests themselves
-        for offset in around:
-            near = listed(key + offset)
-            if near is None:
-                continue
-            for px, py in near:
-                if not math.hypot(x - px, y - py) >= spacing:
-                    break
-            else:
-                continue
-            break   # too close to a site of this cell: reject
+        # an explicit loop: `all` over a generator costs more than the
+        # tests themselves
+        for px, py in listed(key, ()):
+            if not math.hypot(x - px, y - py) >= spacing:
+                break   # too close to a site: reject
         else:
-            positions.append((x, y))
-            grid.setdefault(key, []).append((x, y))
+            site = (x, y)
+            positions.append(site)
             if len(positions) == n_sbs:
                 return positions
+            for offset in around:
+                near = listed(key + offset)
+                if near is None:
+                    grid[key + offset] = [site]
+                else:
+                    near.append(site)
     raise PackingFailure(
         f"could not place {n_sbs} SBSs with spacing "
         f"{spacing} m in radius {config.area_radius} m")

@@ -330,7 +330,21 @@ class TestCli:
         (["match", "--set", "uw_carrier_frequency=1e-300"],
          "uw_carrier_frequency"),
         (["simulate", "--set", "noise_psd_dbm_hz=-1e300"],
-         "noise_psd_dbm_hz")])
+         "noise_psd_dbm_hz"),
+        # a cell radius so wide that the region geometry loses its
+        # precision, an SNR past floating-point range at 1 m (the
+        # closed-form rate gave nan), and a power of 0 W
+        (["match", "--set", "uw_carrier_frequency=1e-290"],
+         "uw_carrier_frequency"),
+        (["analyze", "--op", "rate", "--set", "carrier_frequency=1e-140"],
+         "carrier_frequency"),
+        (["reproduce", "--replications", "2", "--set",
+          "carrier_frequency=1e-140"], "carrier_frequency"),
+        (["analyze", "--op", "rate", "--set", "bandwidth=1e-310"],
+         "bandwidth"),
+        (["simulate", "--set", "sbs_powers_dbm=-3900", "--set",
+          "uw_carrier_frequency=1e-200", "--set", "uw_pathloss_exponent=100"],
+         "sbs_powers_dbm")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])

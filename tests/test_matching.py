@@ -628,3 +628,130 @@ class TestSerialDictatorship:
             else:
                 assert len(plans) == len(rankings[u])
         return held
+
+
+def _respeeded(game, speed):
+    """The game with every user at `speed`, built field by field."""
+    return replace(game, mues=tuple(
+        M.MueState(speed, m.segments, m.p_th, m.cand1, m.cand2, m.gap1,
+                   m.gap2) for m in game.mues))
+
+
+def _assert_respeeded_equals_fresh(table, game, speed):
+    """A re-speeded table ranks and matches as a fresh table does."""
+    fresh_game = _respeeded(game, speed)
+    assert table.instance == fresh_game
+    prefs, fresh = table.rank(), M.build_preferences(fresh_game)
+    assert repr(prefs) == repr(fresh)
+    assert repr(M.dynamic_match(table.instance, prefs)) == \
+        repr(M.dynamic_match(fresh_game, fresh))
+    mu, da = M.deferred_acceptance(table.instance, prefs)
+    assert repr((mu, da)) == repr(M.deferred_acceptance(fresh_game, fresh))
+    assert M.find_single_period_blocking(mu, table.instance, prefs) == \
+        M.find_single_period_blocking(mu, fresh_game, fresh)
+
+
+class TestRespeededTables:
+    """`_Scores.respeed` against a table built fresh at each speed."""
+
+    SPEEDS = tuple(float(v) for v in range(1, 17))
+
+    def test_region_tables_match_fresh_tables(self):
+        # 3 seeds x 3 user counts, each table re-speeded in turn through
+        # all 16 hof_multiuser speeds, as one replication does
+        for seed in (1, 2, 3):
+            config = ScenarioConfig(seed=seed)
+            rng = np.random.default_rng(seed)
+            for n_mues in (1, 20, 50):
+                game = experiments.build_region_instance(
+                    config, n_mues, self.SPEEDS[0], rng).game
+                table = M._Scores(game)
+                for v in self.SPEEDS:
+                    table = table.respeed(v)
+                    _assert_respeeded_equals_fresh(table, game, v)
+
+    def test_random_games_match_fresh_tables(self):
+        # users of mixed speeds, re-speeded to one speed; the table
+        # re-speeded from is left as it was
+        rng = np.random.default_rng(109)
+        for _ in range(300):
+            game = random_game_instance(rng, max_mues=12)
+            table = M._Scores(game)
+            before = repr(table.rank())
+            speed = float(rng.uniform(1.0, 16.0))
+            _assert_respeeded_equals_fresh(table.respeed(speed), game, speed)
+            assert table.instance is game
+            assert repr(table.rank()) == before
+
+    def test_speed_free_part_built_once_per_replication(self, monkeypatch):
+        built, ids, tables = [], [], []
+        init, respeed, sbs_id = M._Scores.__init__, M._Scores.respeed, M.sbs_id
+
+        def counting_init(self, instance):
+            built.append(instance)
+            init(self, instance)
+            tables.append(self)
+
+        def counting_respeed(self, speed):
+            table = respeed(self, speed)
+            tables.append(table)
+            return table
+
+        def counting_sbs_id(index):
+            ids.append(index)
+            return sbs_id(index)
+
+        monkeypatch.setattr(M._Scores, "__init__", counting_init)
+        monkeypatch.setattr(M._Scores, "respeed", counting_respeed)
+        monkeypatch.setattr(M, "sbs_id", counting_sbs_id)
+        cfg = ScenarioConfig(seed=1)
+        metrics = experiments._region_replication(cfg, (3, 0), 20,
+                                                  self.SPEEDS)
+        assert len(metrics) == 16
+        # one table built, with one PlayerId per SBS, then 15 re-speeds
+        # sharing its priority order and its PlayerIds
+        assert len(built) == 1 and len(tables) == 16
+        assert sorted(ids) == list(range(len(built[0].sbss)))
+        first = tables[0]
+        for table in tables[1:]:
+            assert table._priority is first._priority
+            assert table.sbs is first.sbs and table._plans is first._plans
+            assert table._rows is not first._rows
+
+
+class TestRecords:
+    """The tuple-backed records keep their reprs and pickle."""
+
+    def test_reprs(self):
+        assert repr(M.sbs_id(3)) == "sbs3" and repr(M.MBS) == "mbs0"
+        assert repr(plan(0, None)) == "(sbs0,self)"
+        assert repr(plan(None, "mbs")) == "(self,mbs0)"
+        assert repr(M.SELF_PLAN) == "(self,self)"
+        assert repr(M.ProposalRecord(1, 2, plan(0, 1), True)) == \
+            "ProposalRecord(stage=1, mue=2, plan=(sbs0,sbs1), accepted=True)"
+        assert repr(M.MueState(8.0, 0.0, 0.15, cand1=(0,))) == \
+            ("MueState(speed=8.0, segments=0.0, p_th=0.15, cand1=(0,), "
+             "cand2=(), gap1=inf, gap2=inf)")
+
+    def test_fields_defaults_and_methods(self):
+        mue = M.MueState(speed=8.0, segments=0.0, p_th=0.15)
+        assert (mue.cand1, mue.cand2, mue.gap1, mue.gap2) == \
+            ((), (), math.inf, math.inf)
+        assert M.sbs_id(2).kind is M.PlayerKind.SBS and M.sbs_id(2).index == 2
+        assert plan(1, 1).slots() == (M.sbs_id(1), M.sbs_id(1))
+        assert plan(1, 1).sbs_targets() == (1,)
+        assert plan(0, "mbs").sbs_targets() == (0,)
+        assert plan(None, 2).sbs_targets() == (2,)
+
+    def test_pickle_round_trip(self):
+        import pickle
+        game = random_game_instance(np.random.default_rng(5), max_mues=8)
+        result = M.dynamic_match(game)
+        records = [M.sbs_id(1), M.MBS, plan(0, "mbs"), M.SELF_PLAN,
+                   game.mues[0]] + list(result.trace.proposals)
+        for record in records:
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record)
+            assert copy == record and repr(copy) == repr(record)
+        copy = pickle.loads(pickle.dumps(result))
+        assert repr(copy) == repr(result)

@@ -43,6 +43,32 @@ def scalar_generate_scenario(config, seed):
     return S.Scenario(config=config, seed=seed, sbss=tuple(sbss)), tries
 
 
+def all_pairs_place_sites(config, draws, max_tries):
+    """Reference `_place_sites`: each candidate against every placed site.
+
+    It takes the same two doubles per try from `draws` and keeps a
+    candidate when `math.hypot` to every placed site is at least
+    `min_intercell`, with no grid.
+    """
+    positions = []
+    if config.n_sbs == 0:
+        return positions
+    if config.n_sbs > max_tries:
+        max_tries = 0
+    pairs = zip(draws, draws)
+    for _ in range(max_tries):
+        u_radius, u_angle = next(pairs)
+        r = config.area_radius * math.sqrt(u_radius)
+        phi = 2.0 * math.pi * u_angle
+        x, y = r * math.cos(phi), r * math.sin(phi)
+        if all(math.hypot(x - px, y - py) >= config.min_intercell
+               for px, py in positions):
+            positions.append((x, y))
+            if len(positions) == config.n_sbs:
+                return positions
+    raise S.PackingFailure("could not place the SBSs")
+
+
 def loop_build_region_instance(config, n_mues, speed, rng):
     """Reference region instance: scalar draws and one crossing list per user.
 
@@ -142,6 +168,23 @@ class TestGeneration:
             scn = S.generate_scenario(cfg, seed=seed)
             # the reprs print every field of every site, each float
             # exactly
+            assert repr(scn) == repr(ref), seed
+
+    @pytest.mark.parametrize("cfg", [
+        REGION, WIDE_AREA, ScenarioConfig(min_intercell=0.0),
+        ScenarioConfig(n_sbs=20, min_intercell=60.0),
+        ScenarioConfig(n_sbs=70)],
+        ids=["region", "wide_area", "no_spacing", "wide_spacing",
+             "seventy_sites"])
+    def test_grid_placement_matches_all_pairs(self, cfg, monkeypatch):
+        # the grid tests a candidate only against the sites listed in its
+        # cell; an all-pairs test must keep the same sites
+        seeds = range(400)
+        grid = [S.generate_scenario(cfg, seed=s) for s in seeds]
+        monkeypatch.setattr(S, "_place_sites", all_pairs_place_sites)
+        for seed, scn in zip(seeds, grid):
+            ref = S.generate_scenario(cfg, seed=seed)
+            assert scn.snapshot_text() == ref.snapshot_text(), seed
             assert repr(scn) == repr(ref), seed
 
     def test_no_beam_layout_is_built(self, monkeypatch):
@@ -599,7 +642,7 @@ class TestCommonRandomNumbers:
                 assert {m.speed for m in slow.game.mues} == {8.0}
                 assert {m.speed for m in fast.game.mues} == {12.0}
                 respeeded = replace(slow.game, mues=tuple(
-                    replace(m, speed=12.0) for m in slow.game.mues))
+                    m._replace(speed=12.0) for m in slow.game.mues))
                 assert replace(slow, game=respeeded) == fast, (seed, n_mues)
                 assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
