@@ -40,23 +40,29 @@ with the slots it occupies in each stage, so ranking plans hashes no
 `PlayerId` and a proposal computes no slots. Plan keys and ranked plan
 lists are both derived from the payoffs by one helper, and the public
 utility functions compute through the same code, so a tabulated value
-equals the direct one bit for bit. The blocking scan builds its own table:
-a stability check shares nothing with the matcher it checks.
+equals the direct one bit for bit. A stability scan builds one table of
+its own for both periods: a check shares no game's table with the matcher
+it checks.
 
-A table has a speed-free part (gamma, the priority order, the slot codes
-and their ranks, the `PlayerId`s and the interned plans) and a per-speed
-part (the HOF memo, the payoff rows and the period-2 cache payoffs).
+A table has a game-free part, a speed-free part and a per-speed part. The
+game-free part (the `PlayerId` per SBS, the slot codes and their ranks,
+the slots each code holds and the interned plans) depends on the SBS count
+n alone and is the layout `_layout(n)`, one per n in the process. The
+speed-free part is gamma and the priority order; the per-speed part the
+HOF memo, the payoff rows and the period-2 cache payoffs.
 `_Scores.respeed` gives the table of the same game with every user at one
 speed: it builds that instance itself and recomputes only the per-speed
 part, so one replication of a speed sweep pays once for the rest.
 
 Determinism: all tie-breaking is lexicographic in (utility, player index),
 so identical instances yield identical matchings. One replication owns its
-instance and every table re-speeded from it. The tables share the
-speed-free part, to which they add only interned plans, which do not
-depend on speed; once `_Scores.rank` has ranked a table, the matchers add
-to it only memoized HOF values. No process-wide state is touched, so
-concurrent replications share nothing.
+instance and every table re-speeded from it. The only process-wide state
+is the layout per SBS count, and it is append-only: tables add interned
+plans to it, each a function of n and its pair code alone, so whichever
+game interned a plan first, every table ranks as it would with a layout of
+its own. Once `_Scores.rank` has ranked a table, the matchers add to it
+only memoized HOF values. Under the GIL two threads that intern the same
+plan at once at worst build equal entries twice.
 
 The records (`PlayerId`, `Plan`, `MueState`, `ProposalRecord`) are named
 tuples: a game creates many of them, and tuples are built and compared in
@@ -67,6 +73,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -224,26 +231,58 @@ class _PlanEntry(NamedTuple):
     slots: Tuple[_Slots, _Slots]
 
 
+class _Layout(NamedTuple):
+    """The game-free part of every score table with n SBSs."""
+
+    sbs: List[PlayerId]                 # one PlayerId per SBS
+    slots: List[Optional[PlayerId]]     # the slot of each code
+    ranks: List[Tuple[int, int]]        # the `_slot_rank` of each code
+    # per period, the (period, SBS) slot each code holds: SBS codes hold
+    # one, the macro cell and the cache none
+    held: Dict[int, List[Tuple[Tuple[int, int], ...]]]
+    plans: Dict[int, _PlanEntry]        # interned plans per pair code
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    """The one layout of the tables with n SBSs in this process.
+
+    Its plan dict starts empty and only grows: `_Scores.entry` interns a
+    plan on first use, at most one per pair code, so it never holds more
+    than (n + 2)^2 entries. An entry is a function of n and its pair code
+    alone, so which games interned it cannot change a ranking.
+    """
+    sbs = [sbs_id(k) for k in range(n)]
+    slots: List[Optional[PlayerId]] = sbs + [MBS, None]
+    held = {period: [((period, k),) for k in range(n)] + [(), ()]
+            for period in (1, 2)}
+    return _Layout(sbs, slots, [_slot_rank(s) for s in slots], held, {})
+
+
 class _Scores:
     """The payoffs and priorities of one game, tabulated in one pass.
 
     `build_preferences` builds the game's table and ranks the plans from
     it (`rank`); the preferences carry it into every matcher, which only
-    reads it. `find_blocking_pairs` builds a table of its own, so a check
-    shares nothing with what it checks.
+    reads it. A stability scan (`find_blocking_pairs` for one period,
+    `oracle.scan_all_blockings` for both) builds one table of its own for
+    the periods it scans, so a check shares no game's table with what it
+    checks.
 
-    The table has two parts. The speed-free part, built once per instance
-    by the constructor, holds gamma per user, the common priority order
-    (one stable sort), the slot codes with their ranks, one `PlayerId` per
-    SBS and the plans interned so far. Slot codes are integers: SBS k is
-    k, the macro cell n and the cache n + 1, for n SBSs, so code order is
-    `_slot_rank` order. The per-speed part (`_fill`) holds the HOF memo,
-    per user a payoff row keyed by slot code, with phi for every SBS among
-    the user's candidates, the macro payoff and the period-1 cache payoff,
-    beside it the user's period-2 cache payoffs, and the rankings `rank`
-    derives from them. HOF is
-    evaluated once per distinct (speed, SBS) of the game, and `phi` of an
-    SBS outside a user's candidates computes through the same memo.
+    The table has three parts. The game-free part is the layout
+    `_layout(n)` of its SBS count, shared by every table with n SBSs: the
+    slot codes with their ranks, one `PlayerId` per SBS, the slots each
+    code holds and the plans interned so far. Slot codes are integers: SBS
+    k is k, the macro cell n and the cache n + 1, for n SBSs, so code
+    order is `_slot_rank` order. The speed-free part, built once per
+    instance by the constructor, holds gamma per user and the common
+    priority order (one stable sort). The per-speed part (`_fill`) holds
+    the HOF memo, per user a payoff row keyed by slot code, with phi for
+    every SBS among the user's candidates, the macro payoff and the
+    period-1 cache payoff, beside it the user's period-2 cache payoffs,
+    and the rankings `rank` derives from them. HOF is evaluated once per
+    distinct (speed, SBS) of the game, and `phi` of an SBS outside a
+    user's candidates computes through the same memo.
     `respeed` gives the table of the same game with every user at one
     speed: it shares the speed-free part and fills only a new per-speed
     part, so one replication of a speed sweep builds the speed-free part
@@ -267,14 +306,8 @@ class _Scores:
         self.instance = instance
         n = len(instance.sbss)
         self._n = n
-        self.sbs = [sbs_id(k) for k in range(n)]
-        self._slots: List[Optional[PlayerId]] = self.sbs + [MBS, None]
-        self._ranks = [_slot_rank(s) for s in self._slots]
-        # per period, the (period, SBS) slot each code holds: SBS codes hold
-        # one, the macro cell and the cache none
-        self._held = {period: [((period, k),) for k in range(n)] + [(), ()]
-                      for period in (1, 2)}
-        self._plans: Dict[int, _PlanEntry] = {}
+        self.sbs, self._slots, self._ranks, self._held, self._plans = \
+            _layout(n)
         play_rate, scan = instance.play_rate, instance.scan_interval
         self._playback = [mue.segments / play_rate for mue in instance.mues]
         self._gamma = [scan - playback for playback in self._playback]
@@ -916,12 +949,19 @@ def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
                         period: int) -> List[Violation]:
     """Enumerate every blocking configuration of the requested period."""
     matching.validate(instance)
+    if period not in (1, 2):
+        raise ValueError("period must be 1 or 2")
+    return _blocking_scans(matching, instance, (period,))[0]
+
+
+def _blocking_scans(matching: DynamicMatching, instance: GameInstance,
+                    periods: Sequence[int]) -> List[List[Violation]]:
+    """The blocking configurations of each period of a validated matching,
+    all scanned on one score table of their own."""
     rosters = (_sbs_rosters(matching.mu1), _sbs_rosters(matching.mu2))
-    if period == 1:
-        return _scan_period1(matching, _Scores(instance), rosters)
-    if period == 2:
-        return _scan_period2(matching, _Scores(instance), rosters)
-    raise ValueError("period must be 1 or 2")
+    scores = _Scores(instance)
+    scans = {1: _scan_period1, 2: _scan_period2}
+    return [scans[period](matching, scores, rosters) for period in periods]
 
 
 def _scan_period1(matching: DynamicMatching, scores: _Scores,

@@ -270,9 +270,12 @@ class StabilityReport:
 
 def scan_all_blockings(matching_: DynamicMatching,
                        instance: GameInstance) -> StabilityReport:
-    """Definition-1 consistency check, then both-period blocking scans."""
+    """Definition-1 consistency check, then both-period blocking scans.
+
+    The matching is validated once and both periods are scanned on one
+    score table of the scan's own: the check shares no game's table with
+    the matcher.
+    """
     matching_.validate(instance)
-    return StabilityReport(
-        period1=matching.find_blocking_pairs(matching_, instance, period=1),
-        period2=matching.find_blocking_pairs(matching_, instance, period=2),
-    )
+    period1, period2 = matching._blocking_scans(matching_, instance, (1, 2))
+    return StabilityReport(period1=period1, period2=period2)

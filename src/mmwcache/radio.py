@@ -158,15 +158,16 @@ def _closed_form_integral(delta1: float, f_start: float, f_end: float) -> float:
 
     Antiderivative G(f) = [2*sqrt(d1)*arctan(sqrt(d1)*f) - ln(1+d1*f^2)/f]/ln2
     evaluated start-minus-end, i.e. oriented to match the quadrature of the
-    same integral.
+    same integral. Both ends lie in (0, 1] (`crossing_geometry`), so the
+    arctan difference is the arctan of one quotient: at a large SNR both
+    arctans near pi/2, and subtracting them would cancel every digit.
     """
     s = math.sqrt(delta1)
-
-    def g(f: float) -> float:
-        return (2.0 * s * math.atan(s * f)
-                - math.log1p(delta1 * f * f) / f) / LN2
-
-    return g(f_start) - g(f_end)
+    arc = 2.0 * s * math.atan(
+        s * (f_start - f_end) / (1.0 + delta1 * f_start * f_end))
+    logs = (math.log1p(delta1 * f_start * f_start) / f_start
+            - math.log1p(delta1 * f_end * f_end) / f_end)
+    return (arc - logs) / LN2
 
 
 def average_caching_rate(pose: Pose, beam: BeamGeometry, budget: LinkBudget,

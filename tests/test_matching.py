@@ -704,6 +704,8 @@ class TestRespeededTables:
         monkeypatch.setattr(M._Scores, "__init__", counting_init)
         monkeypatch.setattr(M._Scores, "respeed", counting_respeed)
         monkeypatch.setattr(M, "sbs_id", counting_sbs_id)
+        # layouts are built once per SBS count per process: start afresh
+        M._layout.cache_clear()
         cfg = ScenarioConfig(seed=1)
         metrics = experiments._region_replication(cfg, (3, 0), 20,
                                                   self.SPEEDS)
@@ -717,6 +719,82 @@ class TestRespeededTables:
             assert table._priority is first._priority
             assert table.sbs is first.sbs and table._plans is first._plans
             assert table._rows is not first._rows
+        layout = M._layout(len(built[0].sbss))
+        for table in tables:
+            assert table.sbs is layout.sbs and table._plans is layout.plans
+
+
+class TestSharedLayout:
+    """Every table with n SBSs shares the one layout `_layout(n)`."""
+
+    def test_interleaved_games_match_reference(self):
+        # 300 games of 1 to 6 SBSs, tables built first and then ranked and
+        # matched in a shuffled order, from layouts that start empty
+        M._layout.cache_clear()
+        rng = np.random.default_rng(110)
+        games = [random_game_instance(rng, max_mues=12, max_sbss=6)
+                 for _ in range(300)]
+        assert len({len(game.sbss) for game in games}) == 6
+        tables = [M._Scores(game) for game in games]
+        for i in rng.permutation(len(games)):
+            game = games[i]
+            prefs, ref_prefs = tables[i].rank(), R.build_preferences(game)
+            assert repr(prefs) == repr(ref_prefs)
+            res = M.dynamic_match(game, preferences=prefs)
+            ref = R.dynamic_match(game, preferences=ref_prefs)
+            assert repr((res.ex_ante, res.matching)) == \
+                repr((ref.ex_ante, ref.matching))
+            assert repr((_scan(res.matching, game),
+                         _scan(res.ex_ante, game))) == \
+                repr((_reference_scan(ref.matching, game),
+                      _reference_scan(ref.ex_ante, game)))
+
+    def test_equal_sbs_counts_share_plan_entries(self):
+        rng = np.random.default_rng(111)
+        games = []
+        while len(games) < 2:
+            game = random_game_instance(rng, max_mues=12, max_sbss=4)
+            if len(game.sbss) == 4:
+                games.append(game)
+        a, b = (M.build_preferences(game).scores for game in games)
+        assert a._plans is b._plans is M._layout(4).plans
+        entries = {e.plan: e for ranking in b.rankings for e in ranking}
+        shared = [e for ranking in a.rankings for e in ranking
+                  if e.plan in entries]
+        assert shared
+        assert all(entries[e.plan] is e for e in shared)
+
+    def test_interned_plans_bounded_by_pair_codes(self):
+        rng = np.random.default_rng(112)
+        for _ in range(200):
+            game = random_game_instance(rng, max_mues=12, max_sbss=4)
+            M.dynamic_match(game)
+            M.deferred_acceptance(game)
+        for n in range(1, 5):
+            plans = M._layout(n).plans
+            assert 0 < len(plans) <= (n + 2) ** 2
+        # interning every pair code of the last game's SBS count fills its
+        # dict and nothing more
+        table = M._Scores(game)
+        n = len(game.sbss)
+        for _ in range(2):
+            for pair in range((n + 2) ** 2):
+                table.entry(pair)
+            assert len(table._plans) == (n + 2) ** 2
+
+    def test_stability_scan_equals_per_period_scans(self):
+        rng = np.random.default_rng(113)
+        blocked = 0
+        for _ in range(300):
+            game = random_game_instance(rng, max_mues=12, max_sbss=4)
+            res = M.dynamic_match(game)
+            for matching in (res.matching, res.ex_ante):
+                report = oracle.scan_all_blockings(matching, game)
+                assert repr((report.period1, report.period2)) == repr((
+                    M.find_blocking_pairs(matching, game, period=1),
+                    M.find_blocking_pairs(matching, game, period=2)))
+                blocked += not report.stable
+        assert blocked >= 10
 
 
 class TestRecords:

@@ -121,6 +121,23 @@ class TestAverageCachingRate:
                  / G.beam_coverage_probability(3, tk))
         assert rate6 == pytest.approx(rate3 * ratio, rel=1e-9)
 
+    @pytest.mark.parametrize("carrier_frequency", [1e3, 1e-20])
+    def test_closed_form_holds_at_large_snr(self, table_budget,
+                                            carrier_frequency):
+        # SNR at 1 m of about 1e23 and 1e69: both arctans of the
+        # antiderivative sit at pi/2 to the last digit
+        los = R.ChannelParams(carrier_frequency, pathloss_exponent=2.0)
+        nlos = R.ChannelParams(carrier_frequency, pathloss_exponent=3.5)
+        for deg in (10.5, 20.0, 50.0, 70.0):
+            for distance in (5.0, 20.0, 60.0):
+                pose, beam = _crossing(deg, distance=distance)
+                closed = R.average_caching_rate(pose, beam, table_budget, los)
+                quad = R.quadrature_rate(pose, beam, table_budget, los)
+                assert closed == pytest.approx(quad, rel=1e-6)
+                nlos_rate = R.average_caching_rate(pose, beam, table_budget,
+                                                   nlos)
+                assert closed >= nlos_rate > 0.0
+
     def test_invalid_heading_raises(self, table_budget):
         params = R.ChannelParams.los_mmw()
         beam = G.BeamGeometry(n_beams=3, beamwidth=math.radians(10),
