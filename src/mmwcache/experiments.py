@@ -2,12 +2,14 @@
 
 Six named experiments sweep speed, user count and distance axes and emit
 tabular results. Every replication is fully determined by (config,
-experiment, user count, replication index), so runs are reproducible
-bit-for-bit; runtimes are reported separately from the data columns. No
-draw of a replication depends on the speed, so each replication draws one
-deployment (and its users) and evaluates it at every speed of its sweep:
-common random numbers, under which the curves at different speeds compare
-the same deployments.
+experiment, replication index), so runs are reproducible bit-for-bit;
+runtimes are reported separately from the data columns. Each replication
+draws one deployment and its users and evaluates it at every point of its
+sweep: common random numbers, under which the points of a curve compare
+the same deployments. No draw depends on the speed, so one draw serves
+every speed; the users are drawn in one block, so the first u users of
+the largest user count are the instance of u users, and one draw serves
+every user count.
 
 The multi-user experiments run on a "target region" extracted from a full
 deployment: a focal cell plus the onward cells each user would reach, with
@@ -519,28 +521,36 @@ def _count_measurements(result: matching.MatchResult) -> int:
 
 
 def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
-                        n_mues: int, speeds: Sequence[float],
-                        ) -> List[Dict[str, float]]:
-    """One replication of the target-region epoch: all metrics, per speed.
+                        users: Sequence[int], speeds: Sequence[float],
+                        ) -> List[List[Dict[str, float]]]:
+    """One replication of the target-region epoch: all metrics, per user
+    count and speed, as `metrics[user index][speed index]`.
 
-    One instance is built at `speeds[0]`. It draws no speed, so the
-    instance at another speed differs only in `MueState.speed`: the
+    One instance of `max(users)` users is built at `speeds[0]`. Its users'
+    numbers come from one draw after the deployment's, so its first u
+    users are the instance of u users; and it draws no speed, so the
+    instance at another speed differs only in `MueState.speed`. The
     replication keeps one score table, whose gamma, priority order and
     plan slots do not depend on speed, re-speeds it for each other speed
-    (`matching._Scores.respeed`) and matches again, and element i equals
-    this function's result for `(speeds[i],)` alone. A pure
+    (`matching._Scores.respeed`) and ranks it once per speed. Each user
+    count u is matched on the head of that ranking, the game of the first
+    u users (`matching.head_preferences`). So element [j][i] equals this
+    function's result for `((users[j],), (speeds[i],))` alone. A pure
     function of (config, seed key, users, speeds), so replications can be
     mapped over a worker pool and merged by index.
     """
     rng = _rep_rng(cfg.seed, *seed_key)
-    region = build_region_instance(cfg, n_mues, speeds[0], rng)
+    region = build_region_instance(cfg, max(users), speeds[0], rng)
     scores = matching._Scores(region.game)
-    metrics = []
+    metrics: List[List[Dict[str, float]]] = [[] for _ in users]
     for i, v in enumerate(speeds):
         if i:
             scores = scores.respeed(v)
-        metrics.append(_region_metrics(cfg, region.focal_chords,
-                                       scores.rank()))
+        prefs = scores.rank()
+        for at_users, u in zip(metrics, users):
+            at_users.append(_region_metrics(
+                cfg, region.focal_chords[:u],
+                matching.head_preferences(prefs, u)))
     return metrics
 
 
@@ -590,10 +600,11 @@ def _map_jobs(fn, cfg: ScenarioConfig, jobs: Sequence[tuple],
     """`[fn(cfg, *job) for job in jobs]`, on one process pool if threads > 1.
 
     The pool lives for this call only and has at most `threads` workers,
-    never more than the CPUs this process may run on or the jobs. Each
-    worker takes chunks of about a quarter of its share, so the costlier
-    jobs at the end of a sweep still spread over the workers. Results come
-    back in job order, so they are the same whatever the worker count.
+    never more than the CPUs this process may run on or the jobs. The jobs
+    of one sweep cost about the same; each worker takes chunks of about a
+    quarter of its share, so a worker slowed by the machine leaves its
+    later chunks to the others. Results come back in job order, so they
+    are the same whatever the worker count.
     """
     workers = min(threads, _available_cpus(), len(jobs))
     if workers <= 1:
@@ -618,21 +629,21 @@ def _speed_means(results: Sequence[List[Dict[str, float]]], name: str,
 def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
                   speeds: Tuple[float, ...], key: int, names: Tuple[str, ...],
                   threads: int = 1) -> Dict[str, List[float]]:
-    """Metric means per (user count, speed), one job per (users, rep).
+    """Metric means per (user count, speed), one job per replication.
 
-    A job draws one instance under the key (key, users, rep) and matches
-    it at every speed, so all speeds of a user count share deployments and
-    users.
+    A job draws one instance of the largest user count under the key
+    (key, rep) and matches its first u users for every user count u at
+    every speed (`_region_replication`), so all points of a replication
+    share one deployment and one draw of users.
     """
     cols: Dict[str, List[float]] = {"n_mues": [float(u) for u in users]}
     for v in speeds:
         for name in names:
             cols[f"{name}_v{int(v)}"] = []
-    jobs = [((key, u_count, rep), u_count, speeds)
-            for u_count in users for rep in range(reps)]
+    jobs = [((key, rep), users, speeds) for rep in range(reps)]
     results = _map_jobs(_region_replication, config, jobs, threads)
-    for start in range(0, len(results), reps):
-        per_rep = results[start:start + reps]
+    for j in range(len(users)):
+        per_rep = [metrics[j] for metrics in results]
         for name in names:
             for v, mean in zip(speeds, _speed_means(per_rep, name)):
                 cols[f"{name}_v{int(v)}"].append(mean)
@@ -653,8 +664,9 @@ def _run_hof_multiuser(config: ScenarioConfig, reps: int,
     """
     speeds = tuple(float(v) for v in range(1, 17))
     cols: Dict[str, List[float]] = {"speed_mps": list(speeds)}
-    jobs = [((3, rep), 20, speeds) for rep in range(reps)]
-    results = _map_jobs(_region_replication, config, jobs, threads)
+    jobs = [((3, rep), (20,), speeds) for rep in range(reps)]
+    results = [metrics[0] for metrics in
+               _map_jobs(_region_replication, config, jobs, threads)]
     for name in ("hof_prob_proposed", "hof_prob_conventional"):
         cols[name] = _speed_means(results, name)
     return ExperimentResult("hof_multiuser", cols, reps, config.seed)
@@ -664,8 +676,8 @@ def _run_load_vs_users(config: ScenarioConfig, reps: int,
                        threads: int = 1) -> ExperimentResult:
     """Period-1 load of the focal SBS against users at 8, 10 and 12 m/s.
 
-    The instance of each (users, rep), drawn under the key
-    (4, users, rep), serves all three speeds.
+    The instance of each replication, drawn under the key (4, rep),
+    serves all user counts at all three speeds.
     """
     cols = _region_sweep(config, reps, users=range(5, 55, 5),
                          speeds=(8.0, 10.0, 12.0), key=4, names=("load",),
@@ -677,8 +689,8 @@ def _run_energy_vs_users(config: ScenarioConfig, reps: int,
                          threads: int = 1) -> ExperimentResult:
     """Scanning energy and its savings against users at 8, 10 and 12 m/s.
 
-    The instance of each (users, rep), drawn under the key
-    (5, users, rep), serves all three speeds.
+    The instance of each replication, drawn under the key (5, rep),
+    serves all user counts at all three speeds.
     """
     cols = _region_sweep(config, reps, users=range(5, 55, 5),
                          speeds=(8.0, 10.0, 12.0), key=5,
@@ -691,8 +703,8 @@ def _run_overhead_vs_users(config: ScenarioConfig, reps: int,
                            threads: int = 1) -> ExperimentResult:
     """Proposals to the focal SBS against users at 2, 8, 10 and 12 m/s.
 
-    The instance of each (users, rep), drawn under the key
-    (6, users, rep), serves all four speeds.
+    The instance of each replication, drawn under the key (6, rep),
+    serves all user counts at all four speeds.
     """
     cols = _region_sweep(config, reps, users=range(5, 55, 5),
                          speeds=(2.0, 8.0, 10.0, 12.0), key=6,

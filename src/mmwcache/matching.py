@@ -53,14 +53,17 @@ HOF memo, the payoff rows and the period-2 cache payoffs.
 `_Scores.respeed` gives the table of the same game with every user at one
 speed: it builds that instance itself and recomputes only the per-speed
 part, so one replication of a speed sweep pays once for the rest.
+`head_preferences` gives the ranked table of the game of a prefix of the
+users, sharing the full table but for the priority, so one ranking per
+speed serves every user count of a replication.
 
 Determinism: all tie-breaking is lexicographic in (utility, player index),
 so identical instances yield identical matchings. One replication owns its
-instance and every table re-speeded from it. The only process-wide state
-is the layout per SBS count, and it is append-only: tables add interned
-plans to it, each a function of n and its pair code alone, so whichever
-game interned a plan first, every table ranks as it would with a layout of
-its own. Once `_Scores.rank` has ranked a table, the matchers add to it
+instance and every table re-speeded or cut from it. The only process-wide
+state is the layout per SBS count, and it is append-only: tables add
+interned plans to it, each a function of n and its pair code alone, so
+whichever game interned a plan first, every table ranks as it would with a
+layout of its own. Once `_Scores.rank` has ranked a table, the matchers add to it
 only memoized HOF values. Under the GIL two threads that intern the same
 plan at once at worst build equal entries twice.
 
@@ -609,6 +612,40 @@ def build_preferences(instance: GameInstance) -> Preferences:
     share one empty profile. The table leaves too.
     """
     return _Scores(instance).rank()
+
+
+def head_preferences(prefs: Preferences, n_mues: int) -> Preferences:
+    """The preferences, with their ranked table, of the game of the first
+    `n_mues` users of the game `prefs` were ranked on.
+
+    The head game keeps the full game's SBS list and the users
+    `mues[:n_mues]`. Its table shares the full table's layout, HOF memo,
+    per-user rows, cache payoffs and rankings; its priority is the full
+    priority restricted to users below `n_mues`. Its profiles are the first
+    `n_mues` profiles, and each BS list is the full list restricted to
+    those users. So it equals `build_preferences` of the head game, and it
+    matches as the head game without the SBSs that only later users name
+    does: a user's ranking reads only its own row, such an SBS is named by
+    no ranking of the head, so no slot there is taken, and pair codes
+    shift with the SBS count but keep their order.
+    """
+    full = prefs.scores
+    table = copy.copy(full)
+    table.instance = replace(full.instance,
+                             mues=full.instance.mues[:n_mues])
+    table._playback = full._playback[:n_mues]
+    table._gamma = full._gamma[:n_mues]
+    table._priority = [u for u in full._priority if u < n_mues]
+    table._rows = full._rows[:n_mues]
+    table._cache2 = full._cache2[:n_mues]
+    table.rankings = full.rankings[:n_mues]
+
+    def head(bs: BsPreference) -> BsPreference:
+        return BsPreference(tuple([u for u in bs.ranked_mues if u < n_mues]))
+
+    return Preferences(prefs.mue_profiles[:n_mues],
+                       tuple([head(bs) for bs in prefs.sbs_profiles]),
+                       head(prefs.mbs_profile), table)
 
 
 # ---------------------------------------------------------------------------

@@ -707,8 +707,8 @@ class TestRespeededTables:
         # layouts are built once per SBS count per process: start afresh
         M._layout.cache_clear()
         cfg = ScenarioConfig(seed=1)
-        metrics = experiments._region_replication(cfg, (3, 0), 20,
-                                                  self.SPEEDS)
+        metrics = experiments._region_replication(cfg, (3, 0), (20,),
+                                                  self.SPEEDS)[0]
         assert len(metrics) == 16
         # one table built, with one PlayerId per SBS, then 15 re-speeds
         # sharing its priority order and its PlayerIds
@@ -722,6 +722,49 @@ class TestRespeededTables:
         layout = M._layout(len(built[0].sbss))
         for table in tables:
             assert table.sbs is layout.sbs and table._plans is layout.plans
+
+
+class TestHeadTables:
+    """`head_preferences` against the game of the first u users ranked
+    afresh."""
+
+    def test_random_games_match_fresh_heads(self):
+        # gamma varies across users of a random game, so the heads'
+        # priorities are restrictions of a priority that is not index order
+        rng = np.random.default_rng(113)
+        cases = reordered = 0
+        for _ in range(1000):
+            game = random_game_instance(rng, max_mues=14)
+            prefs = M.build_preferences(game)
+            for u in range(1, len(game.mues) + 1):
+                head = M.head_preferences(prefs, u)
+                head_game = replace(game, mues=game.mues[:u])
+                fresh = M.build_preferences(head_game)
+                assert head.scores.instance == head_game
+                assert head.scores.priority() == fresh.scores.priority()
+                reordered += fresh.scores.priority() != list(range(u))
+                assert repr(head) == repr(fresh)
+                ours = M.dynamic_match(head.scores.instance, head)
+                theirs = M.dynamic_match(head_game, fresh)
+                assert ours.matching.mu1 == theirs.matching.mu1
+                assert ours.matching.mu2 == theirs.matching.mu2
+                assert ours.trace.proposals == theirs.trace.proposals
+                cases += 1
+        assert cases >= 7000 and reordered >= cases // 2
+
+    def test_full_table_is_left_as_it_was(self):
+        rng = np.random.default_rng(114)
+        for _ in range(100):
+            game = random_game_instance(rng, max_mues=12)
+            prefs = M.build_preferences(game)
+            before = repr(prefs), prefs.scores.priority()[:]
+            for u in range(1, len(game.mues) + 1):
+                head = M.head_preferences(prefs, u)
+                M.dynamic_match(head.scores.instance, head)
+            assert prefs.scores.instance is game
+            assert (repr(prefs), prefs.scores.priority()) == before
+            assert repr(M.dynamic_match(game, prefs)) == \
+                repr(M.dynamic_match(game, M.build_preferences(game)))
 
 
 class TestSharedLayout:

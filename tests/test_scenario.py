@@ -508,12 +508,32 @@ class TestCommonRandomNumbers:
             for n_mues in (5, 20, 50):
                 for rep in range(2):
                     key = (4, n_mues, rep)
-                    joint = E._region_replication(cfg, key, n_mues,
-                                                  self.SPEEDS)
+                    joint = E._region_replication(cfg, key, (n_mues,),
+                                                  self.SPEEDS)[0]
                     assert len(joint) == len(self.SPEEDS)
                     for i, v in enumerate(self.SPEEDS):
-                        alone = E._region_replication(cfg, key, n_mues, (v,))
+                        alone = E._region_replication(cfg, key, (n_mues,),
+                                                      (v,))[0]
                         assert joint[i] == alone[0], (seed, n_mues, rep, v)
+
+    def test_region_replication_per_user_count(self):
+        # 5 seeds x 3 keys x 2 reps x 10 user counts x 4 speeds = 1,200
+        # cases: one draw of 50 users, matched on its first u users,
+        # against an instance of exactly u users
+        users = tuple(range(5, 55, 5))
+        for seed in range(1, 6):
+            cfg = ScenarioConfig(seed=seed)
+            for experiment_key in (4, 5, 6):
+                for rep in range(2):
+                    key = (experiment_key, rep)
+                    joint = E._region_replication(cfg, key, users,
+                                                  self.SPEEDS)
+                    assert len(joint) == len(users)
+                    for j, u in enumerate(users):
+                        alone = E._region_replication(cfg, key, (u,),
+                                                      self.SPEEDS)
+                        assert len(alone) == 1
+                        assert joint[j] == alone[0], (seed, key, u)
 
     def test_speed_replication_per_speed(self):
         # 4 seeds x 5 reps x 17 speeds = 340 cases
@@ -723,7 +743,7 @@ class TestExperiments:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
-        for name, reps in (("load_vs_users", 1), ("hof_vs_speed", 2)):
+        for name, reps in (("load_vs_users", 2), ("hof_vs_speed", 2)):
             starts.clear()
             E.run_experiment(name, ScenarioConfig(seed=2), reps, threads=2)
             assert starts == [2], name
