@@ -98,9 +98,6 @@ def cmd_analyze(args) -> int:
         _write(os.path.join(out, "analyze_rate.csv"), result.to_csv())
         print(os.path.join(out, "analyze_rate.csv"))
         return 0
-    else:
-        print(f"unknown analyze op {args.op!r}", file=sys.stderr)
-        return 2
     path = os.path.join(_outdir(args), f"analyze_{args.op}.csv")
     _write(path, "\n".join(rows) + "\n")
     print(path)

@@ -1,71 +1,25 @@
 """Two-period dynamic matching between mobile users and base stations.
 
-Mobile users rank two-period association plans (serve/cache/macro fallback
-per period); small base stations rank users by how little cached playback
-they hold. A single-period deferred-acceptance solver provides the classic
-stable matching; the two-stage dynamic solver first reaches an ex ante
-stable plan assignment through plan proposals and then repairs period-2
-blocking through a constrained second-period deferred acceptance. Exhaustive
-blocking scans over the same preference primitives verify both stability
-notions.
+Users rank two-period association plans and base stations rank users, by
+the utilities of `GameInstance`. The single-period matcher is deferred
+acceptance; the dynamic matcher reaches an ex ante stable plan assignment
+(stage one) and then repairs period-2 blocking (stage two); exhaustive
+blocking scans check both stability notions. Every base station ranks
+users by gamma, which does not depend on the base station, so all three
+matchers run as serial dictatorship in that one priority order (README,
+"matching").
 
-Both utilities are the paper's, unscaled. A user's utility for SBS k is
-its threshold margin phi = p_th - P(HOF in k): an SBS slot is
-acceptable at phi >= 0, and after one the macro cell admits the user in
-period 2 when phi < epsilon. Every BS's utility for a user is
-gamma = T_s - cached playback: a user with gamma < 0 is refused SBS slots,
-and gamma <= 0 is the rule "the cache outlasts the scan interval", which
-keeps an unserved user on its cache. Macro and cache slots score the
-instance's payoffs as given.
-
-The BS-side utility gamma depends only on the user's cached playback, never
-on the base station ranking it, so every roster ranks users in one common
-priority order, (gamma, -index). Under a common priority, user-proposing
-deferred acceptance has the outcome of serial dictatorship: each user, best
-first, takes its first option that still has room (Ergin, "Efficient
-resource allocation on the basis of priorities", Econometrica 70(6), 2002;
-Abdulkadiroglu and Sonmez, "School choice: a mechanism design approach",
-AER 93(3), 2003). All three matchers run as one such pass after one sort.
-For stage two and the single-period matcher (one slot per user) this is
-the theorem; for stage one's atomic two-slot plans the equivalence with the
-proposal-and-restart process is established by differential tests.
-
-Scores are tabulated once per game: the game's table (`_Scores`) holds
-each user's payoffs (phi per candidate SBS, the cache payoffs) and gamma,
-and the preferences carry it into every matcher, which reads it instead of
-computing a utility again. HOF is evaluated once per distinct (speed, SBS)
-of the game. The table names slots by integer codes (SBS k is k, the macro
-cell n, the cache n + 1) and interns each plan once per pair of codes,
-with the slots it occupies in each stage, so ranking plans hashes no
-`PlayerId` and a proposal computes no slots. Plan keys and ranked plan
-lists are both derived from the payoffs by one helper, and the public
-utility functions compute through the same code, so a tabulated value
-equals the direct one bit for bit. A stability scan builds one table of
-its own for both periods: a check shares no game's table with the matcher
+A game's payoffs are tabulated once, in its `_Scores` table, and every
+matcher reads that table instead of computing a utility again. A stability
+scan builds one table of its own: a check shares no table with the matcher
 it checks.
 
-A table has a game-free part, a speed-free part and a per-speed part. The
-game-free part (the `PlayerId` per SBS, the slot codes and their ranks,
-the slots each code holds and the interned plans) depends on the SBS count
-n alone and is the layout `_layout(n)`, one per n in the process. The
-speed-free part is gamma and the priority order; the per-speed part the
-HOF memo, the payoff rows and the period-2 cache payoffs.
-`_Scores.respeed` gives the table of the same game with every user at one
-speed: it builds that instance itself and recomputes only the per-speed
-part, so one replication of a speed sweep pays once for the rest.
-`head_preferences` gives the ranked table of the game of a prefix of the
-users, sharing the full table but for the priority, so one ranking per
-speed serves every user count of a replication.
-
-Determinism: all tie-breaking is lexicographic in (utility, player index),
-so identical instances yield identical matchings. One replication owns its
-instance and every table re-speeded or cut from it. The only process-wide
-state is the layout per SBS count, and it is append-only: tables add
-interned plans to it, each a function of n and its pair code alone, so
-whichever game interned a plan first, every table ranks as it would with a
-layout of its own. Once `_Scores.rank` has ranked a table, the matchers add to it
-only memoized HOF values. Under the GIL two threads that intern the same
-plan at once at worst build equal entries twice.
+Determinism: ties break on (utility, player index), so equal instances
+give equal matchings. The only process-wide state is the slot layout per
+SBS count (`_layout`). It only grows, and each plan it interns is a
+function of n and its pair code alone, so whichever game interned a plan
+first, every table ranks as it would with a layout of its own. Two threads
+that intern the same plan at once at worst build equal entries twice.
 
 The records (`PlayerId`, `Plan`, `MueState`, `ProposalRecord`) are named
 tuples: a game creates many of them, and tuples are built and compared in
@@ -109,9 +63,6 @@ class Plan(NamedTuple):
 
     first: Optional[PlayerId]
     second: Optional[PlayerId]
-
-    def slots(self) -> Tuple[Optional[PlayerId], Optional[PlayerId]]:
-        return (self.first, self.second)
 
     def sbs_targets(self) -> Tuple[int, ...]:
         out = []
@@ -197,15 +148,6 @@ def sbs_utility(u: int, k: int, instance: GameInstance) -> float:
     return _Scores(instance).gamma(u)
 
 
-def _slot_rank(slot: Optional[PlayerId]) -> Tuple[int, int]:
-    if slot is None:
-        return (2, 0)
-    if slot.kind == PlayerKind.SBS:
-        return (0, slot.index)
-    return (1, slot.index)
-
-
-
 def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
     """Sorted users per SBS index of one period's association map."""
     rosters: Dict[int, List[int]] = {}
@@ -222,12 +164,10 @@ _Slots = Optional[Tuple[Tuple[int, int], ...]]
 
 
 class _PlanEntry(NamedTuple):
-    """A plan interned by a score table, with the BS codes it names and
-    the slots it occupies in each stage."""
+    """A plan interned by a score table, with the slots it occupies in
+    each stage."""
 
     plan: Plan
-    bss: Tuple[int, ...]        # codes of the BSs it names
-    macro: Tuple[int, ...]      # the macro code, if it names the macro cell
     # stage one: the slots of both periods, None if it names the macro
     # cell (which takes no stage-one plan); stage two: its period-2 SBS
     # slot, () for the macro cell, which always admits
@@ -239,7 +179,7 @@ class _Layout(NamedTuple):
 
     sbs: List[PlayerId]                 # one PlayerId per SBS
     slots: List[Optional[PlayerId]]     # the slot of each code
-    ranks: List[Tuple[int, int]]        # the `_slot_rank` of each code
+    kinds: List[int]                    # 0 for an SBS, 1 macro, 2 cache
     # per period, the (period, SBS) slot each code holds: SBS codes hold
     # one, the macro cell and the cache none
     held: Dict[int, List[Tuple[Tuple[int, int], ...]]]
@@ -259,57 +199,35 @@ def _layout(n: int) -> _Layout:
     slots: List[Optional[PlayerId]] = sbs + [MBS, None]
     held = {period: [((period, k),) for k in range(n)] + [(), ()]
             for period in (1, 2)}
-    return _Layout(sbs, slots, [_slot_rank(s) for s in slots], held, {})
+    return _Layout(sbs, slots, [0] * n + [1, 2], held, {})
 
 
 class _Scores:
     """The payoffs and priorities of one game, tabulated in one pass.
 
-    `build_preferences` builds the game's table and ranks the plans from
-    it (`rank`); the preferences carry it into every matcher, which only
-    reads it. A stability scan (`find_blocking_pairs` for one period,
-    `oracle.scan_all_blockings` for both) builds one table of its own for
-    the periods it scans, so a check shares no game's table with what it
-    checks.
+    A table has three parts. The game-free part is the layout `_layout(n)`
+    of its SBS count, shared by every table with n SBSs. Slot codes are
+    integers: SBS k is k, the macro cell n and the cache n + 1. The
+    speed-free part, built by the constructor, holds gamma per user and the
+    common priority order. The per-speed part (`_fill`) holds the HOF memo,
+    per user a payoff row keyed by slot code and the period-2 cache
+    payoffs, and the rankings `rank` derives from them; `respeed` fills
+    only a new per-speed part.
 
-    The table has three parts. The game-free part is the layout
-    `_layout(n)` of its SBS count, shared by every table with n SBSs: the
-    slot codes with their ranks, one `PlayerId` per SBS, the slots each
-    code holds and the plans interned so far. Slot codes are integers: SBS
-    k is k, the macro cell n and the cache n + 1, for n SBSs, so code
-    order is `_slot_rank` order. The speed-free part, built once per
-    instance by the constructor, holds gamma per user and the common
-    priority order (one stable sort). The per-speed part (`_fill`) holds
-    the HOF memo, per user a payoff row keyed by slot code, with phi for
-    every SBS among the user's candidates, the macro payoff and the
-    period-1 cache payoff, beside it the user's period-2 cache payoffs,
-    and the rankings `rank` derives from them. HOF is evaluated once per
-    distinct (speed, SBS) of the game, and `phi` of an SBS outside a
-    user's candidates computes through the same memo.
-    `respeed` gives the table of the same game with every user at one
-    speed: it shares the speed-free part and fills only a new per-speed
-    part, so one replication of a speed sweep builds the speed-free part
-    once for all its speeds.
-
-    Plans are ordered by (-score, pair code), where the pair code of the
-    two slots names the plan; the plans that get ranked are interned per
-    pair code on first use (`entry`), with the BS codes they name and
-    their slots, so ranking plans hashes no `PlayerId`, a scan that only
-    compares orders builds no plan and a proposal computes no slots. Plan
-    scores, orders, keys and ranked plan lists all come from `_keyed`, and
-    the public utilities compute through a one-use table, so there is a
-    single scoring definition. Both utilities
-    are unscaled, so the thresholds are literal: an SBS slot needs phi >=
-    0, the macro cell admits an SBS user in period 2 at phi < epsilon
-    (`mbs_admits_p2`), an SBS refuses gamma < 0, and gamma <= 0 means the
-    cache outlasts the scan interval.
+    Plans are ordered by `order`, (-score, pair code), lower first. The
+    pair code `first * (n + 2) + second` names a plan, so plans of equal
+    score are ordered by their first slot and then their second, SBSs by
+    index before the macro cell before the cache. Plans are interned per
+    pair code on first use (`entry`) with their slots, so ranking hashes no
+    `PlayerId` and a proposal computes no slots. Every score comes from
+    `_keyed`, and the public utilities compute through a one-use table.
     """
 
     def __init__(self, instance: GameInstance):
         self.instance = instance
         n = len(instance.sbss)
         self._n = n
-        self.sbs, self._slots, self._ranks, self._held, self._plans = \
+        self.sbs, self._slots, self._kinds, self._held, self._plans = \
             _layout(n)
         play_rate, scan = instance.play_rate, instance.scan_interval
         self._playback = [mue.segments / play_rate for mue in instance.mues]
@@ -409,17 +327,12 @@ class _Scores:
         """The order (-score, pair code) of the plan (first, second) per
         second code.
 
-        This is the one definition of a plan's score and of the total order
-        over plans. The score adds the first slot's payoff and the
-        second's; a period-2 cache slot's payoff depends on the kind of the
-        first slot, and a certain, in-hand covered cache period may be
-        valued differently from a projected period-2 one, hence the
-        separate covered payoffs. An SBS outside u's candidates, which only
-        the blocking scans name, is scored by `phi`. The pair code
-        `first * (n + 2) + second` names the plan for `entry`, and since
-        code order is slot-rank order, it orders plans of equal score as
-        the ranks of their two slots do (SBS before macro before cache,
-        then by index): (-score, pair code) sorts as the plan key `key`.
+        The score adds the first slot's payoff and the second's; a
+        period-2 cache slot's payoff depends on the kind of the first slot,
+        and a certain, in-hand covered cache period may be valued
+        differently from a projected period-2 one, hence the separate
+        covered payoffs. An SBS outside u's candidates, which only the
+        blocking scans name, is scored by `phi`.
         """
         row, n = self._rows[u], self._n
         try:
@@ -427,7 +340,7 @@ class _Scores:
         except KeyError:
             p1 = self.phi(u, first)
         base, cache = first * (n + 2), n + 1
-        cache2 = self._cache2[u][self._ranks[first][0]]  # by the slot kind
+        cache2 = self._cache2[u][self._kinds[first]]
         out = []
         for second in seconds:
             try:
@@ -443,15 +356,11 @@ class _Scores:
         if entry is None:
             n, slots, held = self._n, self._slots, self._held
             first, second = divmod(pair, n + 2)
-            if n in (first, second):
-                # the macro cell takes no stage-one plan
-                macro, stage1 = (n,), None
-            else:
-                macro, stage1 = (), held[1][first] + held[2][second]
+            # the macro cell takes no stage-one plan
+            stage1 = None if n in (first, second) else \
+                held[1][first] + held[2][second]
             entry = self._plans[pair] = _PlanEntry(
-                Plan(slots[first], slots[second]),
-                tuple([c for c in (first, second) if c <= n]), macro,
-                (stage1, held[2][second]))
+                Plan(slots[first], slots[second]), (stage1, held[2][second]))
         return entry
 
     def _beating(self, own: Tuple[float, int],
@@ -462,31 +371,11 @@ class _Scores:
         interned, entry = self._plans.get, self.entry
         return [interned(pair) or entry(pair) for _, pair in keyed]
 
-    def _key(self, order: Tuple[float, int]) -> tuple:
-        """The plan key of a plan's (-score, pair code)."""
-        ranks = self._ranks
-        first, second = divmod(order[1], self._n + 2)
-        return (order[0],) + ranks[first] + ranks[second]
-
     def order(self, u: int, first: Optional[PlayerId],
               second: Optional[PlayerId]) -> Tuple[float, int]:
-        """The (-score, pair code) of the plan (first, second), which
-        sorts as its key; lower is preferred."""
+        """The (-score, pair code) of the plan (first, second); lower is
+        preferred."""
         return self._keyed(u, self.code(first), (self.code(second),))[0]
-
-    def key(self, u: int, first: Optional[PlayerId],
-            second: Optional[PlayerId]) -> tuple:
-        """The key of the plan (first, second); lower is preferred.
-
-        (-score,) followed by the ranks of both slots, which name the plan:
-        a total order over plans, the one `order` and `_keyed` sort by.
-        """
-        return self._key(self.order(u, first, second))
-
-    def score(self, u: int, first: Optional[PlayerId],
-              second: Optional[PlayerId]) -> float:
-        """Additive two-period score of the plan (first, second)."""
-        return -self.order(u, first, second)[0]
 
     def _universe(self, u: int,
                   ) -> Tuple[Tuple[float, int], List[Tuple[float, int]]]:
@@ -514,11 +403,6 @@ class _Scores:
         out += rest
         return own, out
 
-    def universe(self, u: int) -> List[Tuple[tuple, Plan]]:
-        """(key, plan) of every feasible, individually rational plan of u."""
-        return [(self._key(order), self.entry(order[1]).plan)
-                for order in self._universe(u)[1]]
-
     def mbs_admits_p2(self, u: int, first: Optional[PlayerId]) -> bool:
         """Macro period-2 admission rule after the first slot `first`.
 
@@ -533,31 +417,14 @@ class _Scores:
         return True
 
     def rank(self) -> "Preferences":
-        """Rank every player's options from this table; see
-        `build_preferences`. The ranked entries stay in `rankings`, which
-        stage one reads."""
-        n, n_mues = self._n, len(self.instance.mues)
-        profiles = [_NO_PLANS] * n_mues
-        rankings: List[Sequence[_PlanEntry]] = [()] * n_mues
-        bs_lists: List[List[int]] = [[] for _ in range(n + 1)]  # macro last
-        gamma, universe, beating = self._gamma, self._universe, self._beating
-        for u in self._priority:
-            entries = beating(*universe(u))
-            if not entries:
-                continue
-            rankings[u] = entries
-            profiles[u] = PreferenceProfile(tuple([e.plan for e in entries]))
-            may_serve = not gamma[u] < 0.0
-            for entry in entries:
-                for c in (entry.bss if may_serve else entry.macro):
-                    listed = bs_lists[c]
-                    if not listed or listed[-1] != u:  # once per user
-                        listed.append(u)
-        self.rankings = rankings
-        return Preferences(tuple(profiles),
-                           tuple(BsPreference(tuple(us))
-                                 for us in bs_lists[:n]),
-                           BsPreference(tuple(bs_lists[n])), self)
+        """Rank every user's plans from this table; see `build_preferences`.
+        The ranked entries stay in `rankings`, which stage one reads."""
+        universe, beating = self._universe, self._beating
+        self.rankings = [beating(*universe(u))
+                         for u in range(len(self.instance.mues))]
+        return Preferences(tuple([
+            PreferenceProfile(tuple([e.plan for e in entries]))
+            if entries else _NO_PLANS for entries in self.rankings]), self)
 
 
 # ---------------------------------------------------------------------------
@@ -587,29 +454,43 @@ class BsPreference:
 
 @dataclass(frozen=True)
 class Preferences:
-    """Every player's ranking, and the score table they were ranked by.
+    """Every user's ranking, and the score table it was ranked by.
 
     The matchers read `scores` instead of computing a utility again, and
     stage one takes the interned plans of each ranking from it; it takes
-    no part in equality or the repr, which show the rankings only.
+    no part in equality or the repr. No matcher reads the BS lists: they
+    follow from the rankings and the table's priority, and are derived on
+    demand.
     """
 
     mue_profiles: Tuple[PreferenceProfile, ...]
-    sbs_profiles: Tuple[BsPreference, ...]
-    mbs_profile: BsPreference
-    scores: Optional[_Scores] = field(default=None, compare=False, repr=False)
+    scores: _Scores = field(compare=False, repr=False)
+
+    @property
+    def sbs_profiles(self) -> Tuple[BsPreference, ...]:
+        scores = self.scores
+        served = [u for u in scores.priority() if not scores.gamma(u) < 0.0]
+        return tuple([self._naming(bs, served) for bs in scores.sbs])
+
+    @property
+    def mbs_profile(self) -> BsPreference:
+        return self._naming(MBS, self.scores.priority())
+
+    def _naming(self, bs: PlayerId, users: List[int]) -> BsPreference:
+        """The `users` whose ranked plans name `bs`, in their order."""
+        profiles = self.mue_profiles
+        return BsPreference(tuple([
+            u for u in users
+            if any(bs in plan for plan in profiles[u].ranked_plans)]))
 
 
 def build_preferences(instance: GameInstance) -> Preferences:
-    """Rank every player's options; drop plans not beating the self plan.
+    """Rank every user's plans; drop plans not beating the self plan.
 
-    This builds the game's one score table. One pass in the common priority
-    order ranks each user's plans: the orders `_Scores._universe` derives
-    from its payoffs are filtered against the self plan's, sorted and
-    interned. The pass appends the user to the `BsPreference` list of each
-    BS they name, so every such list comes out in priority order. An SBS
-    lists only users it may serve (gamma >= 0). Users with no ranked plan
-    share one empty profile. The table leaves too.
+    This builds the game's one score table and ranks each user's plans
+    from it: the orders `_Scores._universe` derives from the payoffs are
+    filtered against the self plan's, sorted and interned. Users with no
+    ranked plan share one empty profile.
     """
     return _Scores(instance).rank()
 
@@ -621,13 +502,12 @@ def head_preferences(prefs: Preferences, n_mues: int) -> Preferences:
     The head game keeps the full game's SBS list and the users
     `mues[:n_mues]`. Its table shares the full table's layout, HOF memo,
     per-user rows, cache payoffs and rankings; its priority is the full
-    priority restricted to users below `n_mues`. Its profiles are the first
-    `n_mues` profiles, and each BS list is the full list restricted to
-    those users. So it equals `build_preferences` of the head game, and it
-    matches as the head game without the SBSs that only later users name
-    does: a user's ranking reads only its own row, such an SBS is named by
-    no ranking of the head, so no slot there is taken, and pair codes
-    shift with the SBS count but keep their order.
+    priority restricted to users below `n_mues`, and its profiles are the
+    first `n_mues` profiles. So it equals `build_preferences` of the head
+    game, and it matches as the head game without the SBSs that only later
+    users name does: a user's ranking reads only its own row, such an SBS
+    is named by no ranking of the head, so no slot there is taken, and
+    pair codes shift with the SBS count but keep their order.
     """
     full = prefs.scores
     table = copy.copy(full)
@@ -639,13 +519,7 @@ def head_preferences(prefs: Preferences, n_mues: int) -> Preferences:
     table._rows = full._rows[:n_mues]
     table._cache2 = full._cache2[:n_mues]
     table.rankings = full.rankings[:n_mues]
-
-    def head(bs: BsPreference) -> BsPreference:
-        return BsPreference(tuple([u for u in bs.ranked_mues if u < n_mues]))
-
-    return Preferences(prefs.mue_profiles[:n_mues],
-                       tuple([head(bs) for bs in prefs.sbs_profiles]),
-                       head(prefs.mbs_profile), table)
+    return Preferences(prefs.mue_profiles[:n_mues], table)
 
 
 # ---------------------------------------------------------------------------
@@ -899,9 +773,9 @@ def _period1_fallback(scores: _Scores, matching: DynamicMatching) -> None:
     for u in range(len(instance.mues)):
         if matching.mu1[u] is not None or scores.gamma(u) <= 0.0:
             continue
-        current = scores.score(u, None, matching.mu2[u])
-        rerouted = scores.score(u, MBS, matching.mu2[u])
-        if rerouted > current:
+        # a strictly higher score: an order holds the exact negated score
+        second = matching.mu2[u]
+        if scores.order(u, MBS, second)[0] < scores.order(u, None, second)[0]:
             matching.mu1[u] = MBS
 
 
@@ -913,7 +787,7 @@ def _stage_two(scores: _Scores, matching: DynamicMatching,
     assignment: candidate SBSs with remaining quota and the macro cell under
     its admission rule, which always admits. Period-2 members held from
     stage one are fixed, so an SBS's room is its quota less them. Each
-    user ranks its options by the plan keys of the game's table, which
+    user ranks its options by the plan orders of the game's table, which
     already holds every phi they need, and takes the plans it interns. Run
     as serial dictatorship in the common priority order.
     """

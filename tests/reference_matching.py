@@ -7,19 +7,20 @@ The matchers are the original proposal processes: deferred acceptance with
 displacement for the single-period matcher and stage two, and plan
 proposals with restarts for stage one. `tests/test_matching.py` compares the production path (per-call
 score tables, serial dictatorship) against it on random and region games.
-The data types (plans, matchings, traces, violations) are the production
-ones, so results compare by `repr`.
+The preferences are a record of this module's own, which keeps the
+definitional BS lists; the other data types (plans, matchings, traces,
+violations) are the production ones, so those results compare by `repr`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mmwcache.geometry import hof_probability
 from mmwcache.matching import (MBS, SELF_PLAN, BsPreference, DynamicMatching,
                                GameInstance, MatchResult, MatchTrace, PlayerId,
                                PlayerKind, Plan, PreferenceProfile,
-                               Preferences, ProposalRecord, Violation, sbs_id)
+                               ProposalRecord, Violation, sbs_id)
 
 
 class ConvergenceError(RuntimeError):
@@ -138,6 +139,14 @@ def plan_universe(instance: GameInstance, u: int) -> List[Plan]:
     return plans
 
 
+class Preferences(NamedTuple):
+    """Every player's ranking: each user's plans and each BS's users."""
+
+    mue_profiles: Tuple[PreferenceProfile, ...]
+    sbs_profiles: Tuple[BsPreference, ...]
+    mbs_profile: BsPreference
+
+
 def build_preferences(instance: GameInstance) -> Preferences:
     """Rank every player's options; drop plans not beating the self plan."""
     mue_profiles = []
@@ -147,12 +156,20 @@ def build_preferences(instance: GameInstance) -> Preferences:
                   if plan_key(instance, u, p) < self_key]
         listed.sort(key=lambda p: plan_key(instance, u, p))
         mue_profiles.append(PreferenceProfile(ranked_plans=tuple(listed)))
+    return Preferences(tuple(mue_profiles),
+                       *bs_preferences(instance, mue_profiles))
 
+
+def bs_preferences(instance: GameInstance,
+                   mue_profiles: List[PreferenceProfile],
+                   ) -> Tuple[Tuple[BsPreference, ...], BsPreference]:
+    """Each SBS's and the macro cell's ranking of the users whose ranked
+    plans name it; an SBS lists no user it may not serve."""
     sbs_profiles = []
     for k in range(len(instance.sbss)):
         listed = [u for u, prof in enumerate(mue_profiles)
                   if not sbs_utility(u, k, instance) < 0.0
-                  and any(sbs_id(k) in p.slots() for p in prof.ranked_plans)]
+                  and any(sbs_id(k) in p for p in prof.ranked_plans)]
         ranked = sorted(listed,
                         key=lambda u: (-sbs_utility(u, k, instance), u))
         sbs_profiles.append(BsPreference(ranked_mues=tuple(ranked)))
@@ -161,8 +178,7 @@ def build_preferences(instance: GameInstance) -> Preferences:
               if any(p.second == MBS for p in prof.ranked_plans)]
     mbs_ranked = sorted(listed,
                         key=lambda u: (-sbs_utility(u, 0, instance), u))
-    mbs_profile = BsPreference(ranked_mues=tuple(mbs_ranked))
-    return Preferences(tuple(mue_profiles), tuple(sbs_profiles), mbs_profile)
+    return tuple(sbs_profiles), BsPreference(ranked_mues=tuple(mbs_ranked))
 
 
 def deferred_acceptance(instance: GameInstance,
@@ -305,7 +321,7 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
     def slot_members(k: int, period: int) -> List[int]:
         slot = sbs_id(k)
         return [w for w, plan in held.items()
-                if plan.slots()[period - 1] == slot]
+                if plan[period - 1] == slot]
 
     def next_index(u: int) -> Optional[int]:
         limit = held_idx.get(u, len(profiles[u]))
@@ -333,11 +349,11 @@ def _stage_one(instance: GameInstance, prefs: Preferences,
         accepted = True
         victims: List[int] = []
         if any(slot is not None and slot.kind == PlayerKind.MBS
-               for slot in plan.slots()):
+               for slot in plan):
             accepted = False   # the macro cell takes no stage-1 proposals
         else:
             for period in (1, 2):
-                slot = plan.slots()[period - 1]
+                slot = plan[period - 1]
                 if slot is None or slot.kind != PlayerKind.SBS:
                     continue
                 k = slot.index

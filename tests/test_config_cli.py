@@ -411,6 +411,15 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_unknown_analyze_op_exit_2(self, tmp_path, capsys):
+        # argparse refuses an --op outside its choices before the command runs
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--op", "bogus", "--seed", "1",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_seed_required_for_reproducible_commands(self, tmp_path):
         rc = main(["match", "--users", "4", "--out", str(tmp_path)])
         assert rc == 2

@@ -289,6 +289,11 @@ def _proposals(trace, stage):
                    if p.stage == stage)
 
 
+def _profiles(prefs):
+    """Every player's ranking: the users', the SBSs' and the macro cell's."""
+    return prefs.mue_profiles, prefs.sbs_profiles, prefs.mbs_profile
+
+
 def _assert_same_matchings(game):
     """The serial dictatorships against the reference proposal processes.
 
@@ -298,7 +303,7 @@ def _assert_same_matchings(game):
     (a restart makes it propose plans again). Returns both sides' results.
     """
     prefs, ref_prefs = M.build_preferences(game), R.build_preferences(game)
-    assert repr(prefs) == repr(ref_prefs)
+    assert repr(_profiles(prefs)) == repr(_profiles(ref_prefs))
     res = M.dynamic_match(game, preferences=prefs)
     ref = R.dynamic_match(game, preferences=ref_prefs)
     assert repr((res.ex_ante, res.matching)) == \
@@ -400,15 +405,20 @@ class TestTabulatedScores:
                     assert M.sbs_utility(u, k, game) == \
                         R.sbs_utility(u, k, game)
                 scores = M._Scores(game)
-                self_key = scores.key(u, None, None)
-                for p in R.plan_universe(game, u) + [M.SELF_PLAN]:
-                    key = scores.key(u, p.first, p.second)
-                    assert key == R.plan_key(game, u, p)
-                    assert scores.score(u, p.first, p.second) == \
+                own = scores.order(u, None, None)
+                plans = R.plan_universe(game, u) + [M.SELF_PLAN]
+                orders = {p: scores.order(u, p.first, p.second)
+                          for p in plans}
+                for p, order in orders.items():
+                    assert -order[0] == \
                         R.plan_score(game, u, p.first, p.second)
-                    assert (key < self_key) == \
+                    assert (order < own) == \
                         R.mue_prefers(game, u, p, M.SELF_PLAN)
-                assert [p for _, p in M._Scores(game).universe(u)] == \
+                assert sorted(plans, key=orders.__getitem__) == \
+                    sorted(plans, key=lambda p: R.plan_key(game, u, p))
+                universe_own, universe = scores._universe(u)
+                assert universe_own == own
+                assert [scores.entry(pair).plan for _, pair in universe] == \
                     R.plan_universe(game, u)
                 for w in range(len(game.mues)):
                     assert M._Scores(game).bs_prefers(u, w) == \
@@ -493,18 +503,37 @@ class TestTabulatedScores:
                 (v, game.t_mts, game.sbss[k].radius) for v, k in pairs)
 
     def test_profiles_are_ranked_by_the_plan_key(self):
-        # every ranked plan carries the key `_Scores.key` gives it, so the
-        # preference pass and the scans share one key definition
+        # every ranked plan carries the order `_Scores.order` gives it, so
+        # the preference pass and the scans share one plan order
         for game in _tabulated_games():
             prefs = M.build_preferences(game)
             scores = prefs.scores
             for u, profile in enumerate(prefs.mue_profiles):
-                keys = [scores.key(u, p.first, p.second)
-                        for p in profile.ranked_plans]
-                assert keys == sorted(set(keys))
-                assert all(key < scores.key(u, None, None) for key in keys)
-                listed = {plan: key for key, plan in scores.universe(u)}
-                assert [listed[p] for p in profile.ranked_plans] == keys
+                orders = [scores.order(u, p.first, p.second)
+                          for p in profile.ranked_plans]
+                assert orders == sorted(set(orders))
+                own, universe = scores._universe(u)
+                assert own == scores.order(u, None, None)
+                assert all(order < own for order in orders)
+                listed = {scores.entry(order[1]).plan: order
+                          for order in universe}
+                assert [listed[p] for p in profile.ranked_plans] == orders
+
+    def test_bs_lists_are_the_definitional_lists(self):
+        # the BS lists derived from the rankings are the reference's: the
+        # users whose ranked plans name the BS, sorted by (-gamma, index),
+        # an SBS listing none with gamma < 0
+        listed = refused = reordered = 0
+        for game in _tabulated_games():
+            prefs = M.build_preferences(game)
+            assert (prefs.sbs_profiles, prefs.mbs_profile) == \
+                R.bs_preferences(game, prefs.mue_profiles)
+            scores = prefs.scores
+            listed += sum(len(bs.ranked_mues) for bs in prefs.sbs_profiles)
+            refused += any(scores.gamma(u) < 0.0 and profile.ranked_plans
+                           for u, profile in enumerate(prefs.mue_profiles))
+            reordered += scores.priority() != list(range(len(game.mues)))
+        assert listed and refused >= 1000 and reordered >= 1000
 
 
 def _tabulated_games():
@@ -642,7 +671,7 @@ def _assert_respeeded_equals_fresh(table, game, speed):
     fresh_game = _respeeded(game, speed)
     assert table.instance == fresh_game
     prefs, fresh = table.rank(), M.build_preferences(fresh_game)
-    assert repr(prefs) == repr(fresh)
+    assert repr(_profiles(prefs)) == repr(_profiles(fresh))
     assert repr(M.dynamic_match(table.instance, prefs)) == \
         repr(M.dynamic_match(fresh_game, fresh))
     mu, da = M.deferred_acceptance(table.instance, prefs)
@@ -677,11 +706,11 @@ class TestRespeededTables:
         for _ in range(300):
             game = random_game_instance(rng, max_mues=12)
             table = M._Scores(game)
-            before = repr(table.rank())
+            before = repr(_profiles(table.rank()))
             speed = float(rng.uniform(1.0, 16.0))
             _assert_respeeded_equals_fresh(table.respeed(speed), game, speed)
             assert table.instance is game
-            assert repr(table.rank()) == before
+            assert repr(_profiles(table.rank())) == before
 
     def test_speed_free_part_built_once_per_replication(self, monkeypatch):
         built, ids, tables = [], [], []
@@ -743,7 +772,9 @@ class TestHeadTables:
                 assert head.scores.instance == head_game
                 assert head.scores.priority() == fresh.scores.priority()
                 reordered += fresh.scores.priority() != list(range(u))
-                assert repr(head) == repr(fresh)
+                assert repr(_profiles(head)) == repr(_profiles(fresh))
+                assert (head.sbs_profiles, head.mbs_profile) == \
+                    R.bs_preferences(head_game, head.mue_profiles)
                 ours = M.dynamic_match(head.scores.instance, head)
                 theirs = M.dynamic_match(head_game, fresh)
                 assert ours.matching.mu1 == theirs.matching.mu1
@@ -757,12 +788,12 @@ class TestHeadTables:
         for _ in range(100):
             game = random_game_instance(rng, max_mues=12)
             prefs = M.build_preferences(game)
-            before = repr(prefs), prefs.scores.priority()[:]
+            before = repr(_profiles(prefs)), prefs.scores.priority()[:]
             for u in range(1, len(game.mues) + 1):
                 head = M.head_preferences(prefs, u)
                 M.dynamic_match(head.scores.instance, head)
             assert prefs.scores.instance is game
-            assert (repr(prefs), prefs.scores.priority()) == before
+            assert (repr(_profiles(prefs)), prefs.scores.priority()) == before
             assert repr(M.dynamic_match(game, prefs)) == \
                 repr(M.dynamic_match(game, M.build_preferences(game)))
 
@@ -782,7 +813,7 @@ class TestSharedLayout:
         for i in rng.permutation(len(games)):
             game = games[i]
             prefs, ref_prefs = tables[i].rank(), R.build_preferences(game)
-            assert repr(prefs) == repr(ref_prefs)
+            assert repr(_profiles(prefs)) == repr(_profiles(ref_prefs))
             res = M.dynamic_match(game, preferences=prefs)
             ref = R.dynamic_match(game, preferences=ref_prefs)
             assert repr((res.ex_ante, res.matching)) == \
@@ -859,7 +890,7 @@ class TestRecords:
         assert (mue.cand1, mue.cand2, mue.gap1, mue.gap2) == \
             ((), (), math.inf, math.inf)
         assert M.sbs_id(2).kind is M.PlayerKind.SBS and M.sbs_id(2).index == 2
-        assert plan(1, 1).slots() == (M.sbs_id(1), M.sbs_id(1))
+        assert tuple(plan(1, 1)) == (M.sbs_id(1), M.sbs_id(1))
         assert plan(1, 1).sbs_targets() == (1,)
         assert plan(0, "mbs").sbs_targets() == (0,)
         assert plan(None, 2).sbs_targets() == (2,)
