@@ -103,6 +103,8 @@ class ScenarioConfig:
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in items):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not self.area_radius > 0.0:
             raise ConfigError(
                 f"area_radius must be positive, got {self.area_radius!r}")

@@ -32,7 +32,7 @@ from . import caching, matching
 from .config import ConfigError, ScenarioConfig
 from .geometry import TWO_PI
 from .matching import (GameInstance, MueState, PlayerKind, SbsState,
-                       dynamic_match, sbs_id, signaling_overhead)
+                       sbs_id, signaling_overhead)
 from .radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
                     instantaneous_rate)
 from .scenario import (CellCrossing, SbsSite, Scenario,
@@ -532,42 +532,46 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     instance at another speed differs only in `MueState.speed`. The
     replication keeps one score table, whose gamma, priority order and
     plan slots do not depend on speed, re-speeds it for each other speed
-    (`matching._Scores.respeed`) and ranks it once per speed. Each user
-    count u is matched on the head of that ranking, the game of the first
-    u users (`matching.head_preferences`). So element [j][i] equals this
-    function's result for `((users[j],), (speeds[i],))` alone. A pure
-    function of (config, seed key, users, speeds), so replications can be
-    mapped over a worker pool and merged by index.
+    (`matching._Scores.respeed`) and ranks it once per speed. Every user
+    count is then matched in one pass over that ranking
+    (`matching.match_heads`), whose result for u equals `dynamic_match` of
+    the game of the first u users. That needs the first u users to be the
+    first u in the base stations' priority, which holds because every
+    region user starts with a full cache: gamma ties, and ties break on
+    index. So element [j][i] equals this function's result for
+    `((users[j],), (speeds[i],))` alone. A pure function of (config, seed
+    key, users, speeds), so replications can be mapped over a worker pool
+    and merged by index.
     """
     rng = _rep_rng(cfg.seed, *seed_key)
     region = build_region_instance(cfg, max(users), speeds[0], rng)
+    chords = region.focal_chords
     scores = matching._Scores(region.game)
     metrics: List[List[Dict[str, float]]] = [[] for _ in users]
     for i, v in enumerate(speeds):
         if i:
             scores = scores.respeed(v)
-        prefs = scores.rank()
-        for at_users, u in zip(metrics, users):
-            at_users.append(_region_metrics(
-                cfg, region.focal_chords[:u],
-                matching.head_preferences(prefs, u)))
+        mues = scores.instance.mues
+        results = matching.match_heads(scores.rank(), users)
+        for at_users, u, result in zip(metrics, users, results):
+            at_users.append(_region_metrics(cfg, mues[:u], chords[:u],
+                                            result))
     return metrics
 
 
-def _region_metrics(cfg: ScenarioConfig, focal_chords: Sequence[float],
-                    prefs: matching.Preferences) -> Dict[str, float]:
-    """Match one region game and measure the epoch at the focal SBS.
+def _region_metrics(cfg: ScenarioConfig, mues: Sequence[MueState],
+                    focal_chords: Sequence[float],
+                    result: matching.MatchResult) -> Dict[str, float]:
+    """Measure the epoch at the focal SBS of one matched region game.
 
-    The game is the one `prefs` were ranked on; user u crosses the focal
-    cell on the chord `focal_chords[u]`.
+    `result` matches the game of the users `mues`; user u crosses the
+    focal cell on the chord `focal_chords[u]`.
     """
-    game = prefs.scores.instance
-    n_mues = len(game.mues)
+    n_mues = len(mues)
     focal = sbs_id(0)
-    result = dynamic_match(game, prefs)
     failures = 0
     conventional = 0
-    for u, mue in enumerate(game.mues):
+    for u, mue in enumerate(mues):
         tos = focal_chords[u] / mue.speed
         if tos < cfg.t_mts:
             conventional += 1

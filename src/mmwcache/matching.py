@@ -7,7 +7,9 @@ acceptance; the dynamic matcher reaches an ex ante stable plan assignment
 blocking scans check both stability notions. Every base station ranks
 users by gamma, which does not depend on the base station, so all three
 matchers run as serial dictatorship in that one priority order (README,
-"matching").
+"matching"). The dynamic matcher is `match_heads`, which matches the
+games of a game's first n users, for several n, in one pass when those
+users lead the priority order; `dynamic_match` is its one-count case.
 
 A game's payoffs are tabulated once, in its `_Scores` table, and every
 matcher reads that table instead of computing a utility again. A stability
@@ -495,33 +497,6 @@ def build_preferences(instance: GameInstance) -> Preferences:
     return _Scores(instance).rank()
 
 
-def head_preferences(prefs: Preferences, n_mues: int) -> Preferences:
-    """The preferences, with their ranked table, of the game of the first
-    `n_mues` users of the game `prefs` were ranked on.
-
-    The head game keeps the full game's SBS list and the users
-    `mues[:n_mues]`. Its table shares the full table's layout, HOF memo,
-    per-user rows, cache payoffs and rankings; its priority is the full
-    priority restricted to users below `n_mues`, and its profiles are the
-    first `n_mues` profiles. So it equals `build_preferences` of the head
-    game, and it matches as the head game without the SBSs that only later
-    users name does: a user's ranking reads only its own row, such an SBS
-    is named by no ranking of the head, so no slot there is taken, and
-    pair codes shift with the SBS count but keep their order.
-    """
-    full = prefs.scores
-    table = copy.copy(full)
-    table.instance = replace(full.instance,
-                             mues=full.instance.mues[:n_mues])
-    table._playback = full._playback[:n_mues]
-    table._gamma = full._gamma[:n_mues]
-    table._priority = [u for u in full._priority if u < n_mues]
-    table._rows = full._rows[:n_mues]
-    table._cache2 = full._cache2[:n_mues]
-    table.rankings = full.rankings[:n_mues]
-    return Preferences(prefs.mue_profiles[:n_mues], table)
-
-
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
@@ -539,13 +514,22 @@ class DynamicMatching:
 
     def validate(self, instance: GameInstance) -> None:
         """Definition-1 consistency: quotas per period, known players."""
-        for period in (1, 2):
-            mu = self.mu1 if period == 1 else self.mu2
-            if sorted(mu) != list(range(len(instance.mues))):
+        self.check(len(instance.mues), instance.sbss)
+
+    def check(self, n_mues: int, sbss: Sequence[SbsState]) -> None:
+        """`validate` against a game of `n_mues` users and the SBSs `sbss`."""
+        users = set(range(n_mues))
+        for period, mu in ((1, self.mu1), (2, self.mu2)):
+            if mu.keys() != users:
                 raise ValueError("matching must cover every MUE exactly once")
-            rosters = _sbs_rosters(mu)
-            for k in range(len(instance.sbss)):
-                if len(rosters.get(k, [])) > instance.sbss[k].quota:
+            load = [0] * len(sbss)
+            for slot in mu.values():
+                if slot is not None and slot.kind is PlayerKind.SBS:
+                    if not 0 <= slot.index < len(sbss):
+                        raise ValueError(f"unknown SBS {slot.index}")
+                    load[slot.index] += 1
+            for k, sbs in enumerate(sbss):
+                if load[k] > sbs.quota:
                     raise ValueError(
                         f"quota violated at SBS {k} period {period}")
 
@@ -603,11 +587,12 @@ def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
 # Serial dictatorship in the common priority order
 # ---------------------------------------------------------------------------
 
-def _serial_dictatorship(scores: _Scores,
+def _serial_dictatorship(scores: _Scores, users: Sequence[int],
                          rankings: Sequence[Sequence[_PlanEntry]],
                          room: Dict[Tuple[int, int], int], trace: MatchTrace,
                          stage: int) -> Dict[int, Plan]:
-    """Give each user, best first, the first plan of its ranking with room.
+    """Give each of `users`, a run of the priority order, in turn the first
+    plan of its ranking with room.
 
     `rankings[u]` holds user u's interned plans, best first, whose slots
     of this stage are checked. `room` holds the free places per (period,
@@ -623,7 +608,7 @@ def _serial_dictatorship(scores: _Scores,
     proposals = trace.proposals
     gamma = scores.gamma
     which = stage - 1
-    for u in scores.priority():
+    for u in users:
         ranking = rankings[u]
         if not ranking:
             continue
@@ -667,7 +652,8 @@ def deferred_acceptance(instance: GameInstance,
     rankings = [[entry(k * width + cache) for k in _first_sbs_order(prof)]
                 for prof in prefs.mue_profiles]
     room = {(1, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
-    held = _serial_dictatorship(scores, rankings, room, trace, stage=1)
+    held = _serial_dictatorship(scores, scores.priority(), rankings, room,
+                                trace, stage=1)
 
     mu: Dict[int, Optional[PlayerId]] = {}
     for u in range(len(instance.mues)):
@@ -725,91 +711,113 @@ def dynamic_match(instance: GameInstance,
                   preferences: Optional[Preferences] = None) -> MatchResult:
     """Two-stage plan matching: ex ante stage then period-2 repair.
 
-    Both stages are serial dictatorships in the common priority order.
+    Both stages are serial dictatorships in the common priority order. The
+    one-count case of `match_heads`.
     """
     prefs = preferences or build_preferences(instance)
+    return match_heads(prefs, (len(instance.mues),))[0]
+
+
+def match_heads(prefs: Preferences, counts: Sequence[int],
+                ) -> List[MatchResult]:
+    """Per n in `counts`, the `dynamic_match` result of the head game: the
+    game `prefs` were ranked on, cut to its first n users.
+
+    The head of n users must be a prefix of the priority order: the first
+    n users in priority are the users below n, else ValueError. The head
+    game's priority is then that prefix, and its stage one is the first n
+    turns of the full game's. So stage one runs once, and a head's stage-one
+    trace is the proposals made up to its last turn. A user's period-1
+    fallback and stage-two ranking read only its own payoffs and stage-one
+    plan, so they are made once per user. Per head remain stage two, over
+    its users with no period-2 slot and an SBS's room its quota less the
+    head's period-2 holders, and the check of the result (`validate`).
+
+    In stage one, the ex ante stage, each user in turn holds its best
+    admitted plan. Plans are atomic: a plan is admitted only if every SBS
+    slot it requests has room, in period 1 and in period 2. The macro cell
+    takes no stage-one plan, and a user with gamma below 0 is refused SBS
+    slots. The original process, plan proposals with tentative acceptance
+    in which a displaced plan dies entirely and freed capacity restarts the
+    proposals, holds the same plans in every game of the differential
+    tests.
+    """
     scores = prefs.scores
-    trace = MatchTrace()
-    held = _stage_one(scores, prefs, trace)
-    ex_ante = _matching_from_plans(instance, held)
-    _period1_fallback(scores, ex_ante)
-    matching = ex_ante.copy()
-    _stage_two(scores, matching, trace)
-    matching.validate(instance)
-    return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace)
-
-
-def _stage_one(scores: _Scores, prefs: Preferences,
-               trace: MatchTrace) -> Dict[int, Plan]:
-    """Ex ante stage: each user, best first, holds its best admitted plan.
-
-    Plans are atomic: a plan is admitted only if every SBS slot it requests
-    has room, in period 1 and in period 2. The macro cell takes no stage-1
-    plan, and a user with gamma below 0 is refused SBS slots. The
-    original process, plan proposals with tentative acceptance in which a
-    displaced plan dies entirely and freed capacity restarts the proposals,
-    holds the same plans in every game of the differential tests.
-    """
+    instance = scores.instance
+    priority = scores.priority()
+    for n in counts:
+        if not 0 <= n <= len(priority) or (n and max(priority[:n]) != n - 1):
+            raise ValueError(f"the first {n} users are not the first {n} "
+                             f"in priority order")
+    stage1 = MatchTrace()
+    held: Dict[int, Plan] = {}
+    ends: Dict[int, int] = {}
+    start = 0
     room = {(period, k): sbs.quota for period in (1, 2)
-            for k, sbs in enumerate(scores.instance.sbss)}
-    return _serial_dictatorship(scores, scores.rankings, room, trace,
-                                stage=1)
+            for k, sbs in enumerate(instance.sbss)}
+    for n in sorted(set(counts)):
+        held.update(_serial_dictatorship(
+            scores, priority[start:n], scores.rankings, room, stage1,
+            stage=1))
+        ends[n] = len(stage1.proposals)
+        start = n
+    firsts, seconds, rankings = _stage_two_rankings(scores, held, start)
+    results = []
+    for n in counts:
+        room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
+        for second in seconds[:n]:
+            if second is not None and second.kind is PlayerKind.SBS:
+                room[(2, second.index)] -= 1
+        trace = MatchTrace(stage1.proposals[:ends[n]])
+        repaired = _serial_dictatorship(scores, priority[:n], rankings, room,
+                                        trace, stage=2)
+        ex_ante = DynamicMatching(dict(zip(range(n), firsts)),
+                                  dict(zip(range(n), seconds)))
+        matching = ex_ante.copy()
+        for u, plan in repaired.items():
+            matching.mu2[u] = plan.second
+        matching.check(n, instance.sbss)
+        results.append(MatchResult(matching, ex_ante, trace))
+    return results
 
 
-def _matching_from_plans(instance: GameInstance,
-                         held: Dict[int, Plan]) -> DynamicMatching:
-    mu1: Dict[int, Optional[PlayerId]] = {}
-    mu2: Dict[int, Optional[PlayerId]] = {}
-    for u in range(len(instance.mues)):
-        plan = held.get(u, SELF_PLAN)
-        mu1[u] = plan.first
-        mu2[u] = plan.second
-    return DynamicMatching(mu1, mu2)
+def _stage_two_rankings(scores: _Scores, held: Dict[int, Plan], n: int,
+                        ) -> Tuple[List[Optional[PlayerId]],
+                                   List[Optional[PlayerId]],
+                                   List[Sequence[_PlanEntry]]]:
+    """The ex ante slots and stage-two rankings of the users below n.
 
-
-def _period1_fallback(scores: _Scores, matching: DynamicMatching) -> None:
-    """Send cache-poor unmatched users to the macro cell for period 1."""
-    instance = scores.instance
-    for u in range(len(instance.mues)):
-        if matching.mu1[u] is not None or scores.gamma(u) <= 0.0:
-            continue
-        # a strictly higher score: an order holds the exact negated score
-        second = matching.mu2[u]
-        if scores.order(u, MBS, second)[0] < scores.order(u, None, second)[0]:
-            matching.mu1[u] = MBS
-
-
-def _stage_two(scores: _Scores, matching: DynamicMatching,
-               trace: MatchTrace) -> None:
-    """Period-2 deferred acceptance among users still unmatched in period 2.
-
-    Options are the period-2 partners consistent with the realized period-1
-    assignment: candidate SBSs with remaining quota and the macro cell under
-    its admission rule, which always admits. Period-2 members held from
-    stage one are fixed, so an SBS's room is its quota less them. Each
-    user ranks its options by the plan orders of the game's table, which
-    already holds every phi they need, and takes the plans it interns. Run
-    as serial dictatorship in the common priority order.
+    A user holds its stage-one plan, or the self plan. A cache-poor user
+    left on its cache in period 1 goes to the macro cell instead when that
+    scores strictly higher. A user with no period-2 slot then ranks its
+    period-2 options consistent with its period-1 slot: candidate SBSs it
+    finds acceptable and the macro cell under its admission rule. It ranks
+    them by the plan orders of the table, which already holds every phi
+    they need, and takes the plans it interns; other users rank nothing.
     """
-    instance = scores.instance
-    room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
-    for k, members in _sbs_rosters(matching.mu2).items():
-        room[(2, k)] -= len(members)
+    mues = scores.instance.mues
     macro, cache = scores.code(MBS), scores.code(None)
-    rankings: List[Sequence[_PlanEntry]] = [()] * len(instance.mues)
-    for u, second in matching.mu2.items():
-        if second is not None:
-            continue
-        first = matching.mu1[u]
-        opts = [k for k in instance.mues[u].cand2
-                if not scores.phi(u, k) < 0.0]
-        if scores.mbs_admits_p2(u, first):
-            opts.append(macro)
-        own, *keyed = scores._keyed(u, scores.code(first), [cache] + opts)
-        rankings[u] = scores._beating(own, keyed)
-    held = _serial_dictatorship(scores, rankings, room, trace, stage=2)
-    for u, plan in held.items():
-        matching.mu2[u] = plan.second
+    firsts: List[Optional[PlayerId]] = []
+    seconds: List[Optional[PlayerId]] = []
+    rankings: List[Sequence[_PlanEntry]] = []
+    for u in range(n):
+        first, second = held.get(u, SELF_PLAN)
+        # a strictly higher score: an order holds the exact negated score
+        if first is None and scores.gamma(u) > 0.0 and \
+                scores.order(u, MBS, second)[0] < \
+                scores.order(u, None, second)[0]:
+            first = MBS
+        ranking: Sequence[_PlanEntry] = ()
+        if second is None:
+            opts = [k for k in mues[u].cand2 if not scores.phi(u, k) < 0.0]
+            if scores.mbs_admits_p2(u, first):
+                opts.append(macro)
+            own, *keyed = scores._keyed(u, scores.code(first), [cache] + opts)
+            ranking = scores._beating(own, keyed)
+        firsts.append(first)
+        seconds.append(second)
+        rankings.append(ranking)
+    return firsts, seconds, rankings
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ sbs_powers_dbm = 20, 30
         ("bandwidth", math.inf), ("speed_max", math.inf),
         ("rss_threshold_dbm", -math.inf), ("noise_psd_dbm_hz", math.nan),
         ("sbs_powers_dbm", (24.0, math.inf)),
-        ("sbs_powers_dbm", (math.nan,))])
+        ("sbs_powers_dbm", (math.nan,)), ("seed", -1)])
     def test_invalid_scenario_values_name_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**{key: value})
@@ -419,6 +419,32 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["match", "--seed", "-5"], ["simulate", "--seed", "-2"],
+        ["verify", "--seed", "-3"], ["reproduce", "--seed", "-1"],
+        ["match", "--seed", "1", "--set", "seed=-4"],
+        ["verify", "--set", "seed=-6"]])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["match"], ["simulate"],
+                                         ["verify"], ["reproduce"]])
+    def test_negative_seed_in_config_file_exit_2(self, tmp_path, capsys,
+                                                 command):
+        path = tmp_path / "neg.cfg"
+        path.write_text("seed = -7\n")
+        out = tmp_path / "out"
+        rc = main(command + ["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_required_for_reproducible_commands(self, tmp_path):
         rc = main(["match", "--users", "4", "--out", str(tmp_path)])

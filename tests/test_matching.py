@@ -276,6 +276,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             bad.validate(inst)
 
+    def test_matching_names_known_sbss(self):
+        inst = example1_instance()
+        for k in (len(inst.sbss), -1):
+            bad = M.DynamicMatching(
+                mu1={u: None for u in range(len(inst.mues))},
+                mu2={u: M.sbs_id(k) if u == 0 else None
+                     for u in range(len(inst.mues))})
+            with pytest.raises(ValueError):
+                bad.validate(inst)
+
     def test_find_blocking_requires_valid_period(self):
         inst = example1_instance()
         res = M.dynamic_match(inst)
@@ -753,35 +763,90 @@ class TestRespeededTables:
             assert table.sbs is layout.sbs and table._plans is layout.plans
 
 
-class TestHeadTables:
-    """`head_preferences` against the game of the first u users ranked
-    afresh."""
+def _prefix_counts(prefs):
+    """The user counts n whose first n users are the first n in priority."""
+    priority = prefs.scores.priority()
+    return [n for n in range(len(priority) + 1)
+            if n == 0 or max(priority[:n]) == n - 1]
+
+
+def _assert_heads_match_fresh_games(game, counts):
+    """`match_heads` against `dynamic_match` of each head game ranked
+    afresh, and against the reference processes; returns the results."""
+    results = M.match_heads(M.build_preferences(game), counts)
+    assert len(results) == len(counts)
+    for n, ours in zip(counts, results):
+        head_game = replace(game, mues=game.mues[:n])
+        theirs = M.dynamic_match(head_game, M.build_preferences(head_game))
+        assert ours.matching == theirs.matching
+        assert ours.ex_ante == theirs.ex_ante
+        assert ours.trace.proposals == theirs.trace.proposals
+        assert repr(ours) == repr(theirs)
+        ref = R.dynamic_match(head_game)
+        assert repr((ours.ex_ante, ours.matching)) == \
+            repr((ref.ex_ante, ref.matching))
+        assert _proposals(ours.trace, 2) == _proposals(ref.trace, 2)
+    return results
+
+
+class TestMatchHeads:
+    """`match_heads` against the game of the first n users matched on its
+    own."""
 
     def test_random_games_match_fresh_heads(self):
-        # gamma varies across users of a random game, so the heads'
-        # priorities are restrictions of a priority that is not index order
+        # gamma varies across users of a random game, so its priority is
+        # often not index order and only some counts are heads; the same
+        # users listed in priority order make every count a head. Without
+        # cross-SBS plans, stage two gives plans stage one could not, so
+        # a head's users compete there for what later users hold
         rng = np.random.default_rng(113)
-        cases = reordered = 0
-        for _ in range(1000):
+        cases = partial = 0
+        for i in range(600):
             game = random_game_instance(rng, max_mues=14)
+            if i % 2:
+                game = replace(game, allow_cross_sbs_plans=False)
             prefs = M.build_preferences(game)
-            for u in range(1, len(game.mues) + 1):
-                head = M.head_preferences(prefs, u)
-                head_game = replace(game, mues=game.mues[:u])
-                fresh = M.build_preferences(head_game)
-                assert head.scores.instance == head_game
-                assert head.scores.priority() == fresh.scores.priority()
-                reordered += fresh.scores.priority() != list(range(u))
-                assert repr(_profiles(head)) == repr(_profiles(fresh))
-                assert (head.sbs_profiles, head.mbs_profile) == \
-                    R.bs_preferences(head_game, head.mue_profiles)
-                ours = M.dynamic_match(head.scores.instance, head)
-                theirs = M.dynamic_match(head_game, fresh)
-                assert ours.matching.mu1 == theirs.matching.mu1
-                assert ours.matching.mu2 == theirs.matching.mu2
-                assert ours.trace.proposals == theirs.trace.proposals
-                cases += 1
-        assert cases >= 7000 and reordered >= cases // 2
+            counts = _prefix_counts(prefs)
+            partial += len(counts) < len(game.mues) + 1
+            priority = prefs.scores.priority()
+            ordered = replace(game, mues=tuple(game.mues[u]
+                                               for u in priority))
+            assert _prefix_counts(M.build_preferences(ordered)) == \
+                list(range(len(game.mues) + 1))
+            for g, cs in ((game, counts), (ordered, counts[::-1]),
+                          (ordered, range(len(game.mues) + 1))):
+                _assert_heads_match_fresh_games(g, list(cs))
+                cases += len(cs)
+        assert cases >= 8000 and partial >= 500
+
+    def test_region_games_match_fresh_heads(self):
+        counts = list(range(5, 55, 5))
+        for seed in (1, 2, 3):
+            config = ScenarioConfig(seed=seed)
+            rng = np.random.default_rng(seed)
+            for speed in (2.0, 8.0, 12.0, None):
+                game = experiments.build_region_instance(
+                    config, 50, speed, rng).game
+                # every region user starts with a full cache: gamma ties
+                assert _prefix_counts(M.build_preferences(game)) == \
+                    list(range(51))
+                _assert_heads_match_fresh_games(game, counts)
+
+    def test_count_off_the_priority_prefix_raises(self):
+        rng = np.random.default_rng(115)
+        refused = 0
+        for _ in range(200):
+            game = random_game_instance(rng, max_mues=10)
+            prefs = M.build_preferences(game)
+            counts = _prefix_counts(prefs)
+            n_mues = len(game.mues)
+            for n in range(-1, n_mues + 2):
+                if n in counts:
+                    continue
+                with pytest.raises(ValueError):
+                    M.match_heads(prefs, (n_mues, n))
+                refused += 0 < n <= n_mues
+        assert refused >= 700
 
     def test_full_table_is_left_as_it_was(self):
         rng = np.random.default_rng(114)
@@ -789,13 +854,26 @@ class TestHeadTables:
             game = random_game_instance(rng, max_mues=12)
             prefs = M.build_preferences(game)
             before = repr(_profiles(prefs)), prefs.scores.priority()[:]
-            for u in range(1, len(game.mues) + 1):
-                head = M.head_preferences(prefs, u)
-                M.dynamic_match(head.scores.instance, head)
+            M.match_heads(prefs, _prefix_counts(prefs))
             assert prefs.scores.instance is game
             assert (repr(_profiles(prefs)), prefs.scores.priority()) == before
             assert repr(M.dynamic_match(game, prefs)) == \
                 repr(M.dynamic_match(game, M.build_preferences(game)))
+
+    def test_one_pass_per_speed_of_a_region_replication(self, monkeypatch):
+        calls = []
+        match_heads = M.match_heads
+
+        def counting(prefs, counts):
+            calls.append(tuple(counts))
+            return match_heads(prefs, counts)
+
+        monkeypatch.setattr(M, "match_heads", counting)
+        users = tuple(range(5, 55, 5))
+        cfg = ScenarioConfig(seed=1)
+        experiments._region_replication(cfg, (6, 0), users,
+                                        (2.0, 8.0, 10.0, 12.0))
+        assert calls == [users] * 4
 
 
 class TestSharedLayout:
