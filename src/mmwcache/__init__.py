@@ -22,5 +22,6 @@ from .matching import (GameInstance, MueState, Plan, PlayerId, SbsState,
 from .oracle import (IlpInstance, mc_caching_duration, mc_coverage_probability,
                      scan_all_blockings, solve_offload_bruteforce)
 from .scenario import Scenario, generate_scenario
-from .experiments import ExperimentResult, run_experiment
+from .experiments import (ExperimentResult, run_experiment,
+                          run_experiments)
 from .config import ScenarioConfig, load_config

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, experiments, geometry, matching, oracle
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
-from .experiments import EXPERIMENT_NAMES, run_experiment
+from .experiments import EXPERIMENT_NAMES, run_experiments
 from .scenario import PackingFailure, generate_scenario
 
 DEFAULT_OUT_ENV = "MMWCACHE_OUT"
@@ -260,18 +260,18 @@ def cmd_reproduce(args) -> int:
     config = _load(args, require_seed=True)
     if args.replications is not None:
         config = replace(config, replications=args.replications)
-    for name in EXPERIMENT_NAMES:
-        experiments.check_run(name, config, config.replications, args.threads)
     out = _outdir(args)
+    results = run_experiments(EXPERIMENT_NAMES, config,
+                              threads=args.threads)
     manifest = [f"config_digest = {config.digest()}",
                 f"seed = {config.seed}",
                 f"package = mmwcache {__version__}",
                 f"numpy = {np.__version__}"]
-    for name in EXPERIMENT_NAMES:
-        result = run_experiment(name, config, threads=args.threads)
-        path = os.path.join(out, f"{name}.csv")
+    for result in results:
+        path = os.path.join(out, f"{result.name}.csv")
         _write(path, result.to_csv())
-        manifest.append(f"{name}.csv runtime_s = {result.runtime_s:.3f}")
+        manifest.append(f"{result.name}.csv runtime_s = "
+                        f"{result.runtime_s:.3f}")
         print(f"wrote {path} ({result.runtime_s:.1f} s)")
     _write(os.path.join(out, "run-manifest.txt"), "\n".join(manifest) + "\n")
     return 0

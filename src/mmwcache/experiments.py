@@ -9,7 +9,10 @@ sweep: common random numbers, under which the points of a curve compare
 the same deployments. No draw depends on the speed, so one draw serves
 every speed; the users are drawn in one block, so the first u users of
 the largest user count are the instance of u users, and one draw serves
-every user count.
+every user count. The three user sweeps (load, energy and overhead
+against the number of users) read one draw too: they are columns of one
+region sweep under the key (4, rep), which `run_experiments` runs once
+for all of them.
 
 The multi-user experiments run on a "target region" extracted from a full
 deployment: a focal cell plus the onward cells each user would reach, with
@@ -41,8 +44,15 @@ from .scenario import (CellCrossing, SbsSite, Scenario,
 
 EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
-REGION_EXPERIMENTS = ("hof_multiuser", "load_vs_users", "energy_vs_users",
-                      "overhead_vs_users")
+# the user sweeps, name -> (speeds, metrics): projections of one region
+# sweep (`_region_sweep`) over USER_COUNTS, drawn under the key (4, rep)
+USER_SWEEPS = {
+    "load_vs_users": ((8.0, 10.0, 12.0), ("load",)),
+    "energy_vs_users": ((8.0, 10.0, 12.0),
+                        ("savings", "baseline_mj", "used_mj")),
+    "overhead_vs_users": ((2.0, 8.0, 10.0, 12.0), ("proposals",))}
+USER_COUNTS = tuple(range(5, 55, 5))
+REGION_EXPERIMENTS = ("hof_multiuser",) + tuple(USER_SWEEPS)
 # rate_vs_distance's crossing headings theta-hat, relative to the entry edge
 RATE_THETA_HATS_DEG = (20.0, 30.0, 50.0, 70.0)
 
@@ -76,10 +86,7 @@ def _rep_rng(seed: int, *key: int) -> np.random.Generator:
 
 def check_run(name: str, config: ScenarioConfig, reps: int,
               threads: int) -> None:
-    """Raise before any work if the run would fail or give NaN rows.
-
-    `reproduce` calls this for every experiment before it writes anything.
-    """
+    """Raise before any work if the run would fail or give NaN rows."""
     if name not in EXPERIMENT_NAMES:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"known: {', '.join(EXPERIMENT_NAMES)}")
@@ -107,16 +114,46 @@ def check_run(name: str, config: ScenarioConfig, reps: int,
         _check_region_sbss(config)
 
 
+def run_experiments(names: Sequence[str], config: ScenarioConfig,
+                    replications: Optional[int] = None,
+                    threads: int = 1) -> List[ExperimentResult]:
+    """Run the named experiments, returning one result per name in order.
+
+    Every name is checked (`check_run`) before any work. The user sweeps
+    among `names` (`USER_SWEEPS`) are cut from one `_region_sweep` over the
+    union of their speeds and metrics, each given an equal share of its
+    time as `runtime_s`; every other experiment runs on its own.
+    """
+    reps = replications if replications is not None else config.replications
+    for name in names:
+        check_run(name, config, reps, threads)
+    results: Dict[str, ExperimentResult] = {}
+    sweeps = [name for name in names if name in USER_SWEEPS]
+    if sweeps:
+        start = time.perf_counter()
+        speeds = sorted({v for n in sweeps for v in USER_SWEEPS[n][0]})
+        metrics = dict.fromkeys(m for n in sweeps for m in USER_SWEEPS[n][1])
+        cols = _region_sweep(config, reps, tuple(speeds), tuple(metrics),
+                             threads)
+        share = (time.perf_counter() - start) / len(sweeps)
+        for n in sweeps:
+            own_speeds, own_metrics = USER_SWEEPS[n]
+            keys = ["n_mues"] + [f"{m}_v{int(v)}" for v in own_speeds
+                                 for m in own_metrics]
+            results[n] = ExperimentResult(n, {k: cols[k] for k in keys},
+                                          reps, config.seed, share)
+    for name in names:
+        if name not in results:
+            start = time.perf_counter()
+            results[name] = _RUNNERS[name](config, reps, threads)
+            results[name].runtime_s = time.perf_counter() - start
+    return [results[name] for name in names]
+
+
 def run_experiment(name: str, config: ScenarioConfig,
                    replications: Optional[int] = None,
                    threads: int = 1) -> ExperimentResult:
-    reps = replications if replications is not None else config.replications
-    check_run(name, config, reps, threads)
-    start = time.perf_counter()
-    runner = globals()[f"_run_{name}"]
-    result = runner(config, reps, threads=threads)
-    result.runtime_s = time.perf_counter() - start
-    return result
+    return run_experiments((name,), config, replications, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -620,37 +657,29 @@ def _map_jobs(fn, cfg: ScenarioConfig, jobs: Sequence[tuple],
                              chunksize=chunksize))
 
 
-def _speed_means(results: Sequence[List[Dict[str, float]]], name: str,
-                 ) -> List[float]:
-    """Mean of metric `name` over replications, one value per speed.
+def _region_sweep(config: ScenarioConfig, reps: int,
+                  speeds: Tuple[float, ...], metrics: Tuple[str, ...],
+                  threads: int) -> Dict[str, List[float]]:
+    """Metric means per (user count, speed) of the user sweeps, one job per
+    replication.
 
-    `results[rep][i]` holds the metrics of one replication at speed i.
+    A job draws one instance of the largest of `USER_COUNTS` under the key
+    (4, rep) and matches its first u users for every user count u at every
+    speed (`_region_replication`), so all points of a replication share
+    one deployment and one draw of users. The columns are `n_mues`, then
+    `f"{metric}_v{int(speed)}"` by speed, then by metric. Column i of a
+    speed equals that of a sweep at that speed alone, so every user sweep
+    is a projection of one sweep at the union of their speeds.
     """
-    return [float(np.mean([m[name] for m in at_speed]))
-            for at_speed in zip(*results)]
-
-
-def _region_sweep(config: ScenarioConfig, reps: int, users: Sequence[int],
-                  speeds: Tuple[float, ...], key: int, names: Tuple[str, ...],
-                  threads: int = 1) -> Dict[str, List[float]]:
-    """Metric means per (user count, speed), one job per replication.
-
-    A job draws one instance of the largest user count under the key
-    (key, rep) and matches its first u users for every user count u at
-    every speed (`_region_replication`), so all points of a replication
-    share one deployment and one draw of users.
-    """
-    cols: Dict[str, List[float]] = {"n_mues": [float(u) for u in users]}
-    for v in speeds:
-        for name in names:
-            cols[f"{name}_v{int(v)}"] = []
-    jobs = [((key, rep), users, speeds) for rep in range(reps)]
+    jobs = [((4, rep), USER_COUNTS, speeds) for rep in range(reps)]
     results = _map_jobs(_region_replication, config, jobs, threads)
-    for j in range(len(users)):
-        per_rep = [metrics[j] for metrics in results]
-        for name in names:
-            for v, mean in zip(speeds, _speed_means(per_rep, name)):
-                cols[f"{name}_v{int(v)}"].append(mean)
+    # results[rep][j][i] holds the metrics at user count j and speed i
+    cols = {"n_mues": [float(u) for u in USER_COUNTS]}
+    for i, v in enumerate(speeds):
+        for name in metrics:
+            cols[f"{name}_v{int(v)}"] = [
+                float(np.mean([at_rep[j][i][name] for at_rep in results]))
+                for j in range(len(USER_COUNTS))]
     return cols
 
 
@@ -669,48 +698,15 @@ def _run_hof_multiuser(config: ScenarioConfig, reps: int,
     speeds = tuple(float(v) for v in range(1, 17))
     cols: Dict[str, List[float]] = {"speed_mps": list(speeds)}
     jobs = [((3, rep), (20,), speeds) for rep in range(reps)]
-    results = [metrics[0] for metrics in
-               _map_jobs(_region_replication, config, jobs, threads)]
+    results = _map_jobs(_region_replication, config, jobs, threads)
+    # results[rep][0][i] holds the metrics at speed i
     for name in ("hof_prob_proposed", "hof_prob_conventional"):
-        cols[name] = _speed_means(results, name)
+        cols[name] = [
+            float(np.mean([at_rep[0][i][name] for at_rep in results]))
+            for i in range(len(speeds))]
     return ExperimentResult("hof_multiuser", cols, reps, config.seed)
 
 
-def _run_load_vs_users(config: ScenarioConfig, reps: int,
-                       threads: int = 1) -> ExperimentResult:
-    """Period-1 load of the focal SBS against users at 8, 10 and 12 m/s.
-
-    The instance of each replication, drawn under the key (4, rep),
-    serves all user counts at all three speeds.
-    """
-    cols = _region_sweep(config, reps, users=range(5, 55, 5),
-                         speeds=(8.0, 10.0, 12.0), key=4, names=("load",),
-                         threads=threads)
-    return ExperimentResult("load_vs_users", cols, reps, config.seed)
-
-
-def _run_energy_vs_users(config: ScenarioConfig, reps: int,
-                         threads: int = 1) -> ExperimentResult:
-    """Scanning energy and its savings against users at 8, 10 and 12 m/s.
-
-    The instance of each replication, drawn under the key (5, rep),
-    serves all user counts at all three speeds.
-    """
-    cols = _region_sweep(config, reps, users=range(5, 55, 5),
-                         speeds=(8.0, 10.0, 12.0), key=5,
-                         names=("savings", "baseline_mj", "used_mj"),
-                         threads=threads)
-    return ExperimentResult("energy_vs_users", cols, reps, config.seed)
-
-
-def _run_overhead_vs_users(config: ScenarioConfig, reps: int,
-                           threads: int = 1) -> ExperimentResult:
-    """Proposals to the focal SBS against users at 2, 8, 10 and 12 m/s.
-
-    The instance of each replication, drawn under the key (6, rep),
-    serves all user counts at all four speeds.
-    """
-    cols = _region_sweep(config, reps, users=range(5, 55, 5),
-                         speeds=(2.0, 8.0, 10.0, 12.0), key=6,
-                         names=("proposals",), threads=threads)
-    return ExperimentResult("overhead_vs_users", cols, reps, config.seed)
+_RUNNERS = {"hof_vs_speed": _run_hof_vs_speed,
+            "rate_vs_distance": _run_rate_vs_distance,
+            "hof_multiuser": _run_hof_multiuser}

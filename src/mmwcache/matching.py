@@ -573,14 +573,11 @@ def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
     When freed capacity restarts that process, it proposes some plans again,
     and this count is lower than what that process would send.
     """
-    count = 0
-    for rec in trace.proposals:
-        targets = rec.plan.sbs_targets()
-        if sbs is None:
-            count += len(targets)
-        elif sbs in targets:
-            count += 1
-    return count
+    if sbs is not None:
+        # a slot equals this id exactly when it names SBS `sbs`
+        target = PlayerId(PlayerKind.SBS, sbs)
+        return sum(target in rec.plan for rec in trace.proposals)
+    return sum(len(rec.plan.sbs_targets()) for rec in trace.proposals)
 
 
 # ---------------------------------------------------------------------------

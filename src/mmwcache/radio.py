@@ -50,11 +50,6 @@ class ChannelParams:
         """73 GHz line-of-sight preset (exponent 2)."""
         return cls(carrier_frequency=73e9, pathloss_exponent=2.0)
 
-    @classmethod
-    def nlos_mmw(cls) -> "ChannelParams":
-        """73 GHz non-line-of-sight preset (exponent 3.5)."""
-        return cls(carrier_frequency=73e9, pathloss_exponent=3.5)
-
 
 @dataclass(frozen=True)
 class LinkBudget:

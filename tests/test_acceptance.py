@@ -109,7 +109,8 @@ def test_criterion_3_rate_closed_form_vs_quadrature():
 
 def test_criterion_4_rate_anchors():
     budget = R.LinkBudget.from_table(tx_power_dbm=30.0)
-    los, nlos = R.ChannelParams.los_mmw(), R.ChannelParams.nlos_mmw()
+    los = R.ChannelParams.los_mmw()
+    nlos = R.ChannelParams(pathloss_exponent=3.5)
     theta_k = math.radians(10.0)
     beam = G.BeamGeometry(n_beams=3, beamwidth=theta_k, anchor_angle=theta_k)
     speed = 60.0 / 3.6

@@ -860,6 +860,26 @@ class TestMatchHeads:
             assert repr(M.dynamic_match(game, prefs)) == \
                 repr(M.dynamic_match(game, M.build_preferences(game)))
 
+    def test_overhead_at_one_sbs_counts_its_targets(self):
+        rng = np.random.default_rng(113)
+        games = [random_game_instance(rng, max_mues=14) for _ in range(300)]
+        for seed in (1, 2, 3):
+            config = ScenarioConfig(seed=seed)
+            rng = np.random.default_rng(seed)
+            games += [experiments.build_region_instance(
+                config, 50, speed, rng).game for speed in (2.0, 12.0, None)]
+        counted = 0
+        for game in games:
+            trace = M.dynamic_match(game).trace
+            for k in range(len(game.sbss) + 1):
+                count = M.signaling_overhead(trace, sbs=k)
+                assert count == sum(k in rec.plan.sbs_targets()
+                                    for rec in trace.proposals)
+                counted += count
+            assert M.signaling_overhead(trace) == sum(
+                len(rec.plan.sbs_targets()) for rec in trace.proposals)
+        assert counted > 1000
+
     def test_one_pass_per_speed_of_a_region_replication(self, monkeypatch):
         calls = []
         match_heads = M.match_heads

@@ -88,14 +88,16 @@ class TestAverageCachingRate:
 
     def test_nlos_bracket_at_20m(self, table_budget):
         # grazing crossing: the published two-gigabit non-line-of-sight point
-        los, nlos = R.ChannelParams.los_mmw(), R.ChannelParams.nlos_mmw()
+        los = R.ChannelParams.los_mmw()
+        nlos = R.ChannelParams(pathloss_exponent=3.5)
         pose, beam = _crossing(10.5)
         assert R.average_caching_rate(pose, beam, table_budget, los) > 10e9
         nlos_rate = R.average_caching_rate(pose, beam, table_budget, nlos)
         assert 1e9 < nlos_rate < 4e9
 
     def test_nlos_below_los_at_same_geometry(self, table_budget):
-        los, nlos = R.ChannelParams.los_mmw(), R.ChannelParams.nlos_mmw()
+        los = R.ChannelParams.los_mmw()
+        nlos = R.ChannelParams(pathloss_exponent=3.5)
         pose, beam = _crossing(50.0)
         assert (R.quadrature_rate(pose, beam, table_budget, nlos)
                 < R.average_caching_rate(pose, beam, table_budget, los))

@@ -790,7 +790,12 @@ class TestExperiments:
         ("hof_vs_speed", 1, 1, {}, "stderr_nocache"),
         ("hof_multiuser", 2, 2, {"n_sbs": 0}, "n_sbs"),
         ("rate_vs_distance", 1, 1, {"n_beams": 1}, "n_beams"),
-        ("rate_vs_distance", 1, 1, {"beamwidth_deg": 20.0}, "beamwidth_deg")])
+        ("rate_vs_distance", 1, 1, {"beamwidth_deg": 20.0}, "beamwidth_deg"),
+        # a bad value in a later name stops the earlier ones too
+        (E.EXPERIMENT_NAMES[2:] + ("hof_vs_speed",), 1, 2, {},
+         "stderr_nocache"),
+        (E.EXPERIMENT_NAMES[2:] + ("rate_vs_distance",), 2, 1,
+         {"n_beams": 1}, "n_beams")])
     def test_bad_run_raises_before_work(self, monkeypatch, name, reps,
                                         threads, overrides, message):
         def no_work(*args, **kwargs):
@@ -800,7 +805,58 @@ class TestExperiments:
         monkeypatch.setattr(E, "generate_scenario", no_work)
         cfg = replace(ScenarioConfig(seed=1), **overrides)
         with pytest.raises(ConfigError, match=message):
-            E.run_experiment(name, cfg, reps, threads=threads)
+            if isinstance(name, str):
+                E.run_experiment(name, cfg, reps, threads=threads)
+            else:
+                E.run_experiments(name, cfg, reps, threads=threads)
+
+    def test_unknown_later_name_raises_before_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(E, "generate_scenario", no_work)
+        with pytest.raises(ValueError, match="nope"):
+            E.run_experiments(("load_vs_users", "nope"), ScenarioConfig(), 2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_experiments_matches_run_experiment(self, monkeypatch,
+                                                    threads):
+        # the user sweeps cut from one sweep equal each one run on its own
+        monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        cfg = ScenarioConfig(seed=4)
+        together = E.run_experiments(E.EXPERIMENT_NAMES, cfg, 3, threads)
+        assert [r.name for r in together] == list(E.EXPERIMENT_NAMES)
+        for result in together:
+            alone = E.run_experiment(result.name, cfg, 3, threads)
+            assert result.to_csv() == alone.to_csv(), result.name
+            assert result.replication_count == alone.replication_count
+            assert result.runtime_s > 0.0
+
+    def test_user_sweeps_share_one_replication(self, monkeypatch):
+        calls = []
+        replication = E._region_replication
+
+        def recording(cfg, seed_key, users, speeds):
+            calls.append((seed_key, tuple(users), tuple(speeds)))
+            return replication(cfg, seed_key, users, speeds)
+
+        monkeypatch.setattr(E, "_region_replication", recording)
+        cfg = ScenarioConfig(seed=1)
+        users = tuple(range(5, 55, 5))
+        hof_speeds = tuple(float(v) for v in range(1, 17))
+        E.run_experiments(E.EXPERIMENT_NAMES, cfg, 2)
+        assert sorted(calls) == sorted(
+            [((3, rep), (20,), hof_speeds) for rep in range(2)]
+            + [((4, rep), users, (2.0, 8.0, 10.0, 12.0)) for rep in range(2)])
+        calls.clear()
+        E.run_experiments(("energy_vs_users", "load_vs_users"), cfg, 2)
+        assert calls == [((4, rep), users, (8.0, 10.0, 12.0))
+                         for rep in range(2)]
+        calls.clear()
+        E.run_experiment("load_vs_users", cfg, 2)
+        assert calls == [((4, rep), users, (8.0, 10.0, 12.0))
+                         for rep in range(2)]
 
     def test_rate_sweep_los_anchor_at_20m(self):
         res = E.run_experiment("rate_vs_distance", ScenarioConfig(seed=1),
