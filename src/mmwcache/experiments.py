@@ -23,6 +23,7 @@ the macro fallback.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -35,7 +36,7 @@ from . import caching, matching
 from .config import ConfigError, ScenarioConfig
 from .geometry import TWO_PI
 from .matching import (GameInstance, MueState, PlayerKind, SbsState,
-                       sbs_id, signaling_overhead)
+                       sbs_id)
 from .radio import (REFERENCE_DISTANCE, ChannelParams, LinkBudget,
                     instantaneous_rate)
 from .scenario import (CellCrossing, SbsSite, Scenario,
@@ -537,26 +538,6 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
     return RegionInstance(game=game, focal_chords=chords)
 
 
-def _count_measurements(result: matching.MatchResult) -> int:
-    """Users needing an inter-frequency measurement during the epoch.
-
-    Handover execution requires measuring the target, users bound for the
-    macro cell keep searching, and a coaster without an arranged follow-up
-    association must also keep discovering candidates before its playback
-    runs out. Only users coasting toward an arranged period-2 association
-    mute the search entirely.
-    """
-    mu1, mu2 = result.matching.mu1, result.matching.mu2
-    scans = 0
-    for u in range(len(mu1)):
-        second = mu2[u]
-        if mu1[u] is None and second is not None \
-                and second.kind == PlayerKind.SBS:
-            continue
-        scans += 1
-    return scans
-
-
 def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
                         users: Sequence[int], speeds: Sequence[float],
                         ) -> List[List[Dict[str, float]]]:
@@ -571,62 +552,78 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     plan slots do not depend on speed, re-speeds it for each other speed
     (`matching._Scores.respeed`) and ranks it once per speed. Every user
     count is then matched in one pass over that ranking
-    (`matching.match_heads`), whose result for u equals `dynamic_match` of
-    the game of the first u users. That needs the first u users to be the
-    first u in the base stations' priority, which holds because every
+    (`matching.run_heads`), whose head of u users equals `dynamic_match`
+    of the game of the first u users. That needs the first u users to be
+    the first u in the base stations' priority, which holds because every
     region user starts with a full cache: gamma ties, and ties break on
     index. So element [j][i] equals this function's result for
     `((users[j],), (speeds[i],))` alone. A pure function of (config, seed
     key, users, speeds), so replications can be mapped over a worker pool
     and merged by index.
+
+    Each head is measured at the focal SBS (SBS 0) from running counts,
+    taken once per speed over the users of the largest head: the users
+    whose focal time-of-stay is below t_mts (conventional HOF), those of
+    them whose period-1 slot is the focal SBS (failures), the focal
+    SBS's period-1 load, the users muted by coasting on their cache
+    toward a period-2 SBS, and the stage-one proposals naming the focal
+    SBS, counted by position in the stage-one trace. A head adds only what
+    its own stage two changes: the users its repairs mute, and its
+    stage-two proposals naming the focal SBS. Every other user scans for
+    an inter-frequency measurement: handover execution measures the
+    target, users bound for the macro cell keep searching, and a coaster
+    without an arranged follow-up association keeps discovering
+    candidates before its playback runs out.
     """
     rng = _rep_rng(cfg.seed, *seed_key)
     region = build_region_instance(cfg, max(users), speeds[0], rng)
     chords = region.focal_chords
     scores = matching._Scores(region.game)
+    focal, t_mts = sbs_id(0), cfg.t_mts
+    e_scan_mj = cfg.energy_per_scan * 1e3
     metrics: List[List[Dict[str, float]]] = [[] for _ in users]
     for i, v in enumerate(speeds):
         if i:
             scores = scores.respeed(v)
-        mues = scores.instance.mues
-        results = matching.match_heads(scores.rank(), users)
-        for at_users, u, result in zip(metrics, users, results):
-            at_users.append(_region_metrics(cfg, mues[:u], chords[:u],
-                                            result))
+        run = matching.run_heads(scores.rank(), users)
+        firsts = run.firsts
+        short = [chord / v < t_mts for chord in chords]
+        conventional = _running(short)
+        failures = _running([s and first == focal
+                             for s, first in zip(short, firsts)])
+        load = _running([first == focal for first in firsts])
+        muted = _running([first is None and _names_sbs(second)
+                          for first, second in zip(firsts, run.seconds)])
+        naming = _running([focal in rec.plan for rec in run.stage1])
+        for at_users, n in zip(metrics, users):
+            head = run.heads[n]
+            scans = n - muted[n] - sum(
+                [firsts[u] is None and _names_sbs(plan.second)
+                 for u, plan in head.repairs.items()])
+            # serial-dictatorship proposals; see signaling_overhead on
+            # restarts
+            proposals = naming[head.end] + sum(
+                [focal in rec.plan for rec in head.stage2])
+            at_users.append({
+                "load": float(load[n]),
+                "savings": 1.0 - scans / n,
+                "baseline_mj": n * e_scan_mj,
+                "used_mj": scans * e_scan_mj,
+                "proposals": float(proposals),
+                "hof_prob_proposed": failures[n] / n,
+                "hof_prob_conventional": conventional[n] / n,
+            })
     return metrics
 
 
-def _region_metrics(cfg: ScenarioConfig, mues: Sequence[MueState],
-                    focal_chords: Sequence[float],
-                    result: matching.MatchResult) -> Dict[str, float]:
-    """Measure the epoch at the focal SBS of one matched region game.
+def _running(flags: Sequence[bool]) -> List[int]:
+    """The number of true `flags` among the first i, for i = 0..len."""
+    return list(itertools.accumulate(flags, initial=0))
 
-    `result` matches the game of the users `mues`; user u crosses the
-    focal cell on the chord `focal_chords[u]`.
-    """
-    n_mues = len(mues)
-    focal = sbs_id(0)
-    failures = 0
-    conventional = 0
-    for u, mue in enumerate(mues):
-        tos = focal_chords[u] / mue.speed
-        if tos < cfg.t_mts:
-            conventional += 1
-            if result.matching.mu1[u] == focal:
-                failures += 1
-    scans = _count_measurements(result)
-    e_scan_mj = cfg.energy_per_scan * 1e3
-    return {
-        "load": float(len(result.matching.members(1, focal))),
-        "savings": 1.0 - scans / n_mues,
-        "baseline_mj": n_mues * e_scan_mj,
-        "used_mj": scans * e_scan_mj,
-        # serial-dictatorship proposals; see signaling_overhead on restarts
-        "proposals": float(signaling_overhead(result.trace,
-                                              sbs=focal.index)),
-        "hof_prob_proposed": failures / n_mues,
-        "hof_prob_conventional": conventional / n_mues,
-    }
+
+def _names_sbs(slot: Optional[matching.PlayerId]) -> bool:
+    """Whether `slot` is an SBS, not the macro cell or the cache."""
+    return slot is not None and slot.kind is PlayerKind.SBS
 
 
 def _available_cpus() -> int:

@@ -7,9 +7,11 @@ acceptance; the dynamic matcher reaches an ex ante stable plan assignment
 blocking scans check both stability notions. Every base station ranks
 users by gamma, which does not depend on the base station, so all three
 matchers run as serial dictatorship in that one priority order (README,
-"matching"). The dynamic matcher is `match_heads`, which matches the
+"matching"). The dynamic matcher is `run_heads`, which matches the
 games of a game's first n users, for several n, in one pass when those
-users lead the priority order; `dynamic_match` is its one-count case.
+users lead the priority order, and keeps of each head only what is its
+own: its stage-two repairs and proposals. `match_heads` spells each head
+out as a `MatchResult`, and `dynamic_match` is its one-count case.
 
 A game's payoffs are tabulated once, in its `_Scores` table, and every
 matcher reads that table instead of computing a utility again. A stability
@@ -35,7 +37,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .geometry import hof_probability
 
@@ -514,27 +517,35 @@ class DynamicMatching:
 
     def validate(self, instance: GameInstance) -> None:
         """Definition-1 consistency: quotas per period, known players."""
-        self.check(len(instance.mues), instance.sbss)
-
-    def check(self, n_mues: int, sbss: Sequence[SbsState]) -> None:
-        """`validate` against a game of `n_mues` users and the SBSs `sbss`."""
-        users = set(range(n_mues))
+        users = set(range(len(instance.mues)))
         for period, mu in ((1, self.mu1), (2, self.mu2)):
             if mu.keys() != users:
                 raise ValueError("matching must cover every MUE exactly once")
-            load = [0] * len(sbss)
-            for slot in mu.values():
-                if slot is not None and slot.kind is PlayerKind.SBS:
-                    if not 0 <= slot.index < len(sbss):
-                        raise ValueError(f"unknown SBS {slot.index}")
-                    load[slot.index] += 1
-            for k, sbs in enumerate(sbss):
-                if load[k] > sbs.quota:
-                    raise ValueError(
-                        f"quota violated at SBS {k} period {period}")
+            _check_quotas(_sbs_load(mu.values(), len(instance.sbss)),
+                          instance.sbss, period)
 
     def copy(self) -> "DynamicMatching":
         return DynamicMatching(dict(self.mu1), dict(self.mu2))
+
+
+def _sbs_load(slots: Iterable[Optional[PlayerId]], n_sbs: int) -> List[int]:
+    """The number of `slots` at each of `n_sbs` SBSs; ValueError if one
+    names an SBS outside the game."""
+    load = [0] * n_sbs
+    for slot in slots:
+        if slot is not None and slot.kind is PlayerKind.SBS:
+            if not 0 <= slot.index < n_sbs:
+                raise ValueError(f"unknown SBS {slot.index}")
+            load[slot.index] += 1
+    return load
+
+
+def _check_quotas(load: Sequence[int], sbss: Sequence[SbsState],
+                  period: int) -> None:
+    """ValueError if a per-SBS load of `period` exceeds its quota."""
+    for k, sbs in enumerate(sbss):
+        if load[k] > sbs.quota:
+            raise ValueError(f"quota violated at SBS {k} period {period}")
 
 
 class ProposalRecord(NamedTuple):
@@ -720,15 +731,68 @@ def match_heads(prefs: Preferences, counts: Sequence[int],
     """Per n in `counts`, the `dynamic_match` result of the head game: the
     game `prefs` were ranked on, cut to its first n users.
 
+    The heads are matched and checked in one pass (`run_heads`); this
+    spells each one out as a `MatchResult`: its users' ex ante slots, with
+    its stage-two repairs in period 2, and its trace, the stage-one
+    proposals up to its last turn followed by its own stage-two proposals.
+    """
+    run = run_heads(prefs, counts)
+    results = []
+    for n in counts:
+        head = run.heads[n]
+        ex_ante = DynamicMatching(dict(zip(range(n), run.firsts)),
+                                  dict(zip(range(n), run.seconds)))
+        matching = ex_ante.copy()
+        for u, plan in head.repairs.items():
+            matching.mu2[u] = plan.second
+        trace = MatchTrace(run.stage1[:head.end] + head.stage2)
+        results.append(MatchResult(matching, ex_ante, trace))
+    return results
+
+
+class Head(NamedTuple):
+    """What one head of a `HeadRun` holds of its own."""
+
+    end: int                    # its stage-one proposals: stage1[:end]
+    repairs: Dict[int, Plan]    # the plan each user took in stage two
+    stage2: List[ProposalRecord]
+
+
+class HeadRun(NamedTuple):
+    """Every head of one game, matched in one pass (`run_heads`).
+
+    User u holds the ex ante slots `firsts[u]` and `seconds[u]` in every
+    head that has it. `stage1` holds the stage-one proposals of the
+    largest head, and `heads[n]` the part of head n that is its own.
+    """
+
+    firsts: List[Optional[PlayerId]]
+    seconds: List[Optional[PlayerId]]
+    stage1: List[ProposalRecord]
+    heads: Dict[int, Head]
+
+
+def run_heads(prefs: Preferences, counts: Sequence[int]) -> HeadRun:
+    """Match the head game of n users, for every n in `counts`, in one
+    pass over the game `prefs` were ranked on.
+
     The head of n users must be a prefix of the priority order: the first
-    n users in priority are the users below n, else ValueError. The head
-    game's priority is then that prefix, and its stage one is the first n
-    turns of the full game's. So stage one runs once, and a head's stage-one
-    trace is the proposals made up to its last turn. A user's period-1
-    fallback and stage-two ranking read only its own payoffs and stage-one
-    plan, so they are made once per user. Per head remain stage two, over
-    its users with no period-2 slot and an SBS's room its quota less the
-    head's period-2 holders, and the check of the result (`validate`).
+    n users in priority are the users below n, which one running max over
+    the priority order tests, else ValueError. The head game's priority is
+    then that prefix, and its stage one is the first n turns of the full
+    game's. So stage one runs once, and a head's stage-one trace is the
+    proposals made up to its last turn. A user's period-1 fallback and
+    stage-two ranking read only its own payoffs and stage-one plan, so
+    they are made once per user, and so are the per-SBS loads of both
+    periods, counted from the plans stage one holds and taken at each
+    head's last turn. Per head remain stage two, over its users with a
+    stage-two ranking in priority order and an SBS's room its quota less
+    the head's period-2 load, and the check of the result: each SBS's load
+    in either period, stage two's repairs included, is within its quota.
+    Every user below n holds its slots, so the head is covered. A load
+    over quota raises ValueError, as does a repair naming an SBS outside
+    the game, as in `DynamicMatching.validate`; stage one holds no such
+    slot, since its room has places only at the game's SBSs.
 
     In stage one, the ex ante stage, each user in turn holds its best
     admitted plan. Plans are atomic: a plan is admitted only if every SBS
@@ -740,81 +804,90 @@ def match_heads(prefs: Preferences, counts: Sequence[int],
     tests.
     """
     scores = prefs.scores
-    instance = scores.instance
+    sbss = scores.instance.sbss
     priority = scores.priority()
-    for n in counts:
-        if not 0 <= n <= len(priority) or (n and max(priority[:n]) != n - 1):
+    # the users of the largest head; a count past the game raises below
+    top = min(max(counts, default=0), len(priority))
+    firsts: List[Optional[PlayerId]] = [None] * top
+    seconds: List[Optional[PlayerId]] = [None] * top
+    stage1 = MatchTrace()
+    room = {(period, k): sbs.quota for period in (1, 2)
+            for k, sbs in enumerate(sbss)}
+    load1, load2 = [0] * len(sbss), [0] * len(sbss)
+    # the stage-two ranking of each user that ranks something, in
+    # priority order
+    rankings: Dict[int, Sequence[_PlanEntry]] = {}
+    # per head: its stage-one end, its number of rankings and its loads
+    marks: Dict[int, Tuple[int, int, List[int], List[int]]] = {}
+    start, peak = 0, -1
+    for n in sorted(set(counts)):
+        block = priority[start:n]
+        peak = max(peak, max(block, default=peak))
+        if not 0 <= n <= len(priority) or (n and peak != n - 1):
             raise ValueError(f"the first {n} users are not the first {n} "
                              f"in priority order")
-    stage1 = MatchTrace()
-    held: Dict[int, Plan] = {}
-    ends: Dict[int, int] = {}
-    start = 0
-    room = {(period, k): sbs.quota for period in (1, 2)
-            for k, sbs in enumerate(instance.sbss)}
-    for n in sorted(set(counts)):
-        held.update(_serial_dictatorship(
-            scores, priority[start:n], scores.rankings, room, stage1,
-            stage=1))
-        ends[n] = len(stage1.proposals)
+        held = _serial_dictatorship(scores, block, scores.rankings, room,
+                                    stage1, stage=1)
+        # only a held plan puts a user on an SBS, and stage one holds
+        # only plans of the game's SBSs and the cache
+        for first, second in held.values():
+            if first is not None:
+                load1[first.index] += 1
+            if second is not None:
+                load2[second.index] += 1
+        _ex_ante(scores, held, block, firsts, seconds, rankings)
+        marks[n] = len(stage1.proposals), len(rankings), load1[:], load2[:]
         start = n
-    firsts, seconds, rankings = _stage_two_rankings(scores, held, start)
-    results = []
-    for n in counts:
-        room = {(2, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
-        for second in seconds[:n]:
-            if second is not None and second.kind is PlayerKind.SBS:
-                room[(2, second.index)] -= 1
-        trace = MatchTrace(stage1.proposals[:ends[n]])
-        repaired = _serial_dictatorship(scores, priority[:n], rankings, room,
-                                        trace, stage=2)
-        ex_ante = DynamicMatching(dict(zip(range(n), firsts)),
-                                  dict(zip(range(n), seconds)))
-        matching = ex_ante.copy()
-        for u, plan in repaired.items():
-            matching.mu2[u] = plan.second
-        matching.check(n, instance.sbss)
-        results.append(MatchResult(matching, ex_ante, trace))
-    return results
+    movers = list(rankings)
+    heads = {}
+    for n, (end, moved, held1, held2) in marks.items():
+        room = {(2, k): sbs.quota - load
+                for k, (sbs, load) in enumerate(zip(sbss, held2))}
+        trace = MatchTrace()
+        repairs = _serial_dictatorship(scores, movers[:moved], rankings,
+                                       room, trace, stage=2)
+        _check_quotas(held1, sbss, 1)
+        repaired = _sbs_load([plan.second for plan in repairs.values()],
+                             len(sbss))
+        _check_quotas([a + b for a, b in zip(held2, repaired)], sbss, 2)
+        heads[n] = Head(end, repairs, trace.proposals)
+    return HeadRun(firsts, seconds, stage1.proposals, heads)
 
 
-def _stage_two_rankings(scores: _Scores, held: Dict[int, Plan], n: int,
-                        ) -> Tuple[List[Optional[PlayerId]],
-                                   List[Optional[PlayerId]],
-                                   List[Sequence[_PlanEntry]]]:
-    """The ex ante slots and stage-two rankings of the users below n.
+def _ex_ante(scores: _Scores, held: Dict[int, Plan], users: Sequence[int],
+             firsts: List[Optional[PlayerId]],
+             seconds: List[Optional[PlayerId]],
+             rankings: Dict[int, Sequence[_PlanEntry]]) -> None:
+    """Set the ex ante slots of each of `users` in `firsts` and `seconds`,
+    and its stage-two ranking in `rankings` if it ranks something.
 
-    A user holds its stage-one plan, or the self plan. A cache-poor user
-    left on its cache in period 1 goes to the macro cell instead when that
-    scores strictly higher. A user with no period-2 slot then ranks its
-    period-2 options consistent with its period-1 slot: candidate SBSs it
-    finds acceptable and the macro cell under its admission rule. It ranks
-    them by the plan orders of the table, which already holds every phi
-    they need, and takes the plans it interns; other users rank nothing.
+    A user holds its stage-one plan in `held`, or the self plan. A
+    cache-poor user left on its cache in period 1 goes to the macro cell
+    instead when that scores strictly higher. A user with no period-2 slot
+    then ranks its period-2 options consistent with its period-1 slot:
+    candidate SBSs it finds acceptable and the macro cell under its
+    admission rule. It ranks them by the plan orders of the table, which
+    already holds every phi they need, and takes the plans it interns;
+    other users rank nothing.
     """
     mues = scores.instance.mues
     macro, cache = scores.code(MBS), scores.code(None)
-    firsts: List[Optional[PlayerId]] = []
-    seconds: List[Optional[PlayerId]] = []
-    rankings: List[Sequence[_PlanEntry]] = []
-    for u in range(n):
+    for u in users:
         first, second = held.get(u, SELF_PLAN)
         # a strictly higher score: an order holds the exact negated score
         if first is None and scores.gamma(u) > 0.0 and \
                 scores.order(u, MBS, second)[0] < \
                 scores.order(u, None, second)[0]:
             first = MBS
-        ranking: Sequence[_PlanEntry] = ()
+        firsts[u], seconds[u] = first, second
         if second is None:
             opts = [k for k in mues[u].cand2 if not scores.phi(u, k) < 0.0]
             if scores.mbs_admits_p2(u, first):
                 opts.append(macro)
             own, *keyed = scores._keyed(u, scores.code(first), [cache] + opts)
             ranking = scores._beating(own, keyed)
-        firsts.append(first)
-        seconds.append(second)
-        rankings.append(ranking)
-    return firsts, seconds, rankings
+            if ranking:
+                rankings[u] = ranking
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,23 @@ score tables, serial dictatorship) against it on random and region games.
 The preferences are a record of this module's own, which keeps the
 definitional BS lists; the other data types (plans, matchings, traces,
 violations) are the production ones, so those results compare by `repr`.
+
+`region_metrics` is the definitional measurement of one matched region
+game at its focal SBS: it walks the game's matching and trace, where
+`experiments._region_replication` measures every head of a replication
+from running counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from mmwcache.geometry import hof_probability
 from mmwcache.matching import (MBS, SELF_PLAN, BsPreference, DynamicMatching,
                                GameInstance, MatchResult, MatchTrace, PlayerId,
                                PlayerKind, Plan, PreferenceProfile,
-                               ProposalRecord, Violation, sbs_id)
+                               ProposalRecord, Violation, sbs_id,
+                               signaling_overhead)
 
 
 class ConvergenceError(RuntimeError):
@@ -628,3 +634,59 @@ def _scan_period2(matching: DynamicMatching,
                 _mbs_admits_p2(instance, u, first):
             out.append(Violation(2, "pair-mbs", u, MBS))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Region measurement
+# ---------------------------------------------------------------------------
+
+def count_measurements(result: MatchResult) -> int:
+    """Users needing an inter-frequency measurement during the epoch.
+
+    Handover execution requires measuring the target, users bound for the
+    macro cell keep searching, and a coaster without an arranged follow-up
+    association must also keep discovering candidates before its playback
+    runs out. Only users coasting toward an arranged period-2 association
+    mute the search entirely.
+    """
+    mu1, mu2 = result.matching.mu1, result.matching.mu2
+    scans = 0
+    for u in range(len(mu1)):
+        second = mu2[u]
+        if mu1[u] is None and second is not None \
+                and second.kind == PlayerKind.SBS:
+            continue
+        scans += 1
+    return scans
+
+
+def region_metrics(cfg, mues: Sequence, focal_chords: Sequence[float],
+                   result: MatchResult) -> Dict[str, float]:
+    """Measure the epoch at the focal SBS of one matched region game.
+
+    `result` matches the game of the users `mues`; user u crosses the
+    focal cell on the chord `focal_chords[u]`; `cfg` is the
+    `ScenarioConfig` the game was built from.
+    """
+    n_mues = len(mues)
+    focal = sbs_id(0)
+    failures = 0
+    conventional = 0
+    for u, mue in enumerate(mues):
+        tos = focal_chords[u] / mue.speed
+        if tos < cfg.t_mts:
+            conventional += 1
+            if result.matching.mu1[u] == focal:
+                failures += 1
+    scans = count_measurements(result)
+    e_scan_mj = cfg.energy_per_scan * 1e3
+    return {
+        "load": float(len(result.matching.members(1, focal))),
+        "savings": 1.0 - scans / n_mues,
+        "baseline_mj": n_mues * e_scan_mj,
+        "used_mj": scans * e_scan_mj,
+        "proposals": float(signaling_overhead(result.trace,
+                                              sbs=focal.index)),
+        "hof_prob_proposed": failures / n_mues,
+        "hof_prob_conventional": conventional / n_mues,
+    }

@@ -15,7 +15,7 @@ from mmwcache import matching as M
 from mmwcache import oracle as O
 from mmwcache import radio as R
 from mmwcache.config import ScenarioConfig
-from mmwcache.experiments import EXPERIMENT_NAMES, run_experiment
+from mmwcache.experiments import EXPERIMENT_NAMES, run_experiments
 from mmwcache.testutil import random_game_instance
 from conftest import example1_instance
 
@@ -30,10 +30,9 @@ def _report(name, detail):
 def full_runs():
     """All experiments at full replication count, timed for criterion 10."""
     config = ScenarioConfig(seed=SEED)
-    results = {}
     start = time.perf_counter()
-    for name in EXPERIMENT_NAMES:
-        results[name] = run_experiment(name, config)
+    results = dict(zip(EXPERIMENT_NAMES,
+                       run_experiments(EXPERIMENT_NAMES, config)))
     results["_elapsed"] = time.perf_counter() - start
     return results
 

@@ -882,18 +882,174 @@ class TestMatchHeads:
 
     def test_one_pass_per_speed_of_a_region_replication(self, monkeypatch):
         calls = []
-        match_heads = M.match_heads
+        run_heads = M.run_heads
 
         def counting(prefs, counts):
             calls.append(tuple(counts))
-            return match_heads(prefs, counts)
+            return run_heads(prefs, counts)
 
-        monkeypatch.setattr(M, "match_heads", counting)
+        monkeypatch.setattr(M, "run_heads", counting)
         users = tuple(range(5, 55, 5))
         cfg = ScenarioConfig(seed=1)
         experiments._region_replication(cfg, (6, 0), users,
                                         (2.0, 8.0, 10.0, 12.0))
         assert calls == [users] * 4
+
+
+def _assert_heads_equal_reference(cfg, key, users, speeds):
+    """`_region_replication` against `R.region_metrics` of every head
+    game, built afresh at each speed and matched on its own by
+    `dynamic_match`. Returns how many users stage-two repairs muted, and
+    at how many points the largest head's trace named SBS 0 more often
+    than the head's."""
+    ours = experiments._region_replication(cfg, key, users, speeds)
+    assert [len(at_users) for at_users in ours] == \
+        [len(speeds)] * len(users)
+    muted = later = 0
+    for i, v in enumerate(speeds):
+        region = experiments.build_region_instance(
+            cfg, max(users), v, experiments._rep_rng(cfg.seed, *key))
+        full = M.dynamic_match(region.game).trace
+        for j, n in enumerate(users):
+            game = replace(region.game, mues=region.game.mues[:n])
+            result = M.dynamic_match(game)
+            theirs = R.region_metrics(cfg, game.mues,
+                                      region.focal_chords[:n], result)
+            assert ours[j][i] == theirs, (cfg, key, n, v)
+            assert ours[j][i]["proposals"] == \
+                M.signaling_overhead(result.trace, sbs=0)
+            matching = result.matching
+            muted += sum(
+                result.ex_ante.mu2[u] is None and matching.mu1[u] is None
+                and matching.mu2[u] is not None
+                and matching.mu2[u].kind is M.PlayerKind.SBS
+                for u in range(n))
+            later += M.signaling_overhead(full, sbs=0) > \
+                ours[j][i]["proposals"]
+    return muted, later
+
+
+class TestHeadMeasurement:
+    """`_region_replication` measures each head from running counts; the
+    reference measures each head game matched on its own."""
+
+    SPEEDS = (2.0, 8.0, 12.0)
+    USERS = (experiments.USER_COUNTS, (50, 5, 5, 23))
+
+    @pytest.mark.parametrize("overrides", [
+        {"quota": 1}, {"quota": 2}, {"quota": 3},
+        {"n_sbs": 1}, {"n_sbs": 1, "quota": 1}])
+    def test_heads_equal_reference_metrics(self, overrides):
+        later = 0
+        for seed in (1, 2, 3):
+            cfg = replace(ScenarioConfig(seed=seed), **overrides)
+            for users in self.USERS:
+                muted, at = _assert_heads_equal_reference(
+                    cfg, (4, seed), users, self.SPEEDS)
+                # a user refused a period-2 SBS in stage one finds no
+                # more room there in stage two, so no repair mutes
+                assert muted == 0
+                later += at
+        assert later > 0
+
+    def test_repairs_that_mute_are_counted(self, monkeypatch):
+        # give stage two one more place per SBS than it has, and lift the
+        # quota check, so that repairs mute users refused in stage one
+        serial_dictatorship = M._serial_dictatorship
+
+        def roomier(scores, users, rankings, room, trace, stage):
+            if stage == 2:
+                room = {s: free + 1 for s, free in room.items()}
+            return serial_dictatorship(scores, users, rankings, room, trace,
+                                       stage=stage)
+
+        monkeypatch.setattr(M, "_serial_dictatorship", roomier)
+        monkeypatch.setattr(M, "_check_quotas", lambda *args: None)
+        muted = 0
+        for seed in (1, 2, 3):
+            cfg = ScenarioConfig(seed=seed, quota=1)
+            for users in self.USERS:
+                muted += _assert_heads_equal_reference(
+                    cfg, (4, seed), users, self.SPEEDS)[0]
+        assert muted > 0
+
+
+def _overfill_stage_two(monkeypatch, at, slot, spill):
+    """Make stage-two call number `at` (from 0) also put `spill` users,
+    users 0 to spill - 1, on `slot` in period 2."""
+    calls = []
+    serial_dictatorship = M._serial_dictatorship
+
+    def overfilling(scores, users, rankings, room, trace, stage):
+        held = serial_dictatorship(scores, users, rankings, room, trace,
+                                   stage=stage)
+        if stage == 2:
+            if len(calls) == at:
+                held.update({u: M.Plan(None, slot) for u in range(spill)})
+            calls.append(users)
+        return held
+
+    monkeypatch.setattr(M, "_serial_dictatorship", overfilling)
+    return calls
+
+
+class TestHeadChecks:
+    """Every head of a run is checked, as `DynamicMatching.validate`
+    checks a matching: a period-2 load over quota and a slot naming an SBS
+    outside the game raise ValueError."""
+
+    CONFIG = ScenarioConfig(seed=1, quota=2)
+
+    def _region(self):
+        """The game `_region_replication(CONFIG, (4, 0), users, (8.0,))`
+        matches for 50 users."""
+        return experiments.build_region_instance(
+            self.CONFIG, 50, 8.0,
+            experiments._rep_rng(self.CONFIG.seed, 4, 0)).game
+
+    def test_every_head_of_match_heads(self, monkeypatch):
+        game = self._region()
+        prefs = M.build_preferences(game)
+        M.match_heads(prefs, experiments.USER_COUNTS)
+        for at in range(len(experiments.USER_COUNTS)):
+            with monkeypatch.context() as patch:
+                calls = _overfill_stage_two(patch, at, M.sbs_id(1), 3)
+                with pytest.raises(ValueError,
+                                   match="quota violated at SBS 1 period 2"):
+                    M.match_heads(prefs, experiments.USER_COUNTS)
+                assert len(calls) == at + 1
+
+    def test_dynamic_match(self, monkeypatch):
+        game = self._region()
+        M.dynamic_match(game)
+        _overfill_stage_two(monkeypatch, 0, M.sbs_id(0), 3)
+        with pytest.raises(ValueError,
+                           match="quota violated at SBS 0 period 2"):
+            M.dynamic_match(game)
+
+    def test_region_replication(self, monkeypatch):
+        # stage two runs once per head and speed: call 12 is the third
+        # head at the second speed
+        cfg, users, speeds = self.CONFIG, experiments.USER_COUNTS, (8.0, 12.0)
+        experiments._region_replication(cfg, (4, 0), users, speeds)
+        calls = _overfill_stage_two(monkeypatch, 12, M.sbs_id(0), 3)
+        with pytest.raises(ValueError,
+                           match="quota violated at SBS 0 period 2"):
+            experiments._region_replication(cfg, (4, 0), users, speeds)
+        assert len(calls) == 13
+
+    def test_unknown_sbs(self, monkeypatch):
+        game = self._region()
+        prefs = M.build_preferences(game)
+        for k in (len(game.sbss), -1):
+            for run in (lambda: M.match_heads(prefs, (5, 50)),
+                        lambda: M.dynamic_match(game, prefs),
+                        lambda: experiments._region_replication(
+                            self.CONFIG, (4, 0), (5, 50), (8.0,))):
+                with monkeypatch.context() as patch:
+                    _overfill_stage_two(patch, 0, M.sbs_id(k), 1)
+                    with pytest.raises(ValueError, match=f"unknown SBS {k}"):
+                        run()
 
 
 class TestSharedLayout:
