@@ -9,10 +9,10 @@ sweep: common random numbers, under which the points of a curve compare
 the same deployments. No draw depends on the speed, so one draw serves
 every speed; the users are drawn in one block, so the first u users of
 the largest user count are the instance of u users, and one draw serves
-every user count. The three user sweeps (load, energy and overhead
-against the number of users) read one draw too: they are columns of one
-region sweep under the key (4, rep), which `run_experiments` runs once
-for all of them.
+every user count. The four region curves (HOF against speed, and load,
+energy and overhead against the number of users) read one draw too: they
+are projections of one region sweep under the key (4, rep), which
+`run_experiments` runs once for all of them.
 
 The multi-user experiments run on a "target region" extracted from a full
 deployment: a focal cell plus the onward cells each user would reach, with
@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,15 +45,23 @@ from .scenario import (CellCrossing, SbsSite, Scenario,
 
 EXPERIMENT_NAMES = ("hof_vs_speed", "rate_vs_distance", "hof_multiuser",
                     "load_vs_users", "energy_vs_users", "overhead_vs_users")
-# the user sweeps, name -> (speeds, metrics): projections of one region
-# sweep (`_region_sweep`) over USER_COUNTS, drawn under the key (4, rep)
-USER_SWEEPS = {
-    "load_vs_users": ((8.0, 10.0, 12.0), ("load",)),
-    "energy_vs_users": ((8.0, 10.0, 12.0),
-                        ("savings", "baseline_mj", "used_mj")),
-    "overhead_vs_users": ((2.0, 8.0, 10.0, 12.0), ("proposals",))}
 USER_COUNTS = tuple(range(5, 55, 5))
-REGION_EXPERIMENTS = ("hof_multiuser",) + tuple(USER_SWEEPS)
+# the region curves, name -> (speeds, user counts, metrics): projections
+# of one region sweep (`_region_sweep`), drawn under the key (4, rep). A
+# curve of one user count runs against speed, the others against the
+# user count. hof_multiuser's users enter the focal cell at a rim point
+# with a heading uniform over the directions into it, so their chords
+# follow the paper's fixed-entry-point law, P(HOF) = (2/pi) *
+# arcsin(vT/2a) for a cell of radius a and T = t_mts
+REGION_CURVES = {
+    "hof_multiuser": (tuple(float(v) for v in range(1, 17)), (20,),
+                      ("hof_prob_proposed", "hof_prob_conventional")),
+    "load_vs_users": ((8.0, 10.0, 12.0), USER_COUNTS, ("load",)),
+    "energy_vs_users": ((8.0, 10.0, 12.0), USER_COUNTS,
+                        ("savings", "baseline_mj", "used_mj")),
+    "overhead_vs_users": ((2.0, 8.0, 10.0, 12.0), USER_COUNTS,
+                          ("proposals",))}
+REGION_EXPERIMENTS = tuple(REGION_CURVES)
 # rate_vs_distance's crossing headings theta-hat, relative to the entry edge
 RATE_THETA_HATS_DEG = (20.0, 30.0, 50.0, 70.0)
 
@@ -120,29 +128,23 @@ def run_experiments(names: Sequence[str], config: ScenarioConfig,
                     threads: int = 1) -> List[ExperimentResult]:
     """Run the named experiments, returning one result per name in order.
 
-    Every name is checked (`check_run`) before any work. The user sweeps
-    among `names` (`USER_SWEEPS`) are cut from one `_region_sweep` over the
-    union of their speeds and metrics, each given an equal share of its
-    time as `runtime_s`; every other experiment runs on its own.
+    Every name is checked (`check_run`) before any work. The region curves
+    among `names` (`REGION_CURVES`) are cut from one `_region_sweep`, each
+    given an equal share of its time as `runtime_s`; every other
+    experiment runs on its own.
     """
     reps = replications if replications is not None else config.replications
     for name in names:
         check_run(name, config, reps, threads)
     results: Dict[str, ExperimentResult] = {}
-    sweeps = [name for name in names if name in USER_SWEEPS]
-    if sweeps:
+    curves = [name for name in names if name in REGION_CURVES]
+    if curves:
         start = time.perf_counter()
-        speeds = sorted({v for n in sweeps for v in USER_SWEEPS[n][0]})
-        metrics = dict.fromkeys(m for n in sweeps for m in USER_SWEEPS[n][1])
-        cols = _region_sweep(config, reps, tuple(speeds), tuple(metrics),
-                             threads)
-        share = (time.perf_counter() - start) / len(sweeps)
-        for n in sweeps:
-            own_speeds, own_metrics = USER_SWEEPS[n]
-            keys = ["n_mues"] + [f"{m}_v{int(v)}" for v in own_speeds
-                                 for m in own_metrics]
-            results[n] = ExperimentResult(n, {k: cols[k] for k in keys},
-                                          reps, config.seed, share)
+        cols = _region_sweep(config, reps, curves, threads)
+        share = (time.perf_counter() - start) / len(curves)
+        for name in curves:
+            results[name] = ExperimentResult(name, cols[name], reps,
+                                             config.seed, share)
     for name in names:
         if name not in results:
             start = time.perf_counter()
@@ -539,27 +541,26 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
 
 
 def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
-                        users: Sequence[int], speeds: Sequence[float],
-                        ) -> List[List[Dict[str, float]]]:
-    """One replication of the target-region epoch: all metrics, per user
-    count and speed, as `metrics[user index][speed index]`.
+                        points: Sequence[Tuple[float, Sequence[int]]],
+                        ) -> Dict[Tuple[float, int], Dict[str, float]]:
+    """One replication of the target-region epoch: all metrics at each
+    (speed, user counts) pair of `points`, keyed `(speed, n)`.
 
-    One instance of `max(users)` users is built at `speeds[0]`. Its users'
-    numbers come from one draw after the deployment's, so its first u
-    users are the instance of u users; and it draws no speed, so the
-    instance at another speed differs only in `MueState.speed`. The
-    replication keeps one score table, whose gamma, priority order and
-    plan slots do not depend on speed, re-speeds it for each other speed
-    (`matching._Scores.respeed`) and ranks it once per speed. Every user
-    count is then matched in one pass over that ranking
-    (`matching.run_heads`), whose head of u users equals `dynamic_match`
-    of the game of the first u users. That needs the first u users to be
-    the first u in the base stations' priority, which holds because every
-    region user starts with a full cache: gamma ties, and ties break on
-    index. So element [j][i] equals this function's result for
-    `((users[j],), (speeds[i],))` alone. A pure function of (config, seed
-    key, users, speeds), so replications can be mapped over a worker pool
-    and merged by index.
+    One instance of the largest user count is built. Its users' numbers
+    come from one draw after the deployment's, so its first u users are
+    the instance of u users; and it draws no speed, so the instance at
+    another speed differs only in `MueState.speed`. At each speed the
+    replication builds one score table on the head game of the largest
+    user count that speed needs, its users re-speeded, and ranks it once.
+    Every user count of that speed is then matched in one pass over that
+    ranking (`matching.run_heads`), whose head of u users equals
+    `dynamic_match` of the game of the first u users. That needs the first
+    u users to be the first u in the base stations' priority, which holds
+    because every region user starts with a full cache: gamma ties, and
+    ties break on index. So the metrics at `(v, n)` equal this function's
+    result for `((v, (n,)),)` alone. A pure function of (config, seed key,
+    points), so replications can be mapped over a worker pool and merged
+    by index.
 
     Each head is measured at the focal SBS (SBS 0) from running counts,
     taken once per speed over the users of the largest head: the users
@@ -576,18 +577,20 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     candidates before its playback runs out.
     """
     rng = _rep_rng(cfg.seed, *seed_key)
-    region = build_region_instance(cfg, max(users), speeds[0], rng)
-    chords = region.focal_chords
-    scores = matching._Scores(region.game)
+    top = max(max(counts) for _, counts in points)
+    region = build_region_instance(cfg, top, points[0][0], rng)
+    game, chords = region.game, region.focal_chords
     focal, t_mts = sbs_id(0), cfg.t_mts
     e_scan_mj = cfg.energy_per_scan * 1e3
-    metrics: List[List[Dict[str, float]]] = [[] for _ in users]
-    for i, v in enumerate(speeds):
-        if i:
-            scores = scores.respeed(v)
-        run = matching.run_heads(scores.rank(), users)
+    metrics: Dict[Tuple[float, int], Dict[str, float]] = {}
+    for v, counts in points:
+        largest = max(counts)
+        scores = matching._Scores(replace(game, mues=tuple(
+            [mue._replace(speed=v) for mue in game.mues[:largest]])))
+        scores.rank()
+        run = matching.run_heads(scores, counts)
         firsts = run.firsts
-        short = [chord / v < t_mts for chord in chords]
+        short = [chord / v < t_mts for chord in chords[:largest]]
         conventional = _running(short)
         failures = _running([s and first == focal
                              for s, first in zip(short, firsts)])
@@ -595,7 +598,7 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
         muted = _running([first is None and _names_sbs(second)
                           for first, second in zip(firsts, run.seconds)])
         naming = _running([focal in rec.plan for rec in run.stage1])
-        for at_users, n in zip(metrics, users):
+        for n in counts:
             head = run.heads[n]
             scans = n - muted[n] - sum(
                 [firsts[u] is None and _names_sbs(plan.second)
@@ -604,7 +607,7 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
             # restarts
             proposals = naming[head.end] + sum(
                 [focal in rec.plan for rec in head.stage2])
-            at_users.append({
+            metrics[v, n] = {
                 "load": float(load[n]),
                 "savings": 1.0 - scans / n,
                 "baseline_mj": n * e_scan_mj,
@@ -612,7 +615,7 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
                 "proposals": float(proposals),
                 "hof_prob_proposed": failures[n] / n,
                 "hof_prob_conventional": conventional[n] / n,
-            })
+            }
     return metrics
 
 
@@ -654,56 +657,48 @@ def _map_jobs(fn, cfg: ScenarioConfig, jobs: Sequence[tuple],
                              chunksize=chunksize))
 
 
-def _region_sweep(config: ScenarioConfig, reps: int,
-                  speeds: Tuple[float, ...], metrics: Tuple[str, ...],
-                  threads: int) -> Dict[str, List[float]]:
-    """Metric means per (user count, speed) of the user sweeps, one job per
-    replication.
+def _region_sweep(config: ScenarioConfig, reps: int, names: Sequence[str],
+                  threads: int) -> Dict[str, Dict[str, List[float]]]:
+    """The columns of each region curve in `names`, cut from one sweep of
+    one job per replication.
 
-    A job draws one instance of the largest of `USER_COUNTS` under the key
-    (4, rep) and matches its first u users for every user count u at every
-    speed (`_region_replication`), so all points of a replication share
-    one deployment and one draw of users. The columns are `n_mues`, then
-    `f"{metric}_v{int(speed)}"` by speed, then by metric. Column i of a
-    speed equals that of a sweep at that speed alone, so every user sweep
-    is a projection of one sweep at the union of their speeds.
+    A job draws one instance under the key (4, rep) and matches its first
+    n users at every speed of the curves for every user count that a
+    curve needs at that speed (`_region_replication`), so all points of a
+    replication share one deployment and one draw of users. Its metrics
+    at a point equal those of a job of that point alone, so every curve
+    is a projection of one sweep at the union of their points. A curve
+    against speed has the columns `speed_mps` and then its metrics, one
+    row per speed; a curve against the user count has `n_mues` and then
+    `f"{metric}_v{int(speed)}"` by speed, then by metric, one row per user
+    count. Each cell is the mean over the replications.
     """
-    jobs = [((4, rep), USER_COUNTS, speeds) for rep in range(reps)]
+    needed: Dict[float, set] = {}
+    for name in names:
+        speeds, users, _ = REGION_CURVES[name]
+        for v in speeds:
+            needed.setdefault(v, set()).update(users)
+    points = tuple((v, tuple(sorted(needed[v]))) for v in sorted(needed))
+    jobs = [((4, rep), points) for rep in range(reps)]
     results = _map_jobs(_region_replication, config, jobs, threads)
-    # results[rep][j][i] holds the metrics at user count j and speed i
-    cols = {"n_mues": [float(u) for u in USER_COUNTS]}
-    for i, v in enumerate(speeds):
-        for name in metrics:
-            cols[f"{name}_v{int(v)}"] = [
-                float(np.mean([at_rep[j][i][name] for at_rep in results]))
-                for j in range(len(USER_COUNTS))]
+
+    def mean(v: float, n: int, metric: str) -> float:
+        return float(np.mean([at_rep[v, n][metric] for at_rep in results]))
+
+    cols: Dict[str, Dict[str, List[float]]] = {}
+    for name in names:
+        speeds, users, metrics = REGION_CURVES[name]
+        if len(users) == 1:
+            cols[name] = {"speed_mps": list(speeds)}
+            cols[name].update((m, [mean(v, users[0], m) for v in speeds])
+                              for m in metrics)
+        else:
+            cols[name] = {"n_mues": [float(n) for n in users]}
+            cols[name].update((f"{m}_v{int(v)}",
+                               [mean(v, n, m) for n in users])
+                              for v in speeds for m in metrics)
     return cols
 
 
-def _run_hof_multiuser(config: ScenarioConfig, reps: int,
-                       threads: int = 1) -> ExperimentResult:
-    """HOF probability in the focal cell against speed, 20 users a run.
-
-    `build_region_instance` puts each user on the focal cell's rim with a
-    heading uniform over the directions into the cell, so its chord is
-    2a*sin(theta) with theta uniform on (0, pi): the paper's
-    fixed-entry-point chord law, P(HOF) = (2/pi) * arcsin(vT/2a) for a
-    cell of radius a and T = t_mts, which `hof_prob_conventional` follows.
-    A replication draws one instance under the key (3, rep) and matches it
-    at all 16 speeds, so the points of the curve differ only in speed.
-    """
-    speeds = tuple(float(v) for v in range(1, 17))
-    cols: Dict[str, List[float]] = {"speed_mps": list(speeds)}
-    jobs = [((3, rep), (20,), speeds) for rep in range(reps)]
-    results = _map_jobs(_region_replication, config, jobs, threads)
-    # results[rep][0][i] holds the metrics at speed i
-    for name in ("hof_prob_proposed", "hof_prob_conventional"):
-        cols[name] = [
-            float(np.mean([at_rep[0][i][name] for at_rep in results]))
-            for i in range(len(speeds))]
-    return ExperimentResult("hof_multiuser", cols, reps, config.seed)
-
-
 _RUNNERS = {"hof_vs_speed": _run_hof_vs_speed,
-            "rate_vs_distance": _run_rate_vs_distance,
-            "hof_multiuser": _run_hof_multiuser}
+            "rate_vs_distance": _run_rate_vs_distance}

@@ -32,11 +32,10 @@ C.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -210,14 +209,12 @@ def _layout(n: int) -> _Layout:
 class _Scores:
     """The payoffs and priorities of one game, tabulated in one pass.
 
-    A table has three parts. The game-free part is the layout `_layout(n)`
+    A table has two parts. The game-free part is the layout `_layout(n)`
     of its SBS count, shared by every table with n SBSs. Slot codes are
     integers: SBS k is k, the macro cell n and the cache n + 1. The
-    speed-free part, built by the constructor, holds gamma per user and the
-    common priority order. The per-speed part (`_fill`) holds the HOF memo,
-    per user a payoff row keyed by slot code and the period-2 cache
-    payoffs, and the rankings `rank` derives from them; `respeed` fills
-    only a new per-speed part.
+    constructor builds the game's own part: gamma per user, the common
+    priority order, the HOF memo, per user a payoff row keyed by slot code
+    and the period-2 cache payoffs. `rank` derives the rankings from them.
 
     Plans are ordered by `order`, (-score, pair code), lower first. The
     pair code `first * (n + 2) + second` names a plan, so plans of equal
@@ -240,25 +237,6 @@ class _Scores:
         # a stable sort by -gamma keeps ties in index order
         ranks = [-g for g in self._gamma]
         self._priority = sorted(range(len(ranks)), key=ranks.__getitem__)
-        self._fill()
-
-    def respeed(self, speed: float) -> "_Scores":
-        """The table of this game with every user at `speed`.
-
-        It builds the re-speeded instance itself, shares this table's
-        speed-free part and fills a per-speed part of its own; this table
-        is left as it was.
-        """
-        instance = self.instance
-        table = copy.copy(self)
-        table.instance = replace(instance, mues=tuple(
-            [mue._replace(speed=speed) for mue in instance.mues]))
-        table._fill()
-        return table
-
-    def _fill(self) -> None:
-        """Fill the per-speed part: the HOF memo, rows and cache payoffs."""
-        instance, n = self.instance, self._n
         covered1 = instance.covered_payoff
         covered2 = instance.future_covered_payoff
         short = instance.shortfall_penalty
@@ -421,15 +399,12 @@ class _Scores:
             return self.phi(u, first.index) < self.instance.epsilon
         return True
 
-    def rank(self) -> "Preferences":
-        """Rank every user's plans from this table; see `build_preferences`.
-        The ranked entries stay in `rankings`, which stage one reads."""
+    def rank(self) -> None:
+        """Rank every user's plans from this table into `rankings`, which
+        stage one reads; see `build_preferences`."""
         universe, beating = self._universe, self._beating
         self.rankings = [beating(*universe(u))
                          for u in range(len(self.instance.mues))]
-        return Preferences(tuple([
-            PreferenceProfile(tuple([e.plan for e in entries]))
-            if entries else _NO_PLANS for entries in self.rankings]), self)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +472,11 @@ def build_preferences(instance: GameInstance) -> Preferences:
     filtered against the self plan's, sorted and interned. Users with no
     ranked plan share one empty profile.
     """
-    return _Scores(instance).rank()
+    scores = _Scores(instance)
+    scores.rank()
+    return Preferences(tuple([
+        PreferenceProfile(tuple([e.plan for e in entries]))
+        if entries else _NO_PLANS for entries in scores.rankings]), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +715,7 @@ def match_heads(prefs: Preferences, counts: Sequence[int],
     its stage-two repairs in period 2, and its trace, the stage-one
     proposals up to its last turn followed by its own stage-two proposals.
     """
-    run = run_heads(prefs, counts)
+    run = run_heads(prefs.scores, counts)
     results = []
     for n in counts:
         head = run.heads[n]
@@ -772,9 +751,9 @@ class HeadRun(NamedTuple):
     heads: Dict[int, Head]
 
 
-def run_heads(prefs: Preferences, counts: Sequence[int]) -> HeadRun:
+def run_heads(scores: _Scores, counts: Sequence[int]) -> HeadRun:
     """Match the head game of n users, for every n in `counts`, in one
-    pass over the game `prefs` were ranked on.
+    pass over the game of the ranked table `scores` (`_Scores.rank`).
 
     The head of n users must be a prefix of the priority order: the first
     n users in priority are the users below n, which one running max over
@@ -803,7 +782,6 @@ def run_heads(prefs: Preferences, counts: Sequence[int]) -> HeadRun:
     proposals, holds the same plans in every game of the differential
     tests.
     """
-    scores = prefs.scores
     sbss = scores.instance.sbss
     priority = scores.priority()
     # the users of the largest head; a count past the game raises below

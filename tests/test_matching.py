@@ -669,98 +669,41 @@ class TestSerialDictatorship:
         return held
 
 
-def _respeeded(game, speed):
-    """The game with every user at `speed`, built field by field."""
-    return replace(game, mues=tuple(
-        M.MueState(speed, m.segments, m.p_th, m.cand1, m.cand2, m.gap1,
-                   m.gap2) for m in game.mues))
+class TestRegionCost:
+    """A region replication builds one instance and one table per speed,
+    of the largest user count that speed needs."""
 
+    @staticmethod
+    def _count(monkeypatch, run):
+        """The user counts of the instances and of the tables `run` builds."""
+        instances, tables = [], []
+        build, init = experiments.build_region_instance, M._Scores.__init__
 
-def _assert_respeeded_equals_fresh(table, game, speed):
-    """A re-speeded table ranks and matches as a fresh table does."""
-    fresh_game = _respeeded(game, speed)
-    assert table.instance == fresh_game
-    prefs, fresh = table.rank(), M.build_preferences(fresh_game)
-    assert repr(_profiles(prefs)) == repr(_profiles(fresh))
-    assert repr(M.dynamic_match(table.instance, prefs)) == \
-        repr(M.dynamic_match(fresh_game, fresh))
-    mu, da = M.deferred_acceptance(table.instance, prefs)
-    assert repr((mu, da)) == repr(M.deferred_acceptance(fresh_game, fresh))
-    assert M.find_single_period_blocking(mu, table.instance, prefs) == \
-        M.find_single_period_blocking(mu, fresh_game, fresh)
-
-
-class TestRespeededTables:
-    """`_Scores.respeed` against a table built fresh at each speed."""
-
-    SPEEDS = tuple(float(v) for v in range(1, 17))
-
-    def test_region_tables_match_fresh_tables(self):
-        # 3 seeds x 3 user counts, each table re-speeded in turn through
-        # all 16 hof_multiuser speeds, as one replication does
-        for seed in (1, 2, 3):
-            config = ScenarioConfig(seed=seed)
-            rng = np.random.default_rng(seed)
-            for n_mues in (1, 20, 50):
-                game = experiments.build_region_instance(
-                    config, n_mues, self.SPEEDS[0], rng).game
-                table = M._Scores(game)
-                for v in self.SPEEDS:
-                    table = table.respeed(v)
-                    _assert_respeeded_equals_fresh(table, game, v)
-
-    def test_random_games_match_fresh_tables(self):
-        # users of mixed speeds, re-speeded to one speed; the table
-        # re-speeded from is left as it was
-        rng = np.random.default_rng(109)
-        for _ in range(300):
-            game = random_game_instance(rng, max_mues=12)
-            table = M._Scores(game)
-            before = repr(_profiles(table.rank()))
-            speed = float(rng.uniform(1.0, 16.0))
-            _assert_respeeded_equals_fresh(table.respeed(speed), game, speed)
-            assert table.instance is game
-            assert repr(_profiles(table.rank())) == before
-
-    def test_speed_free_part_built_once_per_replication(self, monkeypatch):
-        built, ids, tables = [], [], []
-        init, respeed, sbs_id = M._Scores.__init__, M._Scores.respeed, M.sbs_id
+        def counting_build(config, n_mues, speed, rng):
+            instances.append(n_mues)
+            return build(config, n_mues, speed, rng)
 
         def counting_init(self, instance):
-            built.append(instance)
+            tables.append(len(instance.mues))
             init(self, instance)
-            tables.append(self)
 
-        def counting_respeed(self, speed):
-            table = respeed(self, speed)
-            tables.append(table)
-            return table
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "build_region_instance",
+                          counting_build)
+            patch.setattr(M._Scores, "__init__", counting_init)
+            run()
+        return Counter(instances), Counter(tables)
 
-        def counting_sbs_id(index):
-            ids.append(index)
-            return sbs_id(index)
-
-        monkeypatch.setattr(M._Scores, "__init__", counting_init)
-        monkeypatch.setattr(M._Scores, "respeed", counting_respeed)
-        monkeypatch.setattr(M, "sbs_id", counting_sbs_id)
-        # layouts are built once per SBS count per process: start afresh
-        M._layout.cache_clear()
-        cfg = ScenarioConfig(seed=1)
-        metrics = experiments._region_replication(cfg, (3, 0), (20,),
-                                                  self.SPEEDS)[0]
-        assert len(metrics) == 16
-        # one table built, with one PlayerId per SBS, then 15 re-speeds
-        # sharing its priority order and its PlayerIds
-        assert len(built) == 1 and len(tables) == 16
-        assert sorted(ids) == list(range(len(built[0].sbss)))
-        first = tables[0]
-        for table in tables[1:]:
-            assert table._priority is first._priority
-            assert table.sbs is first.sbs and table._plans is first._plans
-            assert table._rows is not first._rows
-        layout = M._layout(len(built[0].sbss))
-        for table in tables:
-            assert table.sbs is layout.sbs and table._plans is layout.plans
+    def test_tables_per_replication(self, monkeypatch):
+        cfg, reps = ScenarioConfig(seed=1), 2
+        assert self._count(monkeypatch, lambda: experiments.run_experiment(
+            "hof_multiuser", cfg, reps)) == \
+            (Counter({20: reps}), Counter({20: 16 * reps}))
+        # the user-sweep speeds rank all 50 users, the other 12 of
+        # hof_multiuser's speeds only its 20
+        assert self._count(monkeypatch, lambda: experiments.run_experiments(
+            experiments.EXPERIMENT_NAMES, cfg, reps)) == \
+            (Counter({50: reps}), Counter({50: 4 * reps, 20: 12 * reps}))
 
 
 def _prefix_counts(prefs):
@@ -884,39 +827,39 @@ class TestMatchHeads:
         calls = []
         run_heads = M.run_heads
 
-        def counting(prefs, counts):
+        def counting(scores, counts):
             calls.append(tuple(counts))
-            return run_heads(prefs, counts)
+            return run_heads(scores, counts)
 
         monkeypatch.setattr(M, "run_heads", counting)
         users = tuple(range(5, 55, 5))
         cfg = ScenarioConfig(seed=1)
-        experiments._region_replication(cfg, (6, 0), users,
-                                        (2.0, 8.0, 10.0, 12.0))
+        experiments._region_replication(
+            cfg, (6, 0), [(v, users) for v in (2.0, 8.0, 10.0, 12.0)])
         assert calls == [users] * 4
 
 
-def _assert_heads_equal_reference(cfg, key, users, speeds):
+def _assert_heads_equal_reference(cfg, key, points):
     """`_region_replication` against `R.region_metrics` of every head
     game, built afresh at each speed and matched on its own by
     `dynamic_match`. Returns how many users stage-two repairs muted, and
     at how many points the largest head's trace named SBS 0 more often
     than the head's."""
-    ours = experiments._region_replication(cfg, key, users, speeds)
-    assert [len(at_users) for at_users in ours] == \
-        [len(speeds)] * len(users)
+    ours = experiments._region_replication(cfg, key, points)
+    assert set(ours) == {(v, n) for v, users in points for n in users}
+    top = max(max(users) for _, users in points)
     muted = later = 0
-    for i, v in enumerate(speeds):
+    for v, users in points:
         region = experiments.build_region_instance(
-            cfg, max(users), v, experiments._rep_rng(cfg.seed, *key))
+            cfg, top, v, experiments._rep_rng(cfg.seed, *key))
         full = M.dynamic_match(region.game).trace
-        for j, n in enumerate(users):
+        for n in users:
             game = replace(region.game, mues=region.game.mues[:n])
             result = M.dynamic_match(game)
             theirs = R.region_metrics(cfg, game.mues,
                                       region.focal_chords[:n], result)
-            assert ours[j][i] == theirs, (cfg, key, n, v)
-            assert ours[j][i]["proposals"] == \
+            assert ours[v, n] == theirs, (cfg, key, n, v)
+            assert ours[v, n]["proposals"] == \
                 M.signaling_overhead(result.trace, sbs=0)
             matching = result.matching
             muted += sum(
@@ -925,7 +868,7 @@ def _assert_heads_equal_reference(cfg, key, users, speeds):
                 and matching.mu2[u].kind is M.PlayerKind.SBS
                 for u in range(n))
             later += M.signaling_overhead(full, sbs=0) > \
-                ours[j][i]["proposals"]
+                ours[v, n]["proposals"]
     return muted, later
 
 
@@ -933,8 +876,11 @@ class TestHeadMeasurement:
     """`_region_replication` measures each head from running counts; the
     reference measures each head game matched on its own."""
 
-    SPEEDS = (2.0, 8.0, 12.0)
     USERS = (experiments.USER_COUNTS, (50, 5, 5, 23))
+    # each of USERS at every speed, and 20 users at some speeds with every
+    # user count at others, as a joint run of every region curve has them
+    POINTS = tuple([(2.0, u), (8.0, u), (12.0, u)] for u in USERS) + (
+        [(2.0, (20,)), (8.0, experiments.USER_COUNTS), (12.0, (20,))],)
 
     @pytest.mark.parametrize("overrides", [
         {"quota": 1}, {"quota": 2}, {"quota": 3},
@@ -943,9 +889,9 @@ class TestHeadMeasurement:
         later = 0
         for seed in (1, 2, 3):
             cfg = replace(ScenarioConfig(seed=seed), **overrides)
-            for users in self.USERS:
+            for points in self.POINTS:
                 muted, at = _assert_heads_equal_reference(
-                    cfg, (4, seed), users, self.SPEEDS)
+                    cfg, (4, seed), points)
                 # a user refused a period-2 SBS in stage one finds no
                 # more room there in stage two, so no repair mutes
                 assert muted == 0
@@ -968,9 +914,9 @@ class TestHeadMeasurement:
         muted = 0
         for seed in (1, 2, 3):
             cfg = ScenarioConfig(seed=seed, quota=1)
-            for users in self.USERS:
+            for points in self.POINTS:
                 muted += _assert_heads_equal_reference(
-                    cfg, (4, seed), users, self.SPEEDS)[0]
+                    cfg, (4, seed), points)[0]
         assert muted > 0
 
 
@@ -1001,7 +947,7 @@ class TestHeadChecks:
     CONFIG = ScenarioConfig(seed=1, quota=2)
 
     def _region(self):
-        """The game `_region_replication(CONFIG, (4, 0), users, (8.0,))`
+        """The game `_region_replication(CONFIG, (4, 0), ((8.0, users),))`
         matches for 50 users."""
         return experiments.build_region_instance(
             self.CONFIG, 50, 8.0,
@@ -1030,12 +976,13 @@ class TestHeadChecks:
     def test_region_replication(self, monkeypatch):
         # stage two runs once per head and speed: call 12 is the third
         # head at the second speed
-        cfg, users, speeds = self.CONFIG, experiments.USER_COUNTS, (8.0, 12.0)
-        experiments._region_replication(cfg, (4, 0), users, speeds)
+        cfg, users = self.CONFIG, experiments.USER_COUNTS
+        points = [(8.0, users), (12.0, users)]
+        experiments._region_replication(cfg, (4, 0), points)
         calls = _overfill_stage_two(monkeypatch, 12, M.sbs_id(0), 3)
         with pytest.raises(ValueError,
                            match="quota violated at SBS 0 period 2"):
-            experiments._region_replication(cfg, (4, 0), users, speeds)
+            experiments._region_replication(cfg, (4, 0), points)
         assert len(calls) == 13
 
     def test_unknown_sbs(self, monkeypatch):
@@ -1045,7 +992,7 @@ class TestHeadChecks:
             for run in (lambda: M.match_heads(prefs, (5, 50)),
                         lambda: M.dynamic_match(game, prefs),
                         lambda: experiments._region_replication(
-                            self.CONFIG, (4, 0), (5, 50), (8.0,))):
+                            self.CONFIG, (4, 0), ((8.0, (5, 50)),))):
                 with monkeypatch.context() as patch:
                     _overfill_stage_two(patch, 0, M.sbs_id(k), 1)
                     with pytest.raises(ValueError, match=f"unknown SBS {k}"):
@@ -1066,7 +1013,11 @@ class TestSharedLayout:
         tables = [M._Scores(game) for game in games]
         for i in rng.permutation(len(games)):
             game = games[i]
-            prefs, ref_prefs = tables[i].rank(), R.build_preferences(game)
+            tables[i].rank()
+            prefs = M.Preferences(tuple(
+                M.PreferenceProfile(tuple(e.plan for e in ranking))
+                for ranking in tables[i].rankings), tables[i])
+            ref_prefs = R.build_preferences(game)
             assert repr(_profiles(prefs)) == repr(_profiles(ref_prefs))
             res = M.dynamic_match(game, preferences=prefs)
             ref = R.dynamic_match(game, preferences=ref_prefs)

@@ -189,8 +189,10 @@ class TestRegionChordLaw:
         measured = np.empty((reps, len(speeds)))
         law = np.empty((reps, len(speeds)))
         for rep in range(reps):
-            metrics = E._region_replication(cfg, (3, rep), (20,), speeds)[0]
-            measured[rep] = [m["hof_prob_conventional"] for m in metrics]
+            metrics = E._region_replication(
+                cfg, (3, rep), [(v, (20,)) for v in speeds])
+            measured[rep] = [metrics[v, 20]["hof_prob_conventional"]
+                             for v in speeds]
             region = E.build_region_instance(
                 cfg, 20, speeds[0], E._rep_rng(cfg.seed, 3, rep))
             a = region.game.sbss[0].radius

@@ -1,12 +1,12 @@
 """The benchmark tracer's contract with the program.
 
 `perfbench/tracer.py` wraps program functions by name and reads fields of
-their results. This test installs it, plays one stability game and three
-small experiments through the wrapped names, and checks that every span
-and every counted utility the run reaches recorded a call and that
-uninstalling restores every name, so renaming or deleting what the tracer
-reads, or a rate path that bypasses a traced name, fails here rather than
-in a traced benchmark run.
+their results. This test installs it, plays one stability game, three
+small experiments and the four region curves in one joint sweep through
+the wrapped names, and checks that every span and every counted utility
+the run reaches recorded a call and that uninstalling restores every
+name, so renaming or deleting what the tracer reads, or a rate path that
+bypasses a traced name, fails here rather than in a traced benchmark run.
 """
 
 import importlib
@@ -37,6 +37,13 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
                            ("hof_multiuser", 1)):
             with rec.item():
                 experiments.run_experiment(name, config, reps)
+        calls = rec.counters["experiments.build_region_instance.calls"]
+        with rec.item():
+            experiments.run_experiments(experiments.REGION_EXPERIMENTS,
+                                        config, 1)
+        # the joint sweep builds its one instance through the traced name
+        assert rec.counters["experiments.build_region_instance.calls"] == \
+            calls + 1
     finally:
         rec.uninstall()
     assert rec.unrestored() == []

@@ -500,40 +500,49 @@ class TestCommonRandomNumbers:
     """A replication evaluated at many speeds equals one run per speed."""
 
     SPEEDS = (2.0, 8.0, 10.0, 12.0)
+    # 20 users at some speeds and every user count at others, as a joint
+    # run of every region curve has them
+    MIXED = ((2.0, (20,)), (8.0, E.USER_COUNTS), (10.0, (20,)),
+             (12.0, E.USER_COUNTS))
 
     def test_region_replication_per_speed(self):
-        # 5 seeds x 3 user counts x 2 reps x 4 speeds = 120 cases
+        # 5 seeds x 2 reps x (3 user counts x 4 speeds + 4 mixed points)
+        # = 160 cases
+        cases = [(n_mues, [(v, (n_mues,)) for v in self.SPEEDS])
+                 for n_mues in (5, 20, 50)] + [(50, self.MIXED)]
         for seed in range(1, 6):
             cfg = ScenarioConfig(seed=seed)
-            for n_mues in (5, 20, 50):
+            for n_mues, points in cases:
                 for rep in range(2):
                     key = (4, n_mues, rep)
-                    joint = E._region_replication(cfg, key, (n_mues,),
-                                                  self.SPEEDS)[0]
-                    assert len(joint) == len(self.SPEEDS)
-                    for i, v in enumerate(self.SPEEDS):
-                        alone = E._region_replication(cfg, key, (n_mues,),
-                                                      (v,))[0]
-                        assert joint[i] == alone[0], (seed, n_mues, rep, v)
+                    joint = E._region_replication(cfg, key, points)
+                    assert set(joint) == {(v, n) for v, users in points
+                                          for n in users}
+                    for v, users in points:
+                        alone = E._region_replication(cfg, key,
+                                                      ((v, users),))
+                        assert alone == {(v, n): joint[v, n]
+                                         for n in users}, (seed, key, v)
 
     def test_region_replication_per_user_count(self):
-        # 5 seeds x 3 keys x 2 reps x 10 user counts x 4 speeds = 1,200
-        # cases: one draw of 50 users, matched on its first u users,
-        # against an instance of exactly u users
+        # 5 seeds x 3 keys x 2 reps x (10 user counts x 4 speeds + 22
+        # mixed points) = 1,860 cases: one draw of 50 users, matched on
+        # its first u users, against an instance of exactly u users
         users = tuple(range(5, 55, 5))
         for seed in range(1, 6):
             cfg = ScenarioConfig(seed=seed)
             for experiment_key in (4, 5, 6):
                 for rep in range(2):
                     key = (experiment_key, rep)
-                    joint = E._region_replication(cfg, key, users,
-                                                  self.SPEEDS)
-                    assert len(joint) == len(users)
-                    for j, u in enumerate(users):
-                        alone = E._region_replication(cfg, key, (u,),
-                                                      self.SPEEDS)
-                        assert len(alone) == 1
-                        assert joint[j] == alone[0], (seed, key, u)
+                    for points in ([(v, users) for v in self.SPEEDS],
+                                   self.MIXED):
+                        joint = E._region_replication(cfg, key, points)
+                        for u in users:
+                            own = [(v, (u,)) for v, counts in points
+                                   if u in counts]
+                            alone = E._region_replication(cfg, key, own)
+                            assert alone == {(v, u): joint[v, u]
+                                             for v, _ in own}, (seed, key, u)
 
     def test_speed_replication_per_speed(self):
         # 4 seeds x 5 reps x 17 speeds = 340 cases
@@ -837,26 +846,31 @@ class TestExperiments:
         calls = []
         replication = E._region_replication
 
-        def recording(cfg, seed_key, users, speeds):
-            calls.append((seed_key, tuple(users), tuple(speeds)))
-            return replication(cfg, seed_key, users, speeds)
+        def recording(cfg, seed_key, points):
+            calls.append((seed_key, tuple(points)))
+            return replication(cfg, seed_key, points)
 
         monkeypatch.setattr(E, "_region_replication", recording)
         cfg = ScenarioConfig(seed=1)
         users = tuple(range(5, 55, 5))
-        hof_speeds = tuple(float(v) for v in range(1, 17))
+        # every speed of hof_multiuser, with every user count at the
+        # user sweeps' speeds
         E.run_experiments(E.EXPERIMENT_NAMES, cfg, 2)
-        assert sorted(calls) == sorted(
-            [((3, rep), (20,), hof_speeds) for rep in range(2)]
-            + [((4, rep), users, (2.0, 8.0, 10.0, 12.0)) for rep in range(2)])
+        assert calls == [((4, rep), tuple(
+            (float(v), users if v in (2, 8, 10, 12) else (20,))
+            for v in range(1, 17))) for rep in range(2)]
         calls.clear()
-        E.run_experiments(("energy_vs_users", "load_vs_users"), cfg, 2)
-        assert calls == [((4, rep), users, (8.0, 10.0, 12.0))
+        E.run_experiment("hof_multiuser", cfg, 2)
+        assert calls == [((4, rep), tuple((float(v), (20,))
+                                          for v in range(1, 17)))
                          for rep in range(2)]
-        calls.clear()
-        E.run_experiment("load_vs_users", cfg, 2)
-        assert calls == [((4, rep), users, (8.0, 10.0, 12.0))
-                         for rep in range(2)]
+        for names in (("energy_vs_users", "load_vs_users"),
+                      ("load_vs_users",)):
+            calls.clear()
+            E.run_experiments(names, cfg, 2)
+            assert calls == [((4, rep), tuple((v, users)
+                                              for v in (8.0, 10.0, 12.0)))
+                             for rep in range(2)]
 
     def test_rate_sweep_los_anchor_at_20m(self):
         res = E.run_experiment("rate_vs_distance", ScenarioConfig(seed=1),
