@@ -55,9 +55,18 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
+# the analyze options and the ops that read them
+_ANALYZE_OPTIONS = {"n": ("coverage",), "theta": ("coverage",),
+                    "radius": ("hof", "cdf")}
+
+
 def cmd_analyze(args) -> int:
     config = _load(args)
     rows = ["op,arg1,arg2,value"]
+    for option, ops in _ANALYZE_OPTIONS.items():
+        if getattr(args, option) is not None and args.op not in ops:
+            raise ConfigError(f"--{option} does not apply to --op {args.op}; "
+                              f"it is read by --op {'|'.join(ops)}")
     if args.radius is not None and not 0.0 < args.radius < math.inf:
         raise ConfigError(
             f"--radius must be positive and finite, got {args.radius!r}")

@@ -22,6 +22,7 @@ the macro fallback.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import itertools
 import math
@@ -638,23 +639,55 @@ def _available_cpus() -> int:
 
 def _map_jobs(fn, cfg: ScenarioConfig, jobs: Sequence[tuple],
               threads: int) -> list:
-    """`[fn(cfg, *job) for job in jobs]`, on one process pool if threads > 1.
+    """`[fn(cfg, *job) for job in jobs]`, on the shared process pool if
+    threads > 1.
 
-    The pool lives for this call only and has at most `threads` workers,
-    never more than the CPUs this process may run on or the jobs. The jobs
-    of one sweep cost about the same; each worker takes chunks of about a
-    quarter of its share, so a worker slowed by the machine leaves its
-    later chunks to the others. Results come back in job order, so they
-    are the same whatever the worker count.
+    The pool (`_pool`) has at most `threads` workers, never more than the
+    CPUs this process may run on or the jobs, and serves every later call
+    that needs as many; it is shut down at exit. The jobs are module-level
+    pure functions, so a worker forked for an earlier call computes what
+    this process would. The jobs of one sweep cost about the same; each
+    worker takes chunks of about a quarter of its share, so a worker slowed
+    by the machine leaves its later chunks to the others. Results come back
+    in job order, so they are the same whatever the worker count. A pool
+    broken by a lost worker is dropped, so the next call starts a new one.
     """
     workers = min(threads, _available_cpus(), len(jobs))
     if workers <= 1:
         return [fn(cfg, *job) for job in jobs]
-    import concurrent.futures     # looked up per call, so it can be patched
+    import concurrent.futures.process
     chunksize = -(-len(jobs) // (4 * workers))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(fn, cfg), *zip(*jobs),
-                             chunksize=chunksize))
+    try:
+        return list(_pool(workers).map(functools.partial(fn, cfg),
+                                       *zip(*jobs), chunksize=chunksize))
+    except concurrent.futures.process.BrokenProcessPool:
+        _close_pool()
+        raise
+
+
+_POOL: Optional[tuple] = None     # (workers, executor), alive until exit
+
+
+def _pool(workers: int):
+    """The process pool of `workers` workers, started on first need; a pool
+    of another size is shut down first, so at most one is alive."""
+    global _POOL
+    if _POOL is not None and _POOL[0] != workers:
+        _close_pool()
+    if _POOL is None:
+        import concurrent.futures     # looked up per start, so it can be patched
+        _POOL = (workers,
+                 concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+    return _POOL[1]
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the shared pool down and wait for its workers, if one is alive."""
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown()
 
 
 def _region_sweep(config: ScenarioConfig, reps: int, names: Sequence[str],

@@ -344,7 +344,18 @@ class TestCli:
          "bandwidth"),
         (["simulate", "--set", "sbs_powers_dbm=-3900", "--set",
           "uw_carrier_frequency=1e-200", "--set", "uw_pathloss_exponent=100"],
-         "sbs_powers_dbm")])
+         "sbs_powers_dbm"),
+        # analyze options that the op does not read
+        (["analyze", "--op", "cdf", "--n", "0"], "--n does not apply"),
+        (["analyze", "--op", "hof", "--n", "3"], "--n does not apply"),
+        (["analyze", "--op", "rate", "--n", "3"], "--n does not apply"),
+        (["analyze", "--op", "hof", "--theta", "1"], "--theta does not apply"),
+        (["analyze", "--op", "cdf", "--theta", "1"], "--theta does not apply"),
+        (["analyze", "--op", "rate", "--theta", "1"], "--theta does not apply"),
+        (["analyze", "--op", "coverage", "--radius", "20"],
+         "--radius does not apply"),
+        (["analyze", "--op", "rate", "--radius", "20"],
+         "--radius does not apply")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])

@@ -1,6 +1,13 @@
 import concurrent.futures
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -692,6 +699,18 @@ class TestRegionKnifeEdge:
                 assert scores.priority() == list(range(n_mues))
 
 
+@pytest.fixture
+def fresh_pool():
+    """No shared pool before the test, and none left behind by it."""
+    E._close_pool()
+    yield
+    E._close_pool()
+
+
+def worker_pid(cfg, index):
+    return os.getpid()
+
+
 class TestExperiments:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -740,24 +759,78 @@ class TestExperiments:
             par = E.run_experiment(name, cfg, replications=2, threads=2)
             assert seq.to_csv() == par.to_csv(), name
 
-    def test_one_pool_per_experiment(self, monkeypatch):
-        monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: {0, 1},
+    def test_one_pool_per_process(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        starts = []
+        events = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 super().__init__(max_workers)
-                starts.append(max_workers)
+                self.size = max_workers
+                events.append(("start", max_workers))
+
+            def shutdown(self, *args, **kwargs):
+                events.append(("shutdown", self.size))
+                super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
-        for name, reps in (("load_vs_users", 2), ("hof_vs_speed", 2)):
-            starts.clear()
-            E.run_experiment(name, ScenarioConfig(seed=2), reps, threads=2)
-            assert starts == [2], name
+        cfg = ScenarioConfig(seed=2)
+        E.run_experiment("load_vs_users", cfg, 2, threads=2)
+        E.run_experiment("hof_vs_speed", cfg, 2, threads=2)
+        E.run_experiments(E.EXPERIMENT_NAMES, cfg, 2, threads=2)
+        assert events == [("start", 2)]
+        # a call that needs 3 workers replaces the pool of 2
+        E.run_experiment("hof_vs_speed", cfg, 3, threads=3)
+        assert events == [("start", 2), ("shutdown", 2), ("start", 3)]
 
-    def test_pool_size_is_bounded(self, monkeypatch):
+    def test_killed_worker_breaks_one_call(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(E.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        cfg = ScenarioConfig(seed=4)
+        pid = E._map_jobs(worker_pid, cfg, [(i,) for i in range(8)], 2)[0]
+        os.kill(pid, signal.SIGKILL)
+        # the pool reaps its workers once it has seen one die
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        jobs = [(rep, (4.0, 12.0)) for rep in range(3)]
+        with pytest.raises(BrokenProcessPool):
+            E._map_jobs(E._speed_replication, cfg, jobs, 2)
+        assert E._map_jobs(E._speed_replication, cfg, jobs, 2) == \
+            [E._speed_replication(cfg, *job) for job in jobs]
+
+    def test_pool_shut_down_at_exit(self):
+        # a child interpreter on two CPUs: its workers end with it, and
+        # nothing is printed while the pool is torn down
+        script = textwrap.dedent("""
+            import multiprocessing, os
+            from mmwcache import experiments as E
+            from mmwcache.config import ScenarioConfig
+            os.sched_getaffinity = lambda pid: {0, 1}
+            E.run_experiment("hof_vs_speed", ScenarioConfig(seed=1), 2,
+                             threads=2)
+            print(*[p.pid for p in multiprocessing.active_children()])
+        """)
+        src = os.path.dirname(os.path.dirname(E.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_pool_size_is_bounded(self, monkeypatch, fresh_pool):
         sizes = []
 
         class InlinePool:
@@ -766,15 +839,12 @@ class TestExperiments:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, *iterables, chunksize=1):
                 assert chunksize >= 1
                 return map(fn, *iterables)
+
+            def shutdown(self, wait=True):
+                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
@@ -805,8 +875,8 @@ class TestExperiments:
          "stderr_nocache"),
         (E.EXPERIMENT_NAMES[2:] + ("rate_vs_distance",), 2, 1,
          {"n_beams": 1}, "n_beams")])
-    def test_bad_run_raises_before_work(self, monkeypatch, name, reps,
-                                        threads, overrides, message):
+    def test_bad_run_raises_before_work(self, monkeypatch, fresh_pool, name,
+                                        reps, threads, overrides, message):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
