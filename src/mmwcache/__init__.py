@@ -17,8 +17,7 @@ from .radio import (ChannelParams, LinkBudget, average_caching_rate,
 from .caching import CacheState, cache_fill
 from .matching import (GameInstance, MueState, Plan, PlayerId, SbsState,
                        build_preferences, deferred_acceptance, dynamic_match,
-                       find_blocking_pairs, mue_utility, sbs_utility,
-                       signaling_overhead)
+                       find_blocking_pairs, mue_utility, sbs_utility)
 from .oracle import (IlpInstance, mc_caching_duration, mc_coverage_probability,
                      scan_all_blockings, solve_offload_bruteforce)
 from .scenario import Scenario, generate_scenario

@@ -445,6 +445,14 @@ class RegionInstance:
     focal_chords: List[float]   # per-MUE chord across the focal cell
 
 
+# The most (user, site) pairs a region instance may test.
+# `ray_crossing_arrays` holds about ten float64 arrays of users x sites at
+# once, so at 2**24 pairs an instance stays near 1 GB; past that a large
+# user count ends in an allocation failure. The region experiments test
+# 50 users against 50 sites.
+_MAX_REGION_CELLS = 2 ** 24
+
+
 def _check_region_sbss(config: ScenarioConfig) -> None:
     if config.n_sbs < 1:
         raise ConfigError(
@@ -470,6 +478,11 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
     if n_mues < 1:
         raise ConfigError(f"a region instance needs at least one user, "
                           f"got {n_mues!r}")
+    if n_mues * config.n_sbs > _MAX_REGION_CELLS:
+        raise ConfigError(
+            f"a region instance of {n_mues!r} users and {config.n_sbs!r} "
+            f"SBSs tests {n_mues * config.n_sbs} user-site pairs, over "
+            f"{_MAX_REGION_CELLS}")
     if speed is not None and not 0.0 <= speed < math.inf:
         raise ConfigError(f"speed must be finite and >= 0, got {speed!r}")
     scn = generate_scenario(config, seed=int(rng.integers(2 ** 31)))
@@ -604,8 +617,8 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
             scans = n - muted[n] - sum(
                 [firsts[u] is None and _names_sbs(plan.second)
                  for u, plan in head.repairs.items()])
-            # serial-dictatorship proposals; see signaling_overhead on
-            # restarts
+            # serial-dictatorship proposals; on restarts, see README,
+            # "matching"
             proposals = naming[head.end] + sum(
                 [focal in rec.plan for rec in head.stage2])
             metrics[v, n] = {

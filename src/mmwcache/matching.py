@@ -10,8 +10,8 @@ matchers run as serial dictatorship in that one priority order (README,
 "matching"). The dynamic matcher is `run_heads`, which matches the
 games of a game's first n users, for several n, in one pass when those
 users lead the priority order, and keeps of each head only what is its
-own: its stage-two repairs and proposals. `match_heads` spells each head
-out as a `MatchResult`, and `dynamic_match` is its one-count case.
+own: its stage-two repairs and proposals. `dynamic_match` is its
+one-head case, spelled out as a `MatchResult`.
 
 A game's payoffs are tabulated once, in its `_Scores` table, and every
 matcher reads that table instead of computing a utility again. A stability
@@ -67,14 +67,6 @@ class Plan(NamedTuple):
 
     first: Optional[PlayerId]
     second: Optional[PlayerId]
-
-    def sbs_targets(self) -> Tuple[int, ...]:
-        out = []
-        for slot in self:
-            if slot is not None and slot.kind is PlayerKind.SBS \
-                    and slot.index not in out:
-                out.append(slot.index)
-        return tuple(out)
 
     def __repr__(self):
         def s(x):
@@ -485,14 +477,10 @@ def build_preferences(instance: GameInstance) -> Preferences:
 
 @dataclass
 class DynamicMatching:
-    """Realized two-period association map with per-BS inverse views."""
+    """Realized two-period association map."""
 
     mu1: Dict[int, Optional[PlayerId]]
     mu2: Dict[int, Optional[PlayerId]]
-
-    def members(self, period: int, bs: PlayerId) -> List[int]:
-        mu = self.mu1 if period == 1 else self.mu2
-        return sorted(u for u, b in mu.items() if b == bs)
 
     def validate(self, instance: GameInstance) -> None:
         """Definition-1 consistency: quotas per period, known players."""
@@ -502,9 +490,6 @@ class DynamicMatching:
                 raise ValueError("matching must cover every MUE exactly once")
             _check_quotas(_sbs_load(mu.values(), len(instance.sbss)),
                           instance.sbss, period)
-
-    def copy(self) -> "DynamicMatching":
-        return DynamicMatching(dict(self.mu1), dict(self.mu2))
 
 
 def _sbs_load(slots: Iterable[Optional[PlayerId]], n_sbs: int) -> List[int]:
@@ -552,22 +537,6 @@ class MatchResult:
     matching: DynamicMatching
     ex_ante: DynamicMatching
     trace: MatchTrace
-
-
-def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
-    """Count plan/DA proposals addressed to SBSs (optionally one SBS).
-
-    The trace holds the proposals of the serial dictatorships: each user's
-    ranking down to the plan it holds. This is what the paper's
-    proposal-and-restart process sends whenever stage one never restarts.
-    When freed capacity restarts that process, it proposes some plans again,
-    and this count is lower than what that process would send.
-    """
-    if sbs is not None:
-        # a slot equals this id exactly when it names SBS `sbs`
-        target = PlayerId(PlayerKind.SBS, sbs)
-        return sum(target in rec.plan for rec in trace.proposals)
-    return sum(len(rec.plan.sbs_targets()) for rec in trace.proposals)
 
 
 # ---------------------------------------------------------------------------
@@ -699,34 +668,21 @@ def dynamic_match(instance: GameInstance,
     """Two-stage plan matching: ex ante stage then period-2 repair.
 
     Both stages are serial dictatorships in the common priority order. The
-    one-count case of `match_heads`.
+    game is the one head of a `run_heads` pass: the ex ante matching holds
+    each user's ex ante slots, the matching adds the head's stage-two
+    repairs in period 2, and the trace is the stage-one proposals followed
+    by the stage-two ones.
     """
     prefs = preferences or build_preferences(instance)
-    return match_heads(prefs, (len(instance.mues),))[0]
-
-
-def match_heads(prefs: Preferences, counts: Sequence[int],
-                ) -> List[MatchResult]:
-    """Per n in `counts`, the `dynamic_match` result of the head game: the
-    game `prefs` were ranked on, cut to its first n users.
-
-    The heads are matched and checked in one pass (`run_heads`); this
-    spells each one out as a `MatchResult`: its users' ex ante slots, with
-    its stage-two repairs in period 2, and its trace, the stage-one
-    proposals up to its last turn followed by its own stage-two proposals.
-    """
-    run = run_heads(prefs.scores, counts)
-    results = []
-    for n in counts:
-        head = run.heads[n]
-        ex_ante = DynamicMatching(dict(zip(range(n), run.firsts)),
-                                  dict(zip(range(n), run.seconds)))
-        matching = ex_ante.copy()
-        for u, plan in head.repairs.items():
-            matching.mu2[u] = plan.second
-        trace = MatchTrace(run.stage1[:head.end] + head.stage2)
-        results.append(MatchResult(matching, ex_ante, trace))
-    return results
+    n = len(instance.mues)
+    run = run_heads(prefs.scores, (n,))
+    head = run.heads[n]
+    ex_ante = DynamicMatching(dict(enumerate(run.firsts)),
+                              dict(enumerate(run.seconds)))
+    mu2 = dict(ex_ante.mu2)
+    mu2.update((u, plan.second) for u, plan in head.repairs.items())
+    matching = DynamicMatching(dict(ex_ante.mu1), mu2)
+    return MatchResult(matching, ex_ante, MatchTrace(run.stage1 + head.stage2))
 
 
 class Head(NamedTuple):

@@ -1,15 +1,18 @@
-"""Test-only copy of the matching path before per-call score tables.
+"""Test-only, definitional copy of the matching path.
 
 Every function here is the definitional version: each utility, plan key
 and roster is recomputed at every use, HOF goes through the public
 `geometry.hof_probability`, and rosters are rescanned from the matching.
 The matchers are the original proposal processes: deferred acceptance with
 displacement for the single-period matcher and stage two, and plan
-proposals with restarts for stage one. `tests/test_matching.py` compares the production path (per-call
-score tables, serial dictatorship) against it on random and region games.
-The preferences are a record of this module's own, which keeps the
-definitional BS lists; the other data types (plans, matchings, traces,
-violations) are the production ones, so those results compare by `repr`.
+proposals with restarts for stage one. `tests/test_matching.py` compares
+the production path (one tabulated pass per game, serial dictatorship)
+against it on random and region games. The preferences are a record of
+this module's own, which keeps the definitional BS lists; the other data
+types (plans, matchings, traces, violations) are the production ones, so
+those results compare by `repr`. The reference computes its rosters and
+proposal counts itself: it imports only data types from
+`mmwcache.matching`.
 
 `region_metrics` is the definitional measurement of one matched region
 game at its focal SBS: it walks the game's matching and trace, where
@@ -22,15 +25,46 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from mmwcache.geometry import hof_probability
-from mmwcache.matching import (MBS, SELF_PLAN, BsPreference, DynamicMatching,
-                               GameInstance, MatchResult, MatchTrace, PlayerId,
-                               PlayerKind, Plan, PreferenceProfile,
-                               ProposalRecord, Violation, sbs_id,
-                               signaling_overhead)
+from mmwcache.matching import (BsPreference, DynamicMatching, GameInstance,
+                               MatchResult, MatchTrace, PlayerId, PlayerKind,
+                               Plan, PreferenceProfile, ProposalRecord,
+                               Violation)
+
+MBS = PlayerId(PlayerKind.MBS, 0)
+SELF_PLAN = Plan(None, None)
 
 
 class ConvergenceError(RuntimeError):
     pass
+
+
+def sbs_id(index: int) -> PlayerId:
+    return PlayerId(PlayerKind.SBS, index)
+
+
+def users_of(matching: DynamicMatching, period: int,
+             bs: PlayerId) -> List[int]:
+    """The users of `bs` in `period`, read from `mu1` or `mu2`, sorted."""
+    mu = matching.mu1 if period == 1 else matching.mu2
+    return sorted(u for u, b in mu.items() if b == bs)
+
+
+def sbs_targets(plan: Plan) -> Tuple[int, ...]:
+    """The SBS indices a plan names, first slot first, without repeats."""
+    out: List[int] = []
+    for slot in plan:
+        if slot is not None and slot.kind == PlayerKind.SBS \
+                and slot.index not in out:
+            out.append(slot.index)
+    return tuple(out)
+
+
+def signaling_overhead(trace: MatchTrace, sbs: Optional[int] = None) -> int:
+    """Proposals addressed to SBSs: per proposal, the SBSs its plan names,
+    or, given `sbs`, whether it names that SBS."""
+    if sbs is not None:
+        return sum(sbs in sbs_targets(rec.plan) for rec in trace.proposals)
+    return sum(len(sbs_targets(rec.plan)) for rec in trace.proposals)
 
 
 def mue_utility(u: int, k: int, instance: GameInstance) -> float:
@@ -295,7 +329,7 @@ def dynamic_match(instance: GameInstance,
     held = _stage_one(instance, prefs, trace)
     ex_ante = _matching_from_plans(instance, held)
     _period1_fallback(instance, ex_ante)
-    matching = ex_ante.copy()
+    matching = DynamicMatching(dict(ex_ante.mu1), dict(ex_ante.mu2))
     _stage_two(instance, prefs, matching, trace)
     matching.validate(instance)
     return MatchResult(matching=matching, ex_ante=ex_ante, trace=trace)
@@ -498,7 +532,7 @@ def _stage_two_offer(instance: GameInstance, matching: DynamicMatching,
     k = target.index
     if sbs_utility(u, k, instance) < 0.0:
         return False
-    fixed = matching.members(2, target)
+    fixed = users_of(matching, 2, target)
     entrants = [w for w, t in tentative.items() if t == target]
     free = instance.sbss[k].quota - len(fixed)
     if free <= 0:
@@ -528,7 +562,7 @@ def _bs_gains_strictly(instance: GameInstance, matching: DynamicMatching,
                        k: int, u: int, period: int) -> bool:
     """Would SBS k strictly improve by adding u in the given period?"""
     target = sbs_id(k)
-    members = matching.members(period, target)
+    members = users_of(matching, period, target)
     if u in members:
         return False
     if sbs_utility(u, k, instance) < 0.0:
@@ -564,7 +598,7 @@ def _scan_period1(matching: DynamicMatching,
 
     for k in range(len(instance.sbss)):
         for period in (1, 2):
-            for u in matching.members(period, sbs_id(k)):
+            for u in users_of(matching, period, sbs_id(k)):
                 if sbs_utility(u, k, instance) < 0.0:
                     out.append(Violation(1, "unilateral-bs", u, sbs_id(k)))
 
@@ -578,9 +612,9 @@ def _scan_period1(matching: DynamicMatching,
             if k in mue.cand1 and k in mue.cand2 and \
                     _ir_ok(instance, u, target, target):
                 if mue_prefers(instance, u, Plan(target, target), current):
-                    gain1 = (u in matching.members(1, target)
+                    gain1 = (u in users_of(matching, 1, target)
                              or _bs_gains_strictly(instance, matching, k, u, 1))
-                    gain2 = (u in matching.members(2, target)
+                    gain2 = (u in users_of(matching, 2, target)
                              or _bs_gains_strictly(instance, matching, k, u, 2))
                     strict = (_bs_gains_strictly(instance, matching, k, u, 1)
                               or _bs_gains_strictly(instance, matching, k, u, 2))
@@ -597,8 +631,8 @@ def _scan_period1(matching: DynamicMatching,
                         _bs_gains_strictly(instance, matching, k, u, 2):
                     out.append(Violation(1, "pair-uk", u, target))
             # 4) mutual divorce
-            in_any = (u in matching.members(1, target)
-                      or u in matching.members(2, target))
+            in_any = (u in users_of(matching, 1, target)
+                      or u in users_of(matching, 2, target))
             if in_any and mue_prefers(instance, u, SELF_PLAN, current) and \
                     sbs_utility(u, k, instance) < 0.0:
                 out.append(Violation(1, "pair-divorce", u, target))
@@ -619,12 +653,12 @@ def _scan_period2(matching: DynamicMatching,
             target = sbs_id(k)
             if _ir_ok(instance, u, None, target) and \
                     mue_prefers(instance, u, Plan(first, target), current):
-                members = matching.members(2, target)
+                members = users_of(matching, 2, target)
                 if len(members) >= instance.sbss[k].quota:
                     continue  # full BSs never period-2 block
                 if _bs_gains_strictly(instance, matching, k, u, 2):
                     out.append(Violation(2, "pair-gain", u, target))
-            if u in matching.members(2, target) and \
+            if u in users_of(matching, 2, target) and \
                     mue_prefers(instance, u, Plan(first, None), current) and \
                     sbs_utility(u, k, instance) < 0.0:
                 out.append(Violation(2, "pair-divorce", u, target))
@@ -681,7 +715,7 @@ def region_metrics(cfg, mues: Sequence, focal_chords: Sequence[float],
     scans = count_measurements(result)
     e_scan_mj = cfg.energy_per_scan * 1e3
     return {
-        "load": float(len(result.matching.members(1, focal))),
+        "load": float(len(users_of(result.matching, 1, focal))),
         "savings": 1.0 - scans / n_mues,
         "baseline_mj": n_mues * e_scan_mj,
         "used_mj": scans * e_scan_mj,

@@ -355,7 +355,9 @@ class TestCli:
         (["analyze", "--op", "coverage", "--radius", "20"],
          "--radius does not apply"),
         (["analyze", "--op", "rate", "--radius", "20"],
-         "--radius does not apply")])
+         "--radius does not apply"),
+        # a region too large to allocate, refused before any draw
+        (["match", "--users", "100000000000"], "user")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
