@@ -18,6 +18,15 @@ from .radio import (REFERENCE_DISTANCE, SPEED_OF_LIGHT, ChannelParams,
 # on. No deployment the model describes comes near a million.
 _MAX_CELL_TO_AREA = 1e6
 
+# The largest deployment extent, area radius plus the largest cell radius,
+# in metres. The crossing kernel squares coordinate differences and cell
+# radii of that size, and past about 1e154 m a square overflows a double:
+# a cell radius raises OverflowError, an area radius makes the crossing
+# tests read nan as a miss. Under 1e150 m the squares and their sums stay
+# far inside the double range. No deployment the model describes comes
+# near it.
+_MAX_EXTENT = 1e150
+
 
 class ConfigError(ValueError):
     """Malformed configuration input; carries the offending line when known."""
@@ -181,6 +190,7 @@ class ScenarioConfig:
                 and dbm_to_watts(self.noise_psd_dbm_hz) > 0.0):
             raise ConfigError(f"noise_psd_dbm_hz {self.noise_psd_dbm_hz!r} "
                               f"is out of range in watts")
+        largest = 0.0
         for power in self.sbs_powers_dbm:
             if not (_finite(dbm_to_watts, power)
                     and dbm_to_watts(power) > 0.0):
@@ -200,6 +210,12 @@ class ScenarioConfig:
                     f"{self.uw_carrier_frequency!r}, uw_pathloss_exponent="
                     f"{self.uw_pathloss_exponent!r}, rss_threshold_dbm="
                     f"{self.rss_threshold_dbm!r})")
+            largest = max(largest, radius)
+        if not self.area_radius + largest <= _MAX_EXTENT:
+            raise ConfigError(
+                f"area_radius {self.area_radius!r} plus the largest cell "
+                f"radius {largest:.3g} m is over {_MAX_EXTENT:g} m "
+                f"(uw_pathloss_exponent={self.uw_pathloss_exponent!r})")
         # no link is stronger than the one at the reference distance from
         # the strongest SBS; past float range its SNR makes the closed-form
         # rate nan

@@ -460,19 +460,19 @@ def _check_region_sbss(config: ScenarioConfig) -> None:
 
 
 def build_region_instance(config: ScenarioConfig, n_mues: int,
-                          speed: Optional[float],
+                          speed: float,
                           rng: np.random.Generator) -> RegionInstance:
-    """Users entering a focal cell with onward candidates from the field.
+    """Users entering a focal cell at `speed` with onward candidates from
+    the field.
 
     Each user draws, in order, its spawn angle beta on the focal rim, a
-    heading offset, its speed (only when `speed` is None) and its
-    threshold p_th. All users' doubles come from one `rng.random` call,
-    scaled as `low + (high - low) * d`, which is what `Generator.uniform`
-    returns for the same double, so values and the generator's final
-    state are those of one `uniform` call per number. Every user's ray is
-    then tested against every cell at once (`ray_crossing_arrays`); the
-    onward cell is the first other cell, by (entry, site index), that the
-    ray leaves after leaving the focal cell.
+    heading offset and its threshold p_th. All users' doubles come from
+    one `rng.random` call, scaled as `low + (high - low) * d`, which is
+    what `Generator.uniform` returns for the same double, so values and
+    the generator's final state are those of one `uniform` call per
+    number. Every user's ray is then tested against every cell at once
+    (`ray_crossing_arrays`); the onward cell is the first other cell, by
+    (entry, site index), that the ray leaves after leaving the focal cell.
     """
     _check_region_sbss(config)
     if n_mues < 1:
@@ -483,23 +483,17 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
             f"a region instance of {n_mues!r} users and {config.n_sbs!r} "
             f"SBSs tests {n_mues * config.n_sbs} user-site pairs, over "
             f"{_MAX_REGION_CELLS}")
-    if speed is not None and not 0.0 <= speed < math.inf:
+    if not 0.0 <= speed < math.inf:
         raise ConfigError(f"speed must be finite and >= 0, got {speed!r}")
     scn = generate_scenario(config, seed=int(rng.integers(2 ** 31)))
     focal = min(scn.sbss, key=lambda s: math.hypot(*s.position))
 
-    n_draws = 3 if speed is not None else 4
-    draws = rng.random(n_draws * n_mues).reshape(n_mues, n_draws)
+    draws = rng.random(3 * n_mues).reshape(n_mues, 3)
     # uniform(0, hi) returns 0.0 + hi * d, which is hi * d
     betas = (TWO_PI * draws[:, 0]).tolist()
     offsets = (math.pi * draws[:, 1]).tolist()
     p_lo, p_hi = config.p_th_min, config.p_th_max
-    p_ths = (p_lo + (p_hi - p_lo) * draws[:, -1]).tolist()
-    if speed is None:
-        s_lo, s_hi = config.speed_min, config.speed_max
-        speeds = (s_lo + (s_hi - s_lo) * draws[:, 2]).tolist()
-    else:
-        speeds = [speed] * n_mues
+    p_ths = (p_lo + (p_hi - p_lo) * draws[:, 2]).tolist()
 
     (fx, fy), fr = focal.position, focal.radius
     rays = []
@@ -541,7 +535,7 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
             gap1 = max(next_entry[u], 1e-9)
             gap2 = max(next_entry[u] - focal_exit[u], 1e-9)
         mues.append(MueState(
-            speed=speeds[u], segments=config.cache_capacity,
+            speed=speed, segments=config.cache_capacity,
             p_th=p_ths[u], cand1=(0,), cand2=cand2, gap1=gap1, gap2=gap2))
 
     game = GameInstance(

@@ -144,16 +144,6 @@ def sbs_utility(u: int, k: int, instance: GameInstance) -> float:
     return _Scores(instance).gamma(u)
 
 
-def _sbs_rosters(mu: Dict[int, Optional[PlayerId]]) -> Dict[int, List[int]]:
-    """Sorted users per SBS index of one period's association map."""
-    rosters: Dict[int, List[int]] = {}
-    for u in sorted(mu):
-        slot = mu[u]
-        if slot is not None and slot.kind == PlayerKind.SBS:
-            rosters.setdefault(slot.index, []).append(u)
-    return rosters
-
-
 # The (period, SBS index) slots a plan occupies: () when it occupies none
 # and is always admitted, None when it is never admitted.
 _Slots = Optional[Tuple[Tuple[int, int], ...]]
@@ -639,7 +629,7 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
     """Classic blocking pairs (user, SBS) of a single-period matching."""
     prefs = preferences or build_preferences(instance)
     scores = prefs.scores
-    rosters = _sbs_rosters(mu)
+    load, last = _holders(scores, mu)
     blocking = []
     for u in range(len(instance.mues)):
         acceptable = _first_sbs_order(prefs.mue_profiles[u])
@@ -647,14 +637,11 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
         current_rank = (acceptable.index(current.index)
                         if current is not None and current.kind == PlayerKind.SBS
                         else len(acceptable))
-        for rank, k in enumerate(acceptable):
-            if rank >= current_rank:
-                break
-            members = rosters.get(k, [])
-            if len(members) < instance.sbss[k].quota:
+        for k in acceptable[:current_rank]:
+            if load[k] < instance.sbss[k].quota:
                 if scores.gamma(u) > 0.0:
                     blocking.append((u, k))
-            elif any(scores.bs_prefers(u, w) for w in members):
+            elif scores.bs_prefers(u, last[k]):
                 blocking.append((u, k))
     return blocking
 
@@ -841,31 +828,37 @@ class Violation:
         return f"[period {self.period} {self.clause}: {who}, {other}]"
 
 
-def _ir_ok(scores: _Scores, u: int, first: Optional[PlayerId],
-           second: Optional[PlayerId]) -> bool:
-    """Individual rationality of a deviation: no SBS slot below threshold."""
-    for slot in (first, second):
-        if slot is not None and slot.kind == PlayerKind.SBS:
-            if scores.phi(u, slot.index) < 0.0:
-                return False
-    return True
+# One period of a matching as the checks read it: the load of each SBS
+# and its holder last in the common priority order (-1 if it has none).
+_Holders = Tuple[List[int], List[int]]
 
 
-# The sorted users per SBS index of a matching's period 1 and period 2.
-_Rosters = Tuple[Dict[int, List[int]], Dict[int, List[int]]]
+def _holders(scores: _Scores, mu: Dict[int, Optional[PlayerId]]) -> _Holders:
+    """The load and last holder of each SBS in one period's map `mu`.
+
+    Every BS ranks users in the one priority order, a total order, so an
+    SBS prefers u to one of its holders exactly when it prefers u to the
+    last of them.
+    """
+    load = _sbs_load(mu.values(), len(scores.sbs))
+    last = [-1] * len(load)
+    for u in scores.priority():
+        slot = mu[u]
+        if slot is not None and slot.kind is PlayerKind.SBS:
+            last[slot.index] = u
+    return load, last
 
 
-def _bs_gains_strictly(scores: _Scores, rosters: _Rosters, k: int, u: int,
-                       period: int) -> bool:
-    """Would SBS k strictly improve by adding u in the given period?"""
-    members = rosters[period - 1].get(k, [])
-    if u in members:
+def _bs_gains_strictly(scores: _Scores, slot: Optional[PlayerId],
+                       holders: _Holders, k: int, u: int) -> bool:
+    """Would SBS k strictly improve by adding u, who holds `slot` in the
+    period of `holders`?"""
+    if slot == scores.sbs[k] or scores.gamma(u) < 0.0:
         return False
-    if scores.gamma(u) < 0.0:
-        return False
-    if len(members) < scores.instance.sbss[k].quota:
+    load, last = holders
+    if load[k] < scores.instance.sbss[k].quota:
         return scores.gamma(u) > 0.0
-    return any(scores.bs_prefers(u, w) for w in members)
+    return scores.bs_prefers(u, last[k])
 
 
 def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
@@ -881,87 +874,85 @@ def _blocking_scans(matching: DynamicMatching, instance: GameInstance,
                     periods: Sequence[int]) -> List[List[Violation]]:
     """The blocking configurations of each period of a validated matching,
     all scanned on one score table of their own."""
-    rosters = (_sbs_rosters(matching.mu1), _sbs_rosters(matching.mu2))
     scores = _Scores(instance)
+    holders = (_holders(scores, matching.mu1), _holders(scores, matching.mu2))
     scans = {1: _scan_period1, 2: _scan_period2}
-    return [scans[period](matching, scores, rosters) for period in periods]
+    return [scans[period](matching, scores, holders) for period in periods]
 
 
 def _scan_period1(matching: DynamicMatching, scores: _Scores,
-                  rosters: _Rosters) -> List[Violation]:
-    out: List[Violation] = []
+                  holders: Tuple[_Holders, _Holders]) -> List[Violation]:
+    """The unilateral user violations, then the unilateral BS ones by
+    (SBS, period, user), then the pair ones by user and SBS."""
+    unilateral: List[Violation] = []
+    refused: List[Tuple[int, int, int]] = []
+    pairs: List[Violation] = []
     instance, key = scores.instance, scores.order
 
-    for u in range(len(instance.mues)):
-        if key(u, None, None) < key(u, matching.mu1[u], matching.mu2[u]):
-            out.append(Violation(1, "unilateral-mue", u))
-
-    for k in range(len(instance.sbss)):
-        for roster in rosters:
-            for u in roster.get(k, []):
-                if scores.gamma(u) < 0.0:
-                    out.append(Violation(1, "unilateral-bs", u, scores.sbs[k]))
-
-    for u in range(len(instance.mues)):
-        current = key(u, matching.mu1[u], matching.mu2[u])
-        mue = instance.mues[u]
-        candidates = set(mue.cand1) | set(mue.cand2)
-        for k in sorted(candidates):
+    for u, mue in enumerate(instance.mues):
+        slot1, slot2 = matching.mu1[u], matching.mu2[u]
+        current = key(u, slot1, slot2)
+        prefers_cache = key(u, None, None) < current
+        if prefers_cache:
+            unilateral.append(Violation(1, "unilateral-mue", u))
+        if scores.gamma(u) < 0.0:
+            refused += [(slot.index, period, u)
+                        for period, slot in ((1, slot1), (2, slot2))
+                        if slot is not None and slot.kind is PlayerKind.SBS]
+        for k in sorted(set(mue.cand1) | set(mue.cand2)):
             target = scores.sbs[k]
-            in1 = u in rosters[0].get(k, [])
-            in2 = u in rosters[1].get(k, [])
-            # 1) two-period plan kk against BS serving u both periods
-            if k in mue.cand1 and k in mue.cand2 and \
-                    _ir_ok(scores, u, target, target):
-                if key(u, target, target) < current:
-                    gains1 = _bs_gains_strictly(scores, rosters, k, u, 1)
-                    gains2 = _bs_gains_strictly(scores, rosters, k, u, 2)
-                    if (in1 or gains1) and (in2 or gains2) and \
-                            (gains1 or gains2):
-                        out.append(Violation(1, "pair-kk", u, target))
-            # 2) serve period 1 only
-            if k in mue.cand1 and _ir_ok(scores, u, target, None):
-                if key(u, target, None) < current and \
-                        _bs_gains_strictly(scores, rosters, k, u, 1):
-                    out.append(Violation(1, "pair-ku", u, target))
-            # 3) serve period 2 only
-            if k in mue.cand2 and _ir_ok(scores, u, None, target):
-                if key(u, None, target) < current and \
-                        _bs_gains_strictly(scores, rosters, k, u, 2):
-                    out.append(Violation(1, "pair-uk", u, target))
+            in1, in2 = slot1 == target, slot2 == target
+            gains1 = _bs_gains_strictly(scores, slot1, holders[0], k, u)
+            gains2 = _bs_gains_strictly(scores, slot2, holders[1], k, u)
+            if not scores.phi(u, k) < 0.0:
+                # 1) two-period plan kk against BS serving u both periods
+                if k in mue.cand1 and k in mue.cand2 and \
+                        key(u, target, target) < current and \
+                        (in1 or gains1) and (in2 or gains2) and \
+                        (gains1 or gains2):
+                    pairs.append(Violation(1, "pair-kk", u, target))
+                # 2) serve period 1 only
+                if k in mue.cand1 and gains1 and \
+                        key(u, target, None) < current:
+                    pairs.append(Violation(1, "pair-ku", u, target))
+                # 3) serve period 2 only
+                if k in mue.cand2 and gains2 and \
+                        key(u, None, target) < current:
+                    pairs.append(Violation(1, "pair-uk", u, target))
             # 4) mutual divorce
-            if (in1 or in2) and key(u, None, None) < current and \
-                    scores.gamma(u) < 0.0:
-                out.append(Violation(1, "pair-divorce", u, target))
-    return out
+            if (in1 or in2) and prefers_cache and scores.gamma(u) < 0.0:
+                pairs.append(Violation(1, "pair-divorce", u, target))
+    refused.sort()
+    return unilateral + [Violation(1, "unilateral-bs", u, scores.sbs[k])
+                         for k, _, u in refused] + pairs
 
 
 def _scan_period2(matching: DynamicMatching, scores: _Scores,
-                  rosters: _Rosters) -> List[Violation]:
+                  holders: Tuple[_Holders, _Holders]) -> List[Violation]:
     out: List[Violation] = []
     instance, key = scores.instance, scores.order
+    load = holders[1][0]
 
     for u in range(len(instance.mues)):
-        first = matching.mu1[u]
-        current = key(u, first, matching.mu2[u])
+        first, second = matching.mu1[u], matching.mu2[u]
+        current = key(u, first, second)
         stay = key(u, first, None)
         if stay < current:
             out.append(Violation(2, "unilateral-mue", u))
 
         for k in sorted(set(instance.mues[u].cand2)):
             target = scores.sbs[k]
-            members = rosters[1].get(k, [])
-            if _ir_ok(scores, u, None, target) and \
+            if not scores.phi(u, k) < 0.0 and \
                     key(u, first, target) < current:
-                if len(members) >= instance.sbss[k].quota:
+                if load[k] >= instance.sbss[k].quota:
                     continue  # full BSs never period-2 block
-                if _bs_gains_strictly(scores, rosters, k, u, 2):
+                if _bs_gains_strictly(scores, second, holders[1], k, u):
                     out.append(Violation(2, "pair-gain", u, target))
-            if u in members and stay < current and \
+            if second == target and stay < current and \
                     scores.gamma(u) < 0.0:
                 out.append(Violation(2, "pair-divorce", u, target))
 
-        if matching.mu2[u] != MBS and key(u, first, MBS) < current and \
+        if second != MBS and key(u, first, MBS) < current and \
                 scores.mbs_admits_p2(u, first):
             out.append(Violation(2, "pair-mbs", u, MBS))
     return out

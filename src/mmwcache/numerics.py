@@ -35,7 +35,7 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
+def _simpson(a, fa, b, fb, fm):
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
@@ -52,7 +52,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
+    whole = _simpson(a, fa, b, fb, fm)
 
     worst = [0.0]
 
@@ -60,8 +60,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = f(lm), f(rm)
-        left = _simpson(f, a, fa, m, fm, lm, flm)
-        right = _simpson(f, m, fm, b, fb, rm, frm)
+        left = _simpson(a, fa, m, fm, flm)
+        right = _simpson(m, fm, b, fb, frm)
         err = (left + right - whole) / 15.0
         if abs(err) <= tol or depth >= max_depth:
             if abs(err) > tol:
@@ -83,4 +83,6 @@ def wrap_angle(angle: float) -> float:
     a = math.fmod(angle, 2.0 * math.pi)
     if a < 0.0:
         a += 2.0 * math.pi
-    return a
+    # a negative angle within half an ulp of 0 rounds up to 2*pi, which is
+    # 0 on the circle
+    return 0.0 if a == 2.0 * math.pi else a

@@ -357,7 +357,13 @@ class TestCli:
         (["analyze", "--op", "rate", "--radius", "20"],
          "--radius does not apply"),
         # a region too large to allocate, refused before any draw
-        (["match", "--users", "100000000000"], "user")])
+        (["match", "--users", "100000000000"], "user"),
+        # deployments whose squared extents overflow a double: a cell
+        # radius of 3e155 m (OverflowError) and an area whose crossing
+        # tests read nan as a miss
+        (["match", "--set", "area_radius=1e150", "--set",
+          "uw_pathloss_exponent=0.04006"], "uw_pathloss_exponent"),
+        (["simulate", "--set", "area_radius=1e160"], "area_radius")])
     def test_bad_matching_and_radio_values_exit_2(self, tmp_path, capsys,
                                                   argv, message):
         rc = main(argv + ["--seed", "1", "--out", str(tmp_path)])
