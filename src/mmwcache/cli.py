@@ -241,8 +241,7 @@ def _verify_stability(config: ScenarioConfig):
         if not report.stable:
             return False, f"instance {i}: {report.lines()[0]}"
         mu, _ = matching.deferred_acceptance(game, preferences=prefs)
-        pairs = matching.find_single_period_blocking(mu, game,
-                                                     preferences=prefs)
+        pairs = matching.find_single_period_blocking(mu, game)
         if pairs:
             return False, f"instance {i}: single-period blocking {pairs[0]}"
     return True, "200 random instances stable (both algorithms)"

@@ -14,8 +14,8 @@ from .radio import (REFERENCE_DISTANCE, SPEED_OF_LIGHT, ChannelParams,
 # The largest cell radius, in area radii, that a config may give. The
 # deployment geometry computes in coordinates as large as a cell, so its
 # rounding errors grow with the radius; near 1e17 area radii they exceed
-# the range of a walk and a region user's ray misses the cell it starts
-# on. No deployment the model describes comes near a million.
+# the range of a walk. No deployment the model describes comes near a
+# million.
 _MAX_CELL_TO_AREA = 1e6
 
 # The largest deployment extent, area radius plus the largest cell radius,

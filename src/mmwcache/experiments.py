@@ -503,12 +503,15 @@ def build_region_instance(config: ScenarioConfig, n_mues: int,
         heading = beta + 0.5 * math.pi + offset
         rays.append((fx + fr * math.cos(beta), fy + fr * math.sin(beta),
                      math.cos(heading), math.sin(heading)))
+    max_range = 20.0 * config.area_radius
     hit, entry, exit_, chord = ray_crossing_arrays(
-        *np.array(rays).T, scn.sbss, max_range=20.0 * config.area_radius)
+        *np.array(rays).T, scn.sbss, max_range=max_range)
+    # a ray from the focal rim crosses the focal cell from entry 0 on the
+    # chord 2a*sin(offset), which the kernel misses if the rim point rounds
+    # outside the cell (a far-off cell and a nearly tangent ray)
     f = focal.index
-    if not hit[:, f].all():
-        raise RuntimeError("a user ray starting on the focal rim misses "
-                           "the focal cell")
+    chord[:, f] = [2.0 * fr * math.sin(offset) for offset in offsets]
+    exit_[:, f] = np.minimum(chord[:, f], max_range)
     focal_exit = exit_[:, f]
     onward = hit & (exit_ > focal_exit[:, None])
     onward[:, f] = False

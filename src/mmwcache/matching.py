@@ -3,20 +3,19 @@
 Users rank two-period association plans and base stations rank users, by
 the utilities of `GameInstance`. The single-period matcher is deferred
 acceptance; the dynamic matcher reaches an ex ante stable plan assignment
-(stage one) and then repairs period-2 blocking (stage two); exhaustive
-blocking scans check both stability notions. Every base station ranks
-users by gamma, which does not depend on the base station, so all three
-matchers run as serial dictatorship in that one priority order (README,
-"matching"). The dynamic matcher is `run_heads`, which matches the
-games of a game's first n users, for several n, in one pass when those
-users lead the priority order, and keeps of each head only what is its
-own: its stage-two repairs and proposals. `dynamic_match` is its
+(stage one) and then repairs period-2 blocking (stage two). Every base
+station ranks users by gamma, which does not depend on the base station,
+so all three matchers run as serial dictatorship in that one priority
+order (README, "matching"). The dynamic matcher is `run_heads`, which
+matches the games of a game's first n users, for several n, in one pass
+when those users lead the priority order, and keeps of each head only what
+is its own: its stage-two repairs and proposals. `dynamic_match` is its
 one-head case, spelled out as a `MatchResult`.
 
 A game's payoffs are tabulated once, in its `_Scores` table, and every
-matcher reads that table instead of computing a utility again. A stability
-scan builds one table of its own: a check shares no table with the matcher
-it checks.
+matcher reads that table instead of computing a utility again. The
+stability checks (`find_blocking_pairs`, `find_single_period_blocking`)
+are the oracle's, which scores the game on payoffs of its own.
 
 Determinism: ties break on (utility, player index), so equal instances
 give equal matchings. The only process-wide state is the slot layout per
@@ -136,12 +135,15 @@ class GameInstance:
 
 def mue_utility(u: int, k: int, instance: GameInstance) -> float:
     """User-side utility of an SBS: threshold margin over HOF probability."""
-    return _Scores(instance).phi(u, k)
+    mue = instance.mues[u]
+    return mue.p_th - hof_probability(mue.speed, instance.t_mts,
+                                      instance.sbss[k].radius)
 
 
 def sbs_utility(u: int, k: int, instance: GameInstance) -> float:
     """BS-side utility of a user: scan interval minus cached playback time."""
-    return _Scores(instance).gamma(u)
+    return instance.scan_interval - instance.mues[u].segments / \
+        instance.play_rate
 
 
 # The (period, SBS index) slots a plan occupies: () when it occupies none
@@ -195,8 +197,9 @@ class _Scores:
     of its SBS count, shared by every table with n SBSs. Slot codes are
     integers: SBS k is k, the macro cell n and the cache n + 1. The
     constructor builds the game's own part: gamma per user, the common
-    priority order, the HOF memo, per user a payoff row keyed by slot code
-    and the period-2 cache payoffs. `rank` derives the rankings from them.
+    priority order, per user a payoff row keyed by slot code (HOF evaluated
+    once per speed and SBS) and the period-2 cache payoffs. `rank` derives
+    the rankings from them.
 
     Plans are ordered by `order`, (-score, pair code), lower first. The
     pair code `first * (n + 2) + second` names a plan, so plans of equal
@@ -204,7 +207,8 @@ class _Scores:
     index before the macro cell before the cache. Plans are interned per
     pair code on first use (`entry`) with their slots, so ranking hashes no
     `PlayerId` and a proposal computes no slots. Every score comes from
-    `_keyed`, and the public utilities compute through a one-use table.
+    `_keyed`, and every slot it scores is one of the user's candidates, the
+    macro cell or the cache.
     """
 
     def __init__(self, instance: GameInstance):
@@ -224,11 +228,10 @@ class _Scores:
         short = instance.shortfall_penalty
         full = instance.cache_capacity / instance.play_rate
         mbs_payoff, cache = instance.mbs_payoff, n + 1
-        self._hofs: Dict[Tuple[float, int], float] = {}
+        hofs: Dict[Tuple[float, int], float] = {}
         self._rows: List[Dict[int, float]] = []
         self._cache2: List[Tuple[float, float, float]] = []
         self.rankings: List[Sequence[_PlanEntry]] = []
-        hof = self._hof
         for mue, playback in zip(instance.mues, self._playback):
             speed, p_th, gap1, gap2 = mue.speed, mue.p_th, mue.gap1, mue.gap2
             # the cache payoffs: a cache slot is covered when the distance
@@ -237,7 +240,11 @@ class _Scores:
             coast, refill = playback * speed, full * speed
             row = {n: mbs_payoff, cache: covered1 if coast >= gap1 else short}
             for k in mue.cand1 + mue.cand2:
-                row[k] = p_th - hof(speed, k)
+                hof = hofs.get((speed, k))
+                if hof is None:
+                    hof = hofs[speed, k] = hof_probability(
+                        speed, instance.t_mts, instance.sbss[k].radius)
+                row[k] = p_th - hof
             self._rows.append(row)
             # after a first slot at an SBS (the cache was refilled), at the
             # macro cell, and on the cache: the order of the slot kinds
@@ -246,22 +253,9 @@ class _Scores:
                  covered2 if coast >= gap2 else short,
                  covered2 if coast >= gap1 + gap2 else short))
 
-    def _hof(self, speed: float, k: int) -> float:
-        """P(HOF) of SBS k at `speed`, evaluated once per pair of the game."""
-        value = self._hofs.get((speed, k))
-        if value is None:
-            instance = self.instance
-            value = self._hofs[(speed, k)] = hof_probability(
-                speed, instance.t_mts, instance.sbss[k].radius)
-        return value
-
     def phi(self, u: int, k: int) -> float:
-        """Threshold margin p_th - HOF of user u in SBS k."""
-        row = self._rows[u]
-        if k < self._n and k in row:
-            return row[k]
-        mue = self.instance.mues[u]
-        return mue.p_th - self._hof(mue.speed, k)
+        """Threshold margin p_th - HOF of user u in its candidate SBS k."""
+        return self._rows[u][k]
 
     def gamma(self, u: int) -> float:
         """Scan interval minus the cached playback time of user u.
@@ -271,11 +265,6 @@ class _Scores:
         is exactly "playback >= scan interval".
         """
         return self._gamma[u]
-
-    def bs_prefers(self, u: int, w: int) -> bool:
-        """Strict preference of any BS for user u over user w."""
-        gu, gw = self._gamma[u], self._gamma[w]
-        return gu > gw or (gu == gw and u < w)
 
     def priority(self) -> List[int]:
         """All users, best first in the order every BS ranks them."""
@@ -296,22 +285,15 @@ class _Scores:
         period-2 cache slot's payoff depends on the kind of the first slot,
         and a certain, in-hand covered cache period may be valued
         differently from a projected period-2 one, hence the separate
-        covered payoffs. An SBS outside u's candidates, which only the
-        blocking scans name, is scored by `phi`.
+        covered payoffs.
         """
         row, n = self._rows[u], self._n
-        try:
-            p1 = row[first]
-        except KeyError:
-            p1 = self.phi(u, first)
+        p1 = row[first]
         base, cache = first * (n + 2), n + 1
         cache2 = self._cache2[u][self._kinds[first]]
         out = []
         for second in seconds:
-            try:
-                p2 = cache2 if second == cache else row[second]
-            except KeyError:
-                p2 = self.phi(u, second)
+            p2 = cache2 if second == cache else row[second]
             out.append((-(p1 + p2), base + second))
         return out
 
@@ -624,26 +606,10 @@ def _first_sbs_order(profile: PreferenceProfile) -> List[int]:
 
 def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                                 instance: GameInstance,
-                                preferences: Optional[Preferences] = None,
                                 ) -> List[Tuple[int, int]]:
-    """Classic blocking pairs (user, SBS) of a single-period matching."""
-    prefs = preferences or build_preferences(instance)
-    scores = prefs.scores
-    load, last = _holders(scores, mu)
-    blocking = []
-    for u in range(len(instance.mues)):
-        acceptable = _first_sbs_order(prefs.mue_profiles[u])
-        current = mu[u]
-        current_rank = (acceptable.index(current.index)
-                        if current is not None and current.kind == PlayerKind.SBS
-                        else len(acceptable))
-        for k in acceptable[:current_rank]:
-            if load[k] < instance.sbss[k].quota:
-                if scores.gamma(u) > 0.0:
-                    blocking.append((u, k))
-            elif scores.bs_prefers(u, last[k]):
-                blocking.append((u, k))
-    return blocking
+    """The oracle's classic blocking pairs of a single-period matching."""
+    from . import oracle
+    return oracle.find_single_period_blocking(mu, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +778,7 @@ def _ex_ante(scores: _Scores, held: Dict[int, Plan], users: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Blocking scans (Definitions 3 and 4)
+# Blocking configurations (Definitions 3 and 4), found by the oracle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -828,131 +794,11 @@ class Violation:
         return f"[period {self.period} {self.clause}: {who}, {other}]"
 
 
-# One period of a matching as the checks read it: the load of each SBS
-# and its holder last in the common priority order (-1 if it has none).
-_Holders = Tuple[List[int], List[int]]
-
-
-def _holders(scores: _Scores, mu: Dict[int, Optional[PlayerId]]) -> _Holders:
-    """The load and last holder of each SBS in one period's map `mu`.
-
-    Every BS ranks users in the one priority order, a total order, so an
-    SBS prefers u to one of its holders exactly when it prefers u to the
-    last of them.
-    """
-    load = _sbs_load(mu.values(), len(scores.sbs))
-    last = [-1] * len(load)
-    for u in scores.priority():
-        slot = mu[u]
-        if slot is not None and slot.kind is PlayerKind.SBS:
-            last[slot.index] = u
-    return load, last
-
-
-def _bs_gains_strictly(scores: _Scores, slot: Optional[PlayerId],
-                       holders: _Holders, k: int, u: int) -> bool:
-    """Would SBS k strictly improve by adding u, who holds `slot` in the
-    period of `holders`?"""
-    if slot == scores.sbs[k] or scores.gamma(u) < 0.0:
-        return False
-    load, last = holders
-    if load[k] < scores.instance.sbss[k].quota:
-        return scores.gamma(u) > 0.0
-    return scores.bs_prefers(u, last[k])
-
-
 def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
                         period: int) -> List[Violation]:
-    """Enumerate every blocking configuration of the requested period."""
-    matching.validate(instance)
+    """The blocking configurations of one period, by the oracle's scan."""
+    from . import oracle
     if period not in (1, 2):
         raise ValueError("period must be 1 or 2")
-    return _blocking_scans(matching, instance, (period,))[0]
-
-
-def _blocking_scans(matching: DynamicMatching, instance: GameInstance,
-                    periods: Sequence[int]) -> List[List[Violation]]:
-    """The blocking configurations of each period of a validated matching,
-    all scanned on one score table of their own."""
-    scores = _Scores(instance)
-    holders = (_holders(scores, matching.mu1), _holders(scores, matching.mu2))
-    scans = {1: _scan_period1, 2: _scan_period2}
-    return [scans[period](matching, scores, holders) for period in periods]
-
-
-def _scan_period1(matching: DynamicMatching, scores: _Scores,
-                  holders: Tuple[_Holders, _Holders]) -> List[Violation]:
-    """The unilateral user violations, then the unilateral BS ones by
-    (SBS, period, user), then the pair ones by user and SBS."""
-    unilateral: List[Violation] = []
-    refused: List[Tuple[int, int, int]] = []
-    pairs: List[Violation] = []
-    instance, key = scores.instance, scores.order
-
-    for u, mue in enumerate(instance.mues):
-        slot1, slot2 = matching.mu1[u], matching.mu2[u]
-        current = key(u, slot1, slot2)
-        prefers_cache = key(u, None, None) < current
-        if prefers_cache:
-            unilateral.append(Violation(1, "unilateral-mue", u))
-        if scores.gamma(u) < 0.0:
-            refused += [(slot.index, period, u)
-                        for period, slot in ((1, slot1), (2, slot2))
-                        if slot is not None and slot.kind is PlayerKind.SBS]
-        for k in sorted(set(mue.cand1) | set(mue.cand2)):
-            target = scores.sbs[k]
-            in1, in2 = slot1 == target, slot2 == target
-            gains1 = _bs_gains_strictly(scores, slot1, holders[0], k, u)
-            gains2 = _bs_gains_strictly(scores, slot2, holders[1], k, u)
-            if not scores.phi(u, k) < 0.0:
-                # 1) two-period plan kk against BS serving u both periods
-                if k in mue.cand1 and k in mue.cand2 and \
-                        key(u, target, target) < current and \
-                        (in1 or gains1) and (in2 or gains2) and \
-                        (gains1 or gains2):
-                    pairs.append(Violation(1, "pair-kk", u, target))
-                # 2) serve period 1 only
-                if k in mue.cand1 and gains1 and \
-                        key(u, target, None) < current:
-                    pairs.append(Violation(1, "pair-ku", u, target))
-                # 3) serve period 2 only
-                if k in mue.cand2 and gains2 and \
-                        key(u, None, target) < current:
-                    pairs.append(Violation(1, "pair-uk", u, target))
-            # 4) mutual divorce
-            if (in1 or in2) and prefers_cache and scores.gamma(u) < 0.0:
-                pairs.append(Violation(1, "pair-divorce", u, target))
-    refused.sort()
-    return unilateral + [Violation(1, "unilateral-bs", u, scores.sbs[k])
-                         for k, _, u in refused] + pairs
-
-
-def _scan_period2(matching: DynamicMatching, scores: _Scores,
-                  holders: Tuple[_Holders, _Holders]) -> List[Violation]:
-    out: List[Violation] = []
-    instance, key = scores.instance, scores.order
-    load = holders[1][0]
-
-    for u in range(len(instance.mues)):
-        first, second = matching.mu1[u], matching.mu2[u]
-        current = key(u, first, second)
-        stay = key(u, first, None)
-        if stay < current:
-            out.append(Violation(2, "unilateral-mue", u))
-
-        for k in sorted(set(instance.mues[u].cand2)):
-            target = scores.sbs[k]
-            if not scores.phi(u, k) < 0.0 and \
-                    key(u, first, target) < current:
-                if load[k] >= instance.sbss[k].quota:
-                    continue  # full BSs never period-2 block
-                if _bs_gains_strictly(scores, second, holders[1], k, u):
-                    out.append(Violation(2, "pair-gain", u, target))
-            if second == target and stay < current and \
-                    scores.gamma(u) < 0.0:
-                out.append(Violation(2, "pair-divorce", u, target))
-
-        if second != MBS and key(u, first, MBS) < current and \
-                scores.mbs_admits_p2(u, first):
-            out.append(Violation(2, "pair-mbs", u, MBS))
-    return out
+    report = oracle.scan_all_blockings(matching, instance)
+    return report.period1 if period == 1 else report.period2

@@ -8,6 +8,9 @@ import math
 # geometric boundaries.
 CLAMP_EPS = 1e-12
 
+# The evaluations past which `adaptive_simpson` bisects no interval.
+MAX_EVALS = 2 ** 20
+
 
 def clamp_unit(x: float, eps: float = CLAMP_EPS) -> float:
     """Clamp x into [-1, 1], tolerating overshoot up to eps.
@@ -45,7 +48,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
 
     Bisects intervals until the local Simpson error estimate falls below the
     (distributed) absolute tolerance. Intended for smooth integrands; raises
-    QuadratureError with the achieved error estimate when max_depth is hit.
+    QuadratureError with the achieved error estimate when max_depth or
+    MAX_EVALS is hit.
     """
     if a == b:
         return 0.0
@@ -54,16 +58,17 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-9,
     fm = f(m)
     whole = _simpson(a, fa, b, fb, fm)
 
-    worst = [0.0]
+    worst, evals = [0.0], [3]
 
     def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = f(lm), f(rm)
+        evals[0] += 2
         left = _simpson(a, fa, m, fm, flm)
         right = _simpson(m, fm, b, fb, frm)
         err = (left + right - whole) / 15.0
-        if abs(err) <= tol or depth >= max_depth:
+        if abs(err) <= tol or depth >= max_depth or evals[0] >= MAX_EVALS:
             if abs(err) > tol:
                 worst[0] = max(worst[0], abs(err))
             return left + right + err

@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import matching
 from .geometry import BeamGeometry, Pose
-from .matching import DynamicMatching, GameInstance, PlayerKind, Violation
+from .matching import (DynamicMatching, GameInstance, PlayerId, PlayerKind,
+                       Violation)
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -250,8 +250,100 @@ def mc_hof_frequency(speed: float, t_mts: float, cell_radius: float,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive stability report
+# Exhaustive stability report, on payoffs of its own
 # ---------------------------------------------------------------------------
+
+_MBS = PlayerId(PlayerKind.MBS, 0)
+
+
+class _Payoffs:
+    """One game's payoffs, scored from the definitions, not the matcher's.
+
+    gamma = scan interval - cached playback; every BS ranks users by gamma,
+    then index. An SBS pays phi = p_th - HOF (`_hof`). A cache slot is
+    covered when cached playback carries the user over its gap: gap1 in
+    period 1; in period 2 gap2 after an SBS (refilled cache) or macro slot,
+    gap1 + gap2 after a cache slot. A plan's key is (-score, code1, code2),
+    lower first; SBS k's code is k, the macro cell's n, the cache's n + 1."""
+
+    def __init__(self, game: GameInstance):
+        self.game, self.n = game, len(game.sbss)
+        self.sbs = [PlayerId(PlayerKind.SBS, k) for k in range(self.n)]
+        gamma = self.gamma = [game.scan_interval - m.segments / game.play_rate
+                              for m in game.mues]
+        # a stable sort keeps users of equal gamma in index order
+        self.priority = sorted(range(len(gamma)), key=lambda u: -gamma[u])
+        # per user, the payoff of each slot code: the macro cell's, the
+        # cache's in period 1, and each SBS's phi from its first use
+        self._rows: List[Dict[int, float]] = []
+        # per user, the cache's payoff in period 2 after an SBS, a macro
+        # and a cache slot
+        self._cache2 = []
+        later, short = game.future_covered_payoff, game.shortfall_penalty
+        full = game.cache_capacity / game.play_rate
+        for m in game.mues:
+            coast = m.segments / game.play_rate * m.speed
+            cache1 = game.covered_payoff if coast >= m.gap1 else short
+            self._rows.append({self.n: game.mbs_payoff, self.n + 1: cache1})
+            self._cache2.append([later if covered else short for covered in (
+                full * m.speed >= m.gap2, coast >= m.gap2,
+                coast >= m.gap1 + m.gap2)])
+
+    def payoff(self, u: int, code: int) -> float:
+        row = self._rows[u]
+        if code not in row:
+            mue = self.game.mues[u]
+            row[code] = mue.p_th - _hof(mue.speed, self.game.t_mts,
+                                        self.game.sbss[code].radius)
+        return row[code]
+
+    def key(self, u: int, first: Optional[PlayerId],
+            second: Optional[PlayerId]) -> Tuple[float, int, int]:
+        n, c1, c2 = self.n, self.code(first), self.code(second)
+        # a period-2 cache slot pays by the kind of the first slot
+        p2 = self._cache2[u][max(c1 - n + 1, 0)] if c2 > n else \
+            self.payoff(u, c2)
+        return -(self.payoff(u, c1) + p2), c1, c2
+
+    def code(self, slot: Optional[PlayerId]) -> int:
+        if slot is None:
+            return self.n + 1
+        return slot.index if slot.kind is PlayerKind.SBS else self.n
+
+    def bs_prefers(self, u: int, w: int) -> bool:
+        gu, gw = self.gamma[u], self.gamma[w]
+        return gu > gw or (gu == gw and u < w)
+
+    def mbs_admits_p2(self, u: int, first: Optional[PlayerId]) -> bool:
+        """Macro admission in period 2 after the first slot `first`."""
+        if first is None:
+            return self.gamma[u] > 0.0
+        if first.kind is PlayerKind.SBS:
+            return self.payoff(u, first.index) < self.game.epsilon
+        return True
+
+    def summary(self, mu: Dict[int, Optional[PlayerId]]) -> tuple:
+        """Each SBS's load in one period's map, and its holder last in
+        priority (-1 if none)."""
+        load, last = [0] * self.n, [-1] * self.n
+        for u in self.priority:
+            slot = mu[u]
+            if slot is not None and slot.kind is PlayerKind.SBS:
+                load[slot.index] += 1
+                last[slot.index] = u
+        return load, last
+
+    def gains(self, slot, summary, k: int, u: int) -> bool:
+        """Would SBS k strictly gain u, who holds `slot` in the period of
+        `summary`? Priority is a total order, so a full SBS prefers u to a
+        holder exactly when to its last: a scan is linear in the users."""
+        if slot == self.sbs[k] or self.gamma[u] < 0.0:
+            return False
+        load, last = summary
+        if load[k] < self.game.sbss[k].quota:
+            return self.gamma[u] > 0.0
+        return self.bs_prefers(u, last[k])
+
 
 @dataclass
 class StabilityReport:
@@ -270,12 +362,117 @@ class StabilityReport:
 
 def scan_all_blockings(matching_: DynamicMatching,
                        instance: GameInstance) -> StabilityReport:
-    """Definition-1 consistency check, then both-period blocking scans.
-
-    The matching is validated once and both periods are scanned on one
-    score table of the scan's own: the check shares no game's table with
-    the matcher.
-    """
+    """Definition-1 consistency check, then both-period blocking scans on
+    one `_Payoffs` table: the check shares no payoff with the matcher."""
     matching_.validate(instance)
-    period1, period2 = matching._blocking_scans(matching_, instance, (1, 2))
-    return StabilityReport(period1=period1, period2=period2)
+    pay = _Payoffs(instance)
+    summaries = (pay.summary(matching_.mu1), pay.summary(matching_.mu2))
+    return StabilityReport(_scan_period1(matching_, pay, summaries),
+                           _scan_period2(matching_, pay, summaries))
+
+
+def _scan_period1(matching_: DynamicMatching, pay: _Payoffs,
+                  summaries) -> List[Violation]:
+    """The unilateral user violations, then the unilateral BS ones by
+    (SBS, period, user), then the pair ones by user and SBS."""
+    unilateral: List[Violation] = []
+    refused: List[Tuple[int, int, int]] = []
+    pairs: List[Violation] = []
+    key, gamma = pay.key, pay.gamma
+    for u, mue in enumerate(pay.game.mues):
+        slot1, slot2 = matching_.mu1[u], matching_.mu2[u]
+        current = key(u, slot1, slot2)
+        prefers_cache = key(u, None, None) < current
+        if prefers_cache:
+            unilateral.append(Violation(1, "unilateral-mue", u))
+        if gamma[u] < 0.0:
+            refused += [(slot.index, period, u)
+                        for period, slot in ((1, slot1), (2, slot2))
+                        if slot is not None and slot.kind is PlayerKind.SBS]
+        for k in sorted(set(mue.cand1) | set(mue.cand2)):
+            target = pay.sbs[k]
+            in1, in2 = slot1 == target, slot2 == target
+            gains1 = pay.gains(slot1, summaries[0], k, u)
+            gains2 = pay.gains(slot2, summaries[1], k, u)
+            if not pay.payoff(u, k) < 0.0:
+                # 1) two-period plan kk against BS serving u both periods
+                if k in mue.cand1 and k in mue.cand2 and \
+                        key(u, target, target) < current and \
+                        (in1 or gains1) and (in2 or gains2) and \
+                        (gains1 or gains2):
+                    pairs.append(Violation(1, "pair-kk", u, target))
+                # 2) serve period 1 only
+                if k in mue.cand1 and gains1 and \
+                        key(u, target, None) < current:
+                    pairs.append(Violation(1, "pair-ku", u, target))
+                # 3) serve period 2 only
+                if k in mue.cand2 and gains2 and \
+                        key(u, None, target) < current:
+                    pairs.append(Violation(1, "pair-uk", u, target))
+            # 4) mutual divorce
+            if (in1 or in2) and prefers_cache and gamma[u] < 0.0:
+                pairs.append(Violation(1, "pair-divorce", u, target))
+    refused.sort()
+    return unilateral + [Violation(1, "unilateral-bs", u, pay.sbs[k])
+                         for k, _, u in refused] + pairs
+
+
+def _scan_period2(matching_: DynamicMatching, pay: _Payoffs,
+                  summaries) -> List[Violation]:
+    out: List[Violation] = []
+    key, load = pay.key, summaries[1][0]
+    for u, mue in enumerate(pay.game.mues):
+        first, second = matching_.mu1[u], matching_.mu2[u]
+        current = key(u, first, second)
+        stay = key(u, first, None)
+        if stay < current:
+            out.append(Violation(2, "unilateral-mue", u))
+        for k in sorted(set(mue.cand2)):
+            target = pay.sbs[k]
+            if not pay.payoff(u, k) < 0.0 and key(u, first, target) < current:
+                if load[k] >= pay.game.sbss[k].quota:
+                    continue  # full BSs never period-2 block
+                if pay.gains(second, summaries[1], k, u):
+                    out.append(Violation(2, "pair-gain", u, target))
+            if second == target and stay < current and pay.gamma[u] < 0.0:
+                out.append(Violation(2, "pair-divorce", u, target))
+        if second != _MBS and key(u, first, _MBS) < current and \
+                pay.mbs_admits_p2(u, first):
+            out.append(Violation(2, "pair-mbs", u, _MBS))
+    return out
+
+
+def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
+                                instance: GameInstance,
+                                ) -> List[Tuple[int, int]]:
+    """Classic blocking pairs (user, SBS) of a valid single-period map.
+
+    User u's acceptable SBSs start a feasible plan it prefers to its cache,
+    ranked by their best such plan; an SBS it holds off that list ranks
+    below every listed one. A listed SBS above u's slot blocks with u if it
+    has room and gamma(u) > 0, or prefers u to its last holder."""
+    # the map as period 1 of a matching whose period 2 is all caches
+    DynamicMatching(mu, dict.fromkeys(mu)).validate(instance)
+    pay = _Payoffs(instance)
+    load, last = pay.summary(mu)
+    blocking = []
+    for u, mue in enumerate(instance.mues):
+        own, best = pay.key(u, None, None), {}
+        cand2 = [pay.sbs[k] for k in mue.cand2 if pay.payoff(u, k) >= 0.0]
+        for k in mue.cand1:
+            target = pay.sbs[k]
+            if pay.payoff(u, k) >= 0.0:
+                seconds = [None] + [s for s in cand2 if s == target or
+                                    instance.allow_cross_sbs_plans]
+                if pay.mbs_admits_p2(u, target):
+                    seconds.append(_MBS)
+                plan = min(pay.key(u, target, s) for s in seconds)
+                if plan < own:
+                    best[k] = plan
+        acceptable, held = sorted(best, key=best.__getitem__), pay.code(mu[u])
+        if held in best:
+            acceptable = acceptable[:acceptable.index(held)]
+        blocking += [(u, k) for k in acceptable if (
+            pay.gamma[u] > 0.0 if load[k] < instance.sbss[k].quota
+            else pay.bs_prefers(u, last[k]))]
+    return blocking

@@ -296,7 +296,11 @@ def _da_offer(instance: GameInstance, held: Dict[int, List[int]],
 def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
                                 instance: GameInstance,
                                 ) -> List[Tuple[int, int]]:
-    """Classic blocking pairs (user, SBS) of a single-period matching."""
+    """Classic blocking pairs (user, SBS) of a single-period matching.
+
+    An SBS that holds the user but is not on its acceptable list ranks
+    below every listed SBS, as the macro cell and the cache do.
+    """
     prefs = build_preferences(instance)
     blocking = []
     for u in range(len(instance.mues)):
@@ -308,6 +312,7 @@ def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
         current = mu[u]
         current_rank = (acceptable.index(current.index)
                         if current is not None and current.kind == PlayerKind.SBS
+                        and current.index in acceptable
                         else len(acceptable))
         for rank, k in enumerate(acceptable):
             if rank >= current_rank:

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import warnings
 
 import pytest
@@ -470,3 +471,48 @@ class TestCli:
         assert rc == 2
         rc = main(["reproduce", "--out", str(tmp_path)])
         assert rc == 2
+
+
+# Each command at its smallest size, for the extreme-value sweep.
+_SMALLEST = (["match", "--users", "5"], ["simulate"],
+             ["analyze", "--op", "rate"], ["analyze", "--op", "hof"],
+             ["analyze", "--op", "cdf"], ["verify", "--suite", "rate"],
+             ["reproduce", "--replications", "2"])
+_FLOAT_KEYS = [name for name, value in vars(ScenarioConfig()).items()
+               if isinstance(value, float)]
+
+
+def _hang(signum, frame):
+    raise TimeoutError("a run outlasted its alarm")
+
+
+def test_extreme_values_exit_0_or_2(tmp_path, capsys):
+    """Every float key at extreme magnitudes, each run by two commands at
+    their smallest size, exits 0 or 2, raises no Python warning and on exit 2
+    gives a one-line diagnostic. Each run has 10 s, so a hang fails."""
+    magnitudes = ("1e-300", "1e-100", "1e-6", "1e10", "1e100", "1e300")
+    settings = [f"{key}={m}" for key in _FLOAT_KEYS for m in magnitudes]
+    # two commands per setting, in turn: every key meets every command
+    runs = [(_SMALLEST[(2 * i + j) % len(_SMALLEST)], setting)
+            for i, setting in enumerate(settings) for j in (0, 1)]
+    assert {tuple(argv) for argv, _ in runs} == set(map(tuple, _SMALLEST))
+    # a focal SBS ~1.8e9 m out, whose rim point once rounded outside the
+    # cell, so that a nearly tangent region ray missed it (exit 1)
+    assert (_SMALLEST[-1], "area_radius=1e10") in runs
+    previous = signal.signal(signal.SIGALRM, _hang)
+    try:
+        for argv, setting in runs:
+            signal.alarm(10)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv + ["--seed", "1", "--set", setting,
+                                  "--out", str(tmp_path)])
+            signal.alarm(0)
+            err = capsys.readouterr().err
+            assert (rc, [str(w.message) for w in caught]) in \
+                ((0, []), (2, [])), (argv, setting, rc, err)
+            if rc == 2:
+                assert len(err.strip().splitlines()) == 1, (argv, setting)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

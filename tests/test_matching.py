@@ -59,7 +59,7 @@ class TestUtilities:
         assert M.sbs_utility(1, 0, inst) == pytest.approx(5.0)
         # smaller cache strictly preferred
         assert M.sbs_utility(1, 0, inst) > M.sbs_utility(2, 0, inst)
-        assert M._Scores(inst).bs_prefers(1, 2)
+        assert oracle._Payoffs(inst).bs_prefers(1, 2)
 
 
 class TestExample1:
@@ -137,21 +137,6 @@ class TestDeferredAcceptance:
             inst = random_game_instance(rng)
             mu, _ = M.deferred_acceptance(inst)
             assert not M.find_single_period_blocking(mu, inst)
-
-    def test_blocking_scan_takes_preferences(self):
-        rng = np.random.default_rng(19)
-        found = 0
-        for _ in range(100):
-            inst = random_game_instance(rng)
-            prefs = M.build_preferences(inst)
-            mu, _ = M.deferred_acceptance(inst, preferences=prefs)
-            unserved = {u: None for u in mu}
-            for matching in (mu, unserved):
-                pairs = M.find_single_period_blocking(matching, inst,
-                                                      preferences=prefs)
-                assert pairs == M.find_single_period_blocking(matching, inst)
-                found += len(pairs)
-        assert found > 0
 
 
 class TestDynamicMatch:
@@ -356,7 +341,7 @@ def _matcher_outputs(game, prefs):
     """Both matchings, the period-1 map and its blocking pairs of a game."""
     res = M.dynamic_match(game, preferences=prefs)
     mu, da = M.deferred_acceptance(game, preferences=prefs)
-    pairs = M.find_single_period_blocking(mu, game, preferences=prefs)
+    pairs = M.find_single_period_blocking(mu, game)
     return (res.ex_ante, res.matching, res.trace, mu, da, pairs)
 
 
@@ -433,8 +418,17 @@ class TestTabulatedScores:
                 assert universe_own == own
                 assert [scores.entry(pair).plan for _, pair in universe] == \
                     R.plan_universe(game, u)
+                # the oracle's own payoffs, over every pair of slots
+                payoffs = oracle._Payoffs(game)
+                slots = [M.sbs_id(k) for k in range(len(game.sbss))] + \
+                    [M.MBS, None]
+                every = [M.Plan(a, b) for a in slots for b in slots]
+                for p in every:
+                    assert -payoffs.key(u, *p)[0] == R.plan_score(game, u, *p)
+                assert sorted(every, key=lambda p: payoffs.key(u, *p)) == \
+                    sorted(every, key=lambda p: R.plan_key(game, u, p))
                 for w in range(len(game.mues)):
-                    assert M._Scores(game).bs_prefers(u, w) == \
+                    assert payoffs.bs_prefers(u, w) == \
                         R.bs_prefers_mue(game, 0, u, w)
 
     def test_out_of_domain_game_touches_no_warning_state(self, monkeypatch):
@@ -547,6 +541,48 @@ class TestTabulatedScores:
                            for u, profile in enumerate(prefs.mue_profiles))
             reordered += scores.priority() != list(range(len(game.mues)))
         assert listed and refused >= 1000 and reordered >= 1000
+
+
+def _quota_respecting_matching(rng, game):
+    """A random matching of `game`: each user draws a slot of each period,
+    and a draw of a full SBS leaves it on its cache."""
+    n_sbs, mus = len(game.sbss), []
+    for _ in (1, 2):
+        room, mu = [sbs.quota for sbs in game.sbss], {}
+        for u in range(len(game.mues)):
+            code = int(rng.integers(0, n_sbs + 2))
+            mu[u] = M.MBS if code == n_sbs else None
+            if code < n_sbs and room[code]:
+                room[code] -= 1
+                mu[u] = M.sbs_id(code)
+        mus.append(mu)
+    return M.DynamicMatching(*mus)
+
+
+class TestArbitraryMatchings:
+    """The oracle's checks against the definitional ones on matchings no
+    matcher made, where users hold slots off their rankings."""
+
+    def test_checks_match_definitional_path(self):
+        rng = np.random.default_rng(114)
+        blocked = off_list = 0
+        for _ in range(400):
+            game = random_game_instance(rng, max_mues=12, max_sbss=4)
+            profiles = R.build_preferences(game).mue_profiles
+            acceptable = [{p.first for p in profile.ranked_plans}
+                          for profile in profiles]
+            for _ in range(3):
+                matching = _quota_respecting_matching(rng, game)
+                assert repr(_scan(matching, game)) == \
+                    repr(_reference_scan(matching, game))
+                assert M.find_single_period_blocking(matching.mu1, game) == \
+                    R.find_single_period_blocking(matching.mu1, game)
+                blocked += not oracle.scan_all_blockings(matching, game).stable
+                off_list += any(
+                    slot is not None and slot.kind is M.PlayerKind.SBS
+                    and slot not in acceptable[u]
+                    for u, slot in matching.mu1.items())
+        assert blocked >= 1000 and off_list >= 800
 
 
 def _tabulated_games():
@@ -711,8 +747,8 @@ class TestRegionCost:
 
 class TestScanCost:
     """The stability checks compare a user with the last holder of a full
-    SBS only, so their BS comparisons stay linear in the users however
-    large the quota."""
+    SBS only, so the oracle's BS comparisons stay linear in the users
+    however large the quota."""
 
     @staticmethod
     def _full_sbs_game(n):
@@ -727,15 +763,16 @@ class TestScanCost:
 
     @staticmethod
     def _counted(monkeypatch):
-        """A counter of the `_Scores.bs_prefers` calls made from now on."""
+        """A counter of the oracle's `_Payoffs.bs_prefers` calls made from
+        now on."""
         calls = Counter()
-        prefers = M._Scores.bs_prefers
+        prefers = oracle._Payoffs.bs_prefers
 
         def counting(self, u, w):
             calls["bs_prefers"] += 1
             return prefers(self, u, w)
 
-        monkeypatch.setattr(M._Scores, "bs_prefers", counting)
+        monkeypatch.setattr(oracle._Payoffs, "bs_prefers", counting)
         return calls
 
     @pytest.mark.parametrize("n", [200, 400, 800])
@@ -750,9 +787,8 @@ class TestScanCost:
     @pytest.mark.parametrize("n", [200, 400, 800])
     def test_single_period_blocking(self, monkeypatch, n):
         game, matching = self._full_sbs_game(n)
-        prefs = M.build_preferences(game)
         calls = self._counted(monkeypatch)
-        assert M.find_single_period_blocking(matching.mu1, game, prefs) == []
+        assert M.find_single_period_blocking(matching.mu1, game) == []
         assert 0 < calls["bs_prefers"] <= n
 
 

@@ -1,10 +1,15 @@
 import math
+import signal
 
 import pytest
 
 from mmwcache import numerics as N
 
 TWO_PI = 2.0 * math.pi
+
+
+def _hang(signum, frame):
+    raise TimeoutError("adaptive_simpson ran past its alarm")
 
 
 class TestWrapAngle:
@@ -67,3 +72,29 @@ class TestAdaptiveSimpson:
         assert info.value.value == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert info.value.achieved > 0.0
         assert "1e-16" in str(info.value)
+
+    def test_evaluations_are_bounded(self):
+        # sin(1/x) oscillates without end near 0: bisection would go on to
+        # max_depth everywhere there, 2**60 intervals deep
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return math.sin(1.0 / x) if x else 0.0
+
+        # a hang fails the test instead of stalling the suite
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.alarm(20)
+        try:
+            with pytest.raises(N.QuadratureError) as info:
+                N.adaptive_simpson(f, 0.0, 1.0, tol=1e-10)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # past the budget each interval still on the stack (at most one
+        # per depth) evaluates its two midpoints once more
+        assert N.MAX_EVALS <= calls[0] <= N.MAX_EVALS + 2 * 60 + 2
+        # the integral is sin(1) - Ci(1) = 0.50407; the estimate comes with
+        # its achieved error
+        assert info.value.value == pytest.approx(0.50407, abs=0.05)
+        assert info.value.achieved > 0.0

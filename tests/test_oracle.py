@@ -8,6 +8,7 @@ from mmwcache import geometry as G
 from mmwcache import matching as M
 from mmwcache import oracle as O
 from mmwcache.config import ScenarioConfig
+from mmwcache.testutil import random_game_instance
 from conftest import example1_instance
 
 
@@ -150,6 +151,30 @@ class TestScanAllBlockings:
         report = O.scan_all_blockings(res.ex_ante, inst)
         assert not report.stable
         assert any("mbs0" in line for line in report.lines())
+
+
+class TestIndependentPayoffs:
+    def test_flags_a_matcher_with_wrong_payoffs(self, monkeypatch):
+        # a matcher whose table says a refilled cache never covers period
+        # 2: checks that scored plans through that table would pass it
+        init = M._Scores.__init__
+
+        def refill_never_covers(self, instance):
+            init(self, instance)
+            self._cache2 = [(instance.shortfall_penalty,) + row[1:]
+                            for row in self._cache2]
+
+        monkeypatch.setattr(M._Scores, "__init__", refill_never_covers)
+        rng = np.random.default_rng(20260810)
+        flagged = 0
+        for _ in range(200):
+            game = random_game_instance(rng)
+            result = M.dynamic_match(game)
+            mu, _ = M.deferred_acceptance(game)
+            flagged += not O.scan_all_blockings(result.matching, game).stable \
+                or bool(M.find_single_period_blocking(mu, game))
+        # 33 of the 200 here; checks on the matcher's table flag none
+        assert flagged >= 1
 
 
 def _entry_chord_cdf(y):

@@ -80,7 +80,9 @@ def loop_build_region_instance(config, n_mues, speed, rng):
     """Reference region instance: scalar draws and one crossing list per user.
 
     The per-user loop `experiments.build_region_instance` had before its
-    draws and crossings were batched.
+    draws and crossings were batched. The focal crossing is the closed form
+    of a ray from the rim (entry 0, chord 2a*sin(offset)), which the
+    crossing kernel gives to within rounding.
     """
     scn = S.generate_scenario(config, seed=int(rng.integers(2 ** 31)))
     focal = min(scn.sbss, key=lambda s: math.hypot(*s.position))
@@ -91,10 +93,16 @@ def loop_build_region_instance(config, n_mues, speed, rng):
         beta = rng.uniform(0.0, 2.0 * math.pi)
         spawn = (focal.position[0] + focal.radius * math.cos(beta),
                  focal.position[1] + focal.radius * math.sin(beta))
-        heading = beta + 0.5 * math.pi + rng.uniform(0.0, math.pi)
+        offset = rng.uniform(0.0, math.pi)
+        heading = beta + 0.5 * math.pi + offset
+        max_range = 20.0 * config.area_radius
         crossings = S.ray_circle_crossings(spawn, heading, scn.sbss,
-                                           max_range=20.0 * config.area_radius)
-        focal_cross = next(c for c in crossings if c.sbs == focal.index)
+                                           max_range=max_range)
+        chord = 2.0 * focal.radius * math.sin(offset)
+        kernel = next(c for c in crossings if c.sbs == focal.index)
+        assert kernel.entry < 1e-9 and abs(kernel.chord - chord) < 1e-6
+        focal_cross = S.CellCrossing(focal.index, 0.0, min(chord, max_range),
+                                     chord)
         onward = [c for c in crossings
                   if c.sbs != focal.index and c.exit > focal_cross.exit]
         cand2 = ()
