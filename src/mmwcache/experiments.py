@@ -561,17 +561,17 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     come from one draw after the deployment's, so its first u users are
     the instance of u users; and it draws no speed, so the instance at
     another speed differs only in `MueState.speed`. At each speed the
-    replication builds one score table on the head game of the largest
-    user count that speed needs, its users re-speeded, and ranks it once.
-    Every user count of that speed is then matched in one pass over that
-    ranking (`matching.run_heads`), whose head of u users equals
-    `dynamic_match` of the game of the first u users. That needs the first
-    u users to be the first u in the base stations' priority, which holds
-    because every region user starts with a full cache: gamma ties, and
-    ties break on index. So the metrics at `(v, n)` equal this function's
-    result for `((v, (n,)),)` alone. A pure function of (config, seed key,
-    points), so replications can be mapped over a worker pool and merged
-    by index.
+    replication builds one table (`matching.build_preferences`) on the
+    head game of the largest user count that speed needs, its users
+    re-speeded. Every user count of that speed is then matched in one pass
+    over that table's rankings (`matching.run_heads`), whose head of u
+    users equals `dynamic_match` of the game of the first u users. That
+    needs the first u users to be the first u in the base stations'
+    priority, which holds because every region user starts with a full
+    cache: gamma ties, and ties break on index. So the metrics at `(v, n)`
+    equal this function's result for `((v, (n,)),)` alone. A pure function
+    of (config, seed key, points), so replications can be mapped over a
+    worker pool and merged by index.
 
     Each head is measured at the focal SBS (SBS 0) from running counts,
     taken once per speed over the users of the largest head: the users
@@ -596,10 +596,9 @@ def _region_replication(cfg: ScenarioConfig, seed_key: Tuple[int, ...],
     metrics: Dict[Tuple[float, int], Dict[str, float]] = {}
     for v, counts in points:
         largest = max(counts)
-        scores = matching._Scores(replace(game, mues=tuple(
-            [mue._replace(speed=v) for mue in game.mues[:largest]])))
-        scores.rank()
-        run = matching.run_heads(scores, counts)
+        run = matching.run_heads(matching.build_preferences(replace(
+            game, mues=tuple([mue._replace(speed=v)
+                              for mue in game.mues[:largest]]))), counts)
         firsts = run.firsts
         short = [chord / v < t_mts for chord in chords[:largest]]
         conventional = _running(short)

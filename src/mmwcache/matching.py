@@ -12,10 +12,11 @@ when those users lead the priority order, and keeps of each head only what
 is its own: its stage-two repairs and proposals. `dynamic_match` is its
 one-head case, spelled out as a `MatchResult`.
 
-A game's payoffs are tabulated once, in its `_Scores` table, and every
-matcher reads that table instead of computing a utility again. The
-stability checks (`find_blocking_pairs`, `find_single_period_blocking`)
-are the oracle's, which scores the game on payoffs of its own.
+A game is one table, its `Preferences`: the payoffs are tabulated once,
+every ranking is derived from them on first read, and every matcher reads
+that table instead of computing a utility again. The stability checks
+(`find_blocking_pairs`, `find_single_period_blocking`) are the oracle's,
+which scores the game on payoffs of its own.
 
 Determinism: ties break on (utility, player index), so equal instances
 give equal matchings. The only process-wide state is the slot layout per
@@ -178,7 +179,7 @@ class _Layout(NamedTuple):
 def _layout(n: int) -> _Layout:
     """The one layout of the tables with n SBSs in this process.
 
-    Its plan dict starts empty and only grows: `_Scores.entry` interns a
+    Its plan dict starts empty and only grows: `Preferences.entry` interns a
     plan on first use, at most one per pair code, so it never holds more
     than (n + 2)^2 entries. An entry is a function of n and its pair code
     alone, so which games interned it cannot change a ranking.
@@ -190,16 +191,45 @@ def _layout(n: int) -> _Layout:
     return _Layout(sbs, slots, [0] * n + [1, 2], held, {})
 
 
-class _Scores:
-    """The payoffs and priorities of one game, tabulated in one pass.
+# ---------------------------------------------------------------------------
+# Preferences: the ranked score table of one game
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PreferenceProfile:
+    """Strictly ordered, individually rational plan ranking of one user."""
+
+    ranked_plans: Tuple[Plan, ...]
+
+
+# the profile of every user that ranks no plan above its cache
+_NO_PLANS = PreferenceProfile(())
+
+
+@dataclass(frozen=True)
+class BsPreference:
+    """The users whose ranked plans name a BS, in the common priority order.
+
+    An SBS lists only the users with gamma >= 0, whom it may serve.
+    """
+
+    ranked_mues: Tuple[int, ...]
+
+
+class Preferences:
+    """The payoffs, priorities and rankings of one game, in one table.
 
     A table has two parts. The game-free part is the layout `_layout(n)`
     of its SBS count, shared by every table with n SBSs. Slot codes are
     integers: SBS k is k, the macro cell n and the cache n + 1. The
     constructor builds the game's own part: gamma per user, the common
     priority order, per user a payoff row keyed by slot code (HOF evaluated
-    once per speed and SBS) and the period-2 cache payoffs. `rank` derives
-    the rankings from them.
+    once per speed and SBS) and the period-2 cache payoffs. The rest is
+    derived from those: on first read and kept, `rankings`, each user's
+    interned plans that beat its self plan, best first, which stage one
+    reads, and `mue_profiles`, their plans; on each read, the BS lists
+    `sbs_profiles` and `mbs_profile`. No matcher reads the profiles or
+    the BS lists.
 
     Plans are ordered by `order`, (-score, pair code), lower first. The
     pair code `first * (n + 2) + second` names a plan, so plans of equal
@@ -231,7 +261,11 @@ class _Scores:
         hofs: Dict[Tuple[float, int], float] = {}
         self._rows: List[Dict[int, float]] = []
         self._cache2: List[Tuple[float, float, float]] = []
-        self.rankings: List[Sequence[_PlanEntry]] = []
+        # derived on first read; plain fields, not functools.cached_property,
+        # whose write to the instance __dict__ slows every later attribute
+        # read of the table (CPython 3.11)
+        self._rankings: Optional[List[Sequence[_PlanEntry]]] = None
+        self._profiles: Optional[Tuple[PreferenceProfile, ...]] = None
         for mue, playback in zip(instance.mues, self._playback):
             speed, p_th, gap1, gap2 = mue.speed, mue.p_th, mue.gap1, mue.gap2
             # the cache payoffs: a cache slot is covered when the distance
@@ -252,6 +286,43 @@ class _Scores:
                 (covered2 if refill >= gap2 else short,
                  covered2 if coast >= gap2 else short,
                  covered2 if coast >= gap1 + gap2 else short))
+
+    @property
+    def rankings(self) -> List[Sequence[_PlanEntry]]:
+        """Per user, the interned plans that beat its self plan, best
+        first: the orders `_universe` derives from the payoffs, filtered
+        against the self plan's, sorted and interned."""
+        if self._rankings is None:
+            universe, beating = self._universe, self._beating
+            self._rankings = [beating(*universe(u))
+                              for u in range(len(self.instance.mues))]
+        return self._rankings
+
+    @property
+    def mue_profiles(self) -> Tuple[PreferenceProfile, ...]:
+        """The plans of each user's ranking; users with no ranked plan
+        share one empty profile."""
+        if self._profiles is None:
+            self._profiles = tuple([
+                PreferenceProfile(tuple([e.plan for e in entries]))
+                if entries else _NO_PLANS for entries in self.rankings])
+        return self._profiles
+
+    @property
+    def sbs_profiles(self) -> Tuple[BsPreference, ...]:
+        served = [u for u in self._priority if not self._gamma[u] < 0.0]
+        return tuple([self._naming(bs, served) for bs in self.sbs])
+
+    @property
+    def mbs_profile(self) -> BsPreference:
+        return self._naming(MBS, self._priority)
+
+    def _naming(self, bs: PlayerId, users: List[int]) -> BsPreference:
+        """The `users` whose ranked plans name `bs`, in their order."""
+        profiles = self.mue_profiles
+        return BsPreference(tuple([
+            u for u in users
+            if any(bs in plan for plan in profiles[u].ranked_plans)]))
 
     def phi(self, u: int, k: int) -> float:
         """Threshold margin p_th - HOF of user u in its candidate SBS k."""
@@ -363,84 +434,11 @@ class _Scores:
             return self.phi(u, first.index) < self.instance.epsilon
         return True
 
-    def rank(self) -> None:
-        """Rank every user's plans from this table into `rankings`, which
-        stage one reads; see `build_preferences`."""
-        universe, beating = self._universe, self._beating
-        self.rankings = [beating(*universe(u))
-                         for u in range(len(self.instance.mues))]
-
-
-# ---------------------------------------------------------------------------
-# Preference construction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PreferenceProfile:
-    """Strictly ordered, individually rational plan ranking of one user."""
-
-    ranked_plans: Tuple[Plan, ...]
-
-
-# the profile of every user that ranks no plan above its cache
-_NO_PLANS = PreferenceProfile(())
-
-
-@dataclass(frozen=True)
-class BsPreference:
-    """The users whose ranked plans name a BS, in the common priority order.
-
-    An SBS lists only the users with gamma >= 0, whom it may serve.
-    """
-
-    ranked_mues: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Preferences:
-    """Every user's ranking, and the score table it was ranked by.
-
-    The matchers read `scores` instead of computing a utility again, and
-    stage one takes the interned plans of each ranking from it; it takes
-    no part in equality or the repr. No matcher reads the BS lists: they
-    follow from the rankings and the table's priority, and are derived on
-    demand.
-    """
-
-    mue_profiles: Tuple[PreferenceProfile, ...]
-    scores: _Scores = field(compare=False, repr=False)
-
-    @property
-    def sbs_profiles(self) -> Tuple[BsPreference, ...]:
-        scores = self.scores
-        served = [u for u in scores.priority() if not scores.gamma(u) < 0.0]
-        return tuple([self._naming(bs, served) for bs in scores.sbs])
-
-    @property
-    def mbs_profile(self) -> BsPreference:
-        return self._naming(MBS, self.scores.priority())
-
-    def _naming(self, bs: PlayerId, users: List[int]) -> BsPreference:
-        """The `users` whose ranked plans name `bs`, in their order."""
-        profiles = self.mue_profiles
-        return BsPreference(tuple([
-            u for u in users
-            if any(bs in plan for plan in profiles[u].ranked_plans)]))
-
 
 def build_preferences(instance: GameInstance) -> Preferences:
-    """Rank every user's plans; drop plans not beating the self plan.
-
-    This builds the game's one score table and ranks each user's plans
-    from it: the orders `_Scores._universe` derives from the payoffs are
-    filtered against the self plan's, sorted and interned. Users with no
-    ranked plan share one empty profile.
-    """
-    scores = _Scores(instance)
-    scores.rank()
-    return Preferences(tuple([
-        PreferenceProfile(tuple([e.plan for e in entries]))
-        if entries else _NO_PLANS for entries in scores.rankings]), scores)
+    """The game's one score table; its rankings are derived when a matcher
+    first reads them."""
+    return Preferences(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +513,7 @@ class MatchResult:
 # Serial dictatorship in the common priority order
 # ---------------------------------------------------------------------------
 
-def _serial_dictatorship(scores: _Scores, users: Sequence[int],
+def _serial_dictatorship(scores: Preferences, users: Sequence[int],
                          rankings: Sequence[Sequence[_PlanEntry]],
                          room: Dict[Tuple[int, int], int], trace: MatchTrace,
                          stage: int) -> Dict[int, Plan]:
@@ -572,13 +570,15 @@ def deferred_acceptance(instance: GameInstance,
     cell. The output admits no single-period blocking pair. Run as serial
     dictatorship in the common priority order, which has the same outcome.
     """
-    prefs = preferences or build_preferences(instance)
-    scores = prefs.scores
+    scores = preferences or build_preferences(instance)
     trace = MatchTrace()
     entry, cache = scores.entry, scores.code(None)
     width = cache + 1   # pair code of (SBS k, cache): k * width + cache
-    rankings = [[entry(k * width + cache) for k in _first_sbs_order(prof)]
-                for prof in prefs.mue_profiles]
+    # per user, the SBSs in the first slots of its ranking, best first
+    rankings = [[entry(first.index * width + cache)
+                 for first in dict.fromkeys(e.plan.first for e in ranking)
+                 if first is not None and first.kind is PlayerKind.SBS]
+                for ranking in scores.rankings]
     room = {(1, k): sbs.quota for k, sbs in enumerate(instance.sbss)}
     held = _serial_dictatorship(scores, scores.priority(), rankings, room,
                                 trace, stage=1)
@@ -592,16 +592,6 @@ def deferred_acceptance(instance: GameInstance,
         else:
             mu[u] = MBS
     return mu, trace
-
-
-def _first_sbs_order(profile: PreferenceProfile) -> List[int]:
-    """SBS indices in the first slots of a ranking, best first, no repeats."""
-    seen: List[int] = []
-    for plan in profile.ranked_plans:
-        if plan.first is not None and plan.first.kind == PlayerKind.SBS:
-            if plan.first.index not in seen:
-                seen.append(plan.first.index)
-    return seen
 
 
 def find_single_period_blocking(mu: Dict[int, Optional[PlayerId]],
@@ -626,9 +616,8 @@ def dynamic_match(instance: GameInstance,
     repairs in period 2, and the trace is the stage-one proposals followed
     by the stage-two ones.
     """
-    prefs = preferences or build_preferences(instance)
     n = len(instance.mues)
-    run = run_heads(prefs.scores, (n,))
+    run = run_heads(preferences or build_preferences(instance), (n,))
     head = run.heads[n]
     ex_ante = DynamicMatching(dict(enumerate(run.firsts)),
                               dict(enumerate(run.seconds)))
@@ -660,9 +649,9 @@ class HeadRun(NamedTuple):
     heads: Dict[int, Head]
 
 
-def run_heads(scores: _Scores, counts: Sequence[int]) -> HeadRun:
+def run_heads(scores: Preferences, counts: Sequence[int]) -> HeadRun:
     """Match the head game of n users, for every n in `counts`, in one
-    pass over the game of the ranked table `scores` (`_Scores.rank`).
+    pass over the game of the table `scores`.
 
     The head of n users must be a prefix of the priority order: the first
     n users in priority are the users below n, which one running max over
@@ -741,7 +730,7 @@ def run_heads(scores: _Scores, counts: Sequence[int]) -> HeadRun:
     return HeadRun(firsts, seconds, stage1.proposals, heads)
 
 
-def _ex_ante(scores: _Scores, held: Dict[int, Plan], users: Sequence[int],
+def _ex_ante(scores: Preferences, held: Dict[int, Plan], users: Sequence[int],
              firsts: List[Optional[PlayerId]],
              seconds: List[Optional[PlayerId]],
              rankings: Dict[int, Sequence[_PlanEntry]]) -> None:
@@ -798,7 +787,4 @@ def find_blocking_pairs(matching: DynamicMatching, instance: GameInstance,
                         period: int) -> List[Violation]:
     """The blocking configurations of one period, by the oracle's scan."""
     from . import oracle
-    if period not in (1, 2):
-        raise ValueError("period must be 1 or 2")
-    report = oracle.scan_all_blockings(matching, instance)
-    return report.period1 if period == 1 else report.period2
+    return oracle.scan_blockings(matching, instance, period)

@@ -362,13 +362,30 @@ class StabilityReport:
 
 def scan_all_blockings(matching_: DynamicMatching,
                        instance: GameInstance) -> StabilityReport:
-    """Definition-1 consistency check, then both-period blocking scans on
-    one `_Payoffs` table: the check shares no payoff with the matcher."""
+    """The blocking scans of both periods, on one check and one table."""
+    return StabilityReport(*_scans(matching_, instance, (1, 2)))
+
+
+def scan_blockings(matching_: DynamicMatching, instance: GameInstance,
+                   period: int) -> List[Violation]:
+    """The blocking configurations of one period; only its scan runs."""
+    if period not in (1, 2):
+        raise ValueError("period must be 1 or 2")
+    return _scans(matching_, instance, (period,))[0]
+
+
+def _scans(matching_: DynamicMatching, instance: GameInstance,
+           periods: Sequence[int]) -> List[List[Violation]]:
+    """Definition-1 consistency check, then the blocking scan of each of
+    `periods` on one `_Payoffs` table: the check shares no payoff with the
+    matcher. Period 1 reads both periods' summaries, period 2 its own."""
     matching_.validate(instance)
     pay = _Payoffs(instance)
-    summaries = (pay.summary(matching_.mu1), pay.summary(matching_.mu2))
-    return StabilityReport(_scan_period1(matching_, pay, summaries),
-                           _scan_period2(matching_, pay, summaries))
+    summary2 = pay.summary(matching_.mu2)
+    return [_scan_period2(matching_, pay, summary2) if period == 2 else
+            _scan_period1(matching_, pay,
+                          (pay.summary(matching_.mu1), summary2))
+            for period in periods]
 
 
 def _scan_period1(matching_: DynamicMatching, pay: _Payoffs,
@@ -418,9 +435,9 @@ def _scan_period1(matching_: DynamicMatching, pay: _Payoffs,
 
 
 def _scan_period2(matching_: DynamicMatching, pay: _Payoffs,
-                  summaries) -> List[Violation]:
+                  summary) -> List[Violation]:
     out: List[Violation] = []
-    key, load = pay.key, summaries[1][0]
+    key, load = pay.key, summary[0]
     for u, mue in enumerate(pay.game.mues):
         first, second = matching_.mu1[u], matching_.mu2[u]
         current = key(u, first, second)
@@ -432,7 +449,7 @@ def _scan_period2(matching_: DynamicMatching, pay: _Payoffs,
             if not pay.payoff(u, k) < 0.0 and key(u, first, target) < current:
                 if load[k] >= pay.game.sbss[k].quota:
                     continue  # full BSs never period-2 block
-                if pay.gains(second, summaries[1], k, u):
+                if pay.gains(second, summary, k, u):
                     out.append(Violation(2, "pair-gain", u, target))
             if second == target and stay < current and pay.gamma[u] < 0.0:
                 out.append(Violation(2, "pair-divorce", u, target))

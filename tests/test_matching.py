@@ -402,7 +402,7 @@ class TestTabulatedScores:
                         R.mue_utility(u, k, game)
                     assert M.sbs_utility(u, k, game) == \
                         R.sbs_utility(u, k, game)
-                scores = M._Scores(game)
+                scores = M.build_preferences(game)
                 own = scores.order(u, None, None)
                 plans = R.plan_universe(game, u) + [M.SELF_PLAN]
                 orders = {p: scores.order(u, p.first, p.second)
@@ -510,12 +510,11 @@ class TestTabulatedScores:
                 (v, game.t_mts, game.sbss[k].radius) for v, k in pairs)
 
     def test_profiles_are_ranked_by_the_plan_key(self):
-        # every ranked plan carries the order `_Scores.order` gives it, so
-        # the preference pass and the scans share one plan order
+        # every ranked plan carries the order `Preferences.order` gives it,
+        # so the preference pass and the scans share one plan order
         for game in _tabulated_games():
-            prefs = M.build_preferences(game)
-            scores = prefs.scores
-            for u, profile in enumerate(prefs.mue_profiles):
+            scores = M.build_preferences(game)
+            for u, profile in enumerate(scores.mue_profiles):
                 orders = [scores.order(u, p.first, p.second)
                           for p in profile.ranked_plans]
                 assert orders == sorted(set(orders))
@@ -535,11 +534,10 @@ class TestTabulatedScores:
             prefs = M.build_preferences(game)
             assert (prefs.sbs_profiles, prefs.mbs_profile) == \
                 R.bs_preferences(game, prefs.mue_profiles)
-            scores = prefs.scores
             listed += sum(len(bs.ranked_mues) for bs in prefs.sbs_profiles)
-            refused += any(scores.gamma(u) < 0.0 and profile.ranked_plans
+            refused += any(prefs.gamma(u) < 0.0 and profile.ranked_plans
                            for u, profile in enumerate(prefs.mue_profiles))
-            reordered += scores.priority() != list(range(len(game.mues)))
+            reordered += prefs.priority() != list(range(len(game.mues)))
         assert listed and refused >= 1000 and reordered >= 1000
 
 
@@ -651,9 +649,12 @@ class TestSerialDictatorship:
             prefs = M.build_preferences(game)
             res = M.dynamic_match(game, preferences=prefs)
             mu, da = M.deferred_acceptance(game, preferences=prefs)
-            firsts = {u: [M.Plan(M.sbs_id(k), None)
-                          for k in M._first_sbs_order(prof)]
-                      for u, prof in enumerate(prefs.mue_profiles)}
+            # the SBSs in the first slots of each ranking, best first
+            firsts = {}
+            for u, prof in enumerate(prefs.mue_profiles):
+                sbss = [p.first for p in prof.ranked_plans
+                        if p.first not in (None, M.MBS)]
+                firsts[u] = [M.Plan(k, None) for k in dict.fromkeys(sbss)]
             held = self._held(da, 1, firsts)
             for u, b in mu.items():
                 assert b == held[u].first if u in held else \
@@ -716,7 +717,8 @@ class TestRegionCost:
     def _count(monkeypatch, run):
         """The user counts of the instances and of the tables `run` builds."""
         instances, tables = [], []
-        build, init = experiments.build_region_instance, M._Scores.__init__
+        build, init = experiments.build_region_instance, \
+            M.Preferences.__init__
 
         def counting_build(config, n_mues, speed, rng):
             instances.append(n_mues)
@@ -729,7 +731,7 @@ class TestRegionCost:
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "build_region_instance",
                           counting_build)
-            patch.setattr(M._Scores, "__init__", counting_init)
+            patch.setattr(M.Preferences, "__init__", counting_init)
             run()
         return Counter(instances), Counter(tables)
 
@@ -794,7 +796,7 @@ class TestScanCost:
 
 def _prefix_counts(prefs):
     """The user counts n whose first n users are the first n in priority."""
-    priority = prefs.scores.priority()
+    priority = prefs.priority()
     return [n for n in range(len(priority) + 1)
             if n == 0 or max(priority[:n]) == n - 1]
 
@@ -803,7 +805,7 @@ def _assert_heads_match_fresh_games(game, counts):
     """Each head of one `run_heads` pass over `game` against
     `dynamic_match` of the head game ranked afresh, and against the
     reference processes."""
-    run = M.run_heads(M.build_preferences(game).scores, counts)
+    run = M.run_heads(M.build_preferences(game), counts)
     assert set(run.heads) == set(counts)
     for n in counts:
         head = run.heads[n]
@@ -841,7 +843,7 @@ class TestMatchHeads:
             prefs = M.build_preferences(game)
             counts = _prefix_counts(prefs)
             partial += len(counts) < len(game.mues) + 1
-            priority = prefs.scores.priority()
+            priority = prefs.priority()
             ordered = replace(game, mues=tuple(game.mues[u]
                                                for u in priority))
             assert _prefix_counts(M.build_preferences(ordered)) == \
@@ -877,7 +879,7 @@ class TestMatchHeads:
                 if n in counts:
                     continue
                 with pytest.raises(ValueError):
-                    M.run_heads(prefs.scores, (n_mues, n))
+                    M.run_heads(prefs, (n_mues, n))
                 refused += 0 < n <= n_mues
         assert refused >= 700
 
@@ -886,10 +888,10 @@ class TestMatchHeads:
         for _ in range(100):
             game = random_game_instance(rng, max_mues=12)
             prefs = M.build_preferences(game)
-            before = repr(_profiles(prefs)), prefs.scores.priority()[:]
-            M.run_heads(prefs.scores, _prefix_counts(prefs))
-            assert prefs.scores.instance is game
-            assert (repr(_profiles(prefs)), prefs.scores.priority()) == before
+            before = repr(_profiles(prefs)), prefs.priority()[:]
+            M.run_heads(prefs, _prefix_counts(prefs))
+            assert prefs.instance is game
+            assert (repr(_profiles(prefs)), prefs.priority()) == before
             assert repr(M.dynamic_match(game, prefs)) == \
                 repr(M.dynamic_match(game, M.build_preferences(game)))
 
@@ -1025,7 +1027,7 @@ class TestHeadChecks:
 
     def test_every_head_of_run_heads(self, monkeypatch):
         game = self._region()
-        scores = M.build_preferences(game).scores
+        scores = M.build_preferences(game)
         M.run_heads(scores, experiments.USER_COUNTS)
         for at in range(len(experiments.USER_COUNTS)):
             with monkeypatch.context() as patch:
@@ -1059,7 +1061,7 @@ class TestHeadChecks:
         game = self._region()
         prefs = M.build_preferences(game)
         for k in (len(game.sbss), -1):
-            for run in (lambda: M.run_heads(prefs.scores, (5, 50)),
+            for run in (lambda: M.run_heads(prefs, (5, 50)),
                         lambda: M.dynamic_match(game, prefs),
                         lambda: experiments._region_replication(
                             self.CONFIG, (4, 0), ((8.0, (5, 50)),))):
@@ -1080,13 +1082,11 @@ class TestSharedLayout:
         games = [random_game_instance(rng, max_mues=12, max_sbss=6)
                  for _ in range(300)]
         assert len({len(game.sbss) for game in games}) == 6
-        tables = [M._Scores(game) for game in games]
+        tables = [M.build_preferences(game) for game in games]
         for i in rng.permutation(len(games)):
-            game = games[i]
-            tables[i].rank()
-            prefs = M.Preferences(tuple(
-                M.PreferenceProfile(tuple(e.plan for e in ranking))
-                for ranking in tables[i].rankings), tables[i])
+            game, prefs = games[i], tables[i]
+            assert prefs._rankings is None
+            prefs.rankings  # ranked here, in the shuffled order
             ref_prefs = R.build_preferences(game)
             assert repr(_profiles(prefs)) == repr(_profiles(ref_prefs))
             res = M.dynamic_match(game, preferences=prefs)
@@ -1105,7 +1105,7 @@ class TestSharedLayout:
             game = random_game_instance(rng, max_mues=12, max_sbss=4)
             if len(game.sbss) == 4:
                 games.append(game)
-        a, b = (M.build_preferences(game).scores for game in games)
+        a, b = (M.build_preferences(game) for game in games)
         assert a._plans is b._plans is M._layout(4).plans
         entries = {e.plan: e for ranking in b.rankings for e in ranking}
         shared = [e for ranking in a.rankings for e in ranking
@@ -1124,7 +1124,7 @@ class TestSharedLayout:
             assert 0 < len(plans) <= (n + 2) ** 2
         # interning every pair code of the last game's SBS count fills its
         # dict and nothing more
-        table = M._Scores(game)
+        table = M.build_preferences(game)
         n = len(game.sbss)
         for _ in range(2):
             for pair in range((n + 2) ** 2):
@@ -1144,6 +1144,54 @@ class TestSharedLayout:
                     M.find_blocking_pairs(matching, game, period=2)))
                 blocked += not report.stable
         assert blocked >= 10
+
+
+class TestLazyTable:
+    """A table derives its rankings, and the profiles of them, on first
+    read, and interns only the plans it reads."""
+
+    def test_matchers_build_no_profile(self, monkeypatch):
+        built = []
+        profile = M.PreferenceProfile
+
+        def counting(ranked_plans):
+            built.append(ranked_plans)
+            return profile(ranked_plans)
+
+        rng = np.random.default_rng(116)
+        games = [random_game_instance(rng, max_mues=12) for _ in range(100)]
+        tables = [M.build_preferences(game) for game in games]
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "PreferenceProfile", counting)
+            for game, prefs in zip(games, tables):
+                M.dynamic_match(game)
+                M.dynamic_match(game, prefs)
+                M.deferred_acceptance(game)
+                M.deferred_acceptance(game, prefs)
+            experiments._region_replication(
+                ScenarioConfig(seed=1), (6, 0), [(8.0, (5, 50))])
+        assert built == []
+        # read after matching, the profiles are the reference's
+        for game, prefs in zip(games, tables):
+            assert repr(_profiles(prefs)) == \
+                repr(_profiles(R.build_preferences(game)))
+        assert any(p.ranked_plans for prefs in tables
+                   for p in prefs.mue_profiles)
+
+    def test_many_sbss_intern_few_plans(self):
+        # 2 users among 300 SBSs, each with 1 or 2 candidates: a table
+        # interns the plans its users rank, not the 302^2 pair codes
+        M._layout.cache_clear()
+        mues = (M.MueState(speed=2.0, segments=0.0, p_th=0.5, cand1=(7,),
+                           cand2=(7, 123)),
+                M.MueState(speed=2.0, segments=0.0, p_th=0.5,
+                           cand1=(299,)))
+        game = M.GameInstance(mues=mues,
+                              sbss=(M.SbsState(radius=30.0, quota=1),) * 300)
+        res = M.dynamic_match(game)
+        M.deferred_acceptance(game)
+        assert res.matching.mu1 == {0: M.sbs_id(7), 1: M.sbs_id(299)}
+        assert 0 < len(M._layout(300).plans) <= 12
 
 
 class TestRecords:

@@ -152,19 +152,44 @@ class TestScanAllBlockings:
         assert not report.stable
         assert any("mbs0" in line for line in report.lines())
 
+    @pytest.mark.parametrize("period, other", [(1, "_scan_period2"),
+                                               (2, "_scan_period1")])
+    def test_one_period_scans_that_period_only(self, monkeypatch, period,
+                                               other):
+        rng = np.random.default_rng(117)
+        cases = []
+        for _ in range(200):
+            game = random_game_instance(rng)
+            res = M.dynamic_match(game)
+            caches = dict.fromkeys(range(len(game.mues)))
+            for matching in (res.matching, res.ex_ante,
+                             M.DynamicMatching(caches, dict(caches))):
+                report = O.scan_all_blockings(matching, game)
+                cases.append((matching, game,
+                              (report.period1, report.period2)[period - 1]))
+        assert sum(bool(expected) for _, _, expected in cases) >= 100
+
+        def scan(*args):
+            raise AssertionError(f"a period-{period} call ran {other}")
+
+        monkeypatch.setattr(O, other, scan)
+        for matching, game, expected in cases:
+            assert repr(M.find_blocking_pairs(matching, game, period)) == \
+                repr(expected)
+
 
 class TestIndependentPayoffs:
     def test_flags_a_matcher_with_wrong_payoffs(self, monkeypatch):
         # a matcher whose table says a refilled cache never covers period
         # 2: checks that scored plans through that table would pass it
-        init = M._Scores.__init__
+        init = M.Preferences.__init__
 
         def refill_never_covers(self, instance):
             init(self, instance)
             self._cache2 = [(instance.shortfall_penalty,) + row[1:]
                             for row in self._cache2]
 
-        monkeypatch.setattr(M._Scores, "__init__", refill_never_covers)
+        monkeypatch.setattr(M.Preferences, "__init__", refill_never_covers)
         rng = np.random.default_rng(20260810)
         flagged = 0
         for _ in range(200):

@@ -38,12 +38,17 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
             with rec.item():
                 experiments.run_experiment(name, config, reps)
         calls = rec.counters["experiments.build_region_instance.calls"]
+        tables = rec.counters["matching.build_preferences.calls"]
         with rec.item():
             experiments.run_experiments(experiments.REGION_EXPERIMENTS,
                                         config, 1)
-        # the joint sweep builds its one instance through the traced name
+        # the joint sweep builds its one instance through the traced name,
+        # and ranks one table per speed through the traced name: the 4 of
+        # the user sweeps and hof_multiuser's 12 others
         assert rec.counters["experiments.build_region_instance.calls"] == \
             calls + 1
+        assert rec.counters["matching.build_preferences.calls"] == \
+            tables + 16
     finally:
         rec.uninstall()
     assert rec.unrestored() == []

@@ -699,7 +699,7 @@ class TestRegionKnifeEdge:
             for n_mues, speed in ((1, 8.0), (50, 10.0)):
                 region = E.build_region_instance(
                     cfg, n_mues, speed, np.random.default_rng(seed))
-                scores = M._Scores(region.game)
+                scores = M.build_preferences(region.game)
                 assert [scores.gamma(u) for u in range(n_mues)] \
                     == [0.0] * n_mues
                 assert scores.priority() == list(range(n_mues))
