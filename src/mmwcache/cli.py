@@ -198,15 +198,39 @@ def cmd_verify(args) -> int:
 
 
 def _verify_geometry(config: ScenarioConfig):
-    worst = 0.0
+    """Coverage, the caching-duration CDF (criterion 2) and the HOF chord
+    law (criterion 5) against their Monte Carlo oracles, at the acceptance
+    suite's parameters."""
+    coverage = 0.0
     for n in range(2, 7):
         for frac in (0.2, 0.5, 0.8, 1.0):
             theta = frac * 2.0 * math.pi / n
             analytic = geometry.beam_coverage_probability(n, theta)
             est, _ = oracle.mc_coverage_probability(n, theta, 100_000,
                                                     seed=config.seed)
-            worst = max(worst, abs(analytic - est))
-    return worst < 0.01, f"max |analytic - monte carlo| = {worst:.4f}"
+            coverage = max(coverage, abs(analytic - est))
+    theta_k = math.radians(10.0)
+    beam = geometry.BeamGeometry(n_beams=3, beamwidth=theta_k,
+                                 anchor_angle=theta_k)
+    ks = 0.0
+    for r in (10.0, 20.0, 40.0):
+        pose = geometry.entry_pose(beam, r, heading=beam.anchor_angle + 1.0,
+                                   speed=10.0)
+        emp = oracle.mc_caching_duration(pose, beam, 100_000,
+                                          seed=config.seed)
+        ks = max(ks, emp.ks_distance(
+            lambda t: geometry.caching_duration_cdf(pose, beam, t)))
+    hof = 0.0
+    for v in (4.0, 8.0, 16.0):
+        est, _ = oracle.mc_hof_frequency(v, 1.0, 30.0, 100_000,
+                                         seed=config.seed)
+        hof = max(hof, abs(est - geometry.hof_probability(v, 1.0, 30.0)))
+    checks = (("coverage |analytic - MC|", coverage, 0.01),
+              ("caching-duration KS", ks, 0.02),
+              ("HOF |MC - formula|", hof, 0.01))
+    return (all(error < bound for _, error, bound in checks),
+            "; ".join(f"max {name} = {error:.4f} (< {bound})"
+                      for name, error, bound in checks))
 
 
 def _verify_rate(config: ScenarioConfig):

@@ -216,6 +216,33 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 0
 
+    def test_verify_geometry_suite_reaches_criteria_2_and_5(self, tmp_path):
+        rc = main(["verify", "--suite", "geometry", "--seed", "7",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        report = (tmp_path / "verify_report.txt").read_text()
+        for name in ("coverage", "caching-duration KS", "HOF"):
+            assert name in report
+
+    @pytest.mark.parametrize("name", ["mc_caching_duration",
+                                      "mc_hof_frequency"])
+    def test_verify_geometry_suite_fails_on_a_biased_oracle(
+            self, tmp_path, monkeypatch, capsys, name):
+        from mmwcache import oracle
+        honest = getattr(oracle, name)
+
+        def biased(*args, **kwargs):
+            out = honest(*args, **kwargs)
+            if name == "mc_caching_duration":
+                return oracle.EmpiricalCdf(out.samples * 1.1)
+            return out[0] + 0.02, out[1]
+
+        monkeypatch.setattr(oracle, name, biased)
+        rc = main(["verify", "--suite", "geometry", "--seed", "7",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "[FAIL] geometry" in capsys.readouterr().out
+
     def test_env_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MMWCACHE_OUT", str(tmp_path / "envout"))
         rc = main(["analyze", "--op", "coverage"])

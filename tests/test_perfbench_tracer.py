@@ -64,3 +64,32 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     assert uncounted == []
     assert rec.counters["matching.build_preferences.plans"] > 0
     assert rec.counters["matching.stage1.proposals"] > 0
+
+
+def test_traced_trajectory_counts_are_pinned(monkeypatch):
+    # every fill and drain of the walk goes through a traced name: a
+    # change that moves one off `caching.cache_fill` / `caching.cache_drain`
+    # (or changes the walk) moves these counts
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    rec = tracer.Recorder()
+    rec.install()
+    try:
+        with rec.item():
+            experiments.run_experiment("hof_vs_speed", ScenarioConfig(seed=1),
+                                       2)
+    finally:
+        rec.uninstall()
+    assert rec.unrestored() == []
+    assert {name: rec.counters.get(name) for name in (
+        "caching.cache_fill.calls", "caching.cache_drain.calls",
+        "experiments.simulate_trajectory.calls",
+        "experiments.trajectory.crossings",
+        "experiments.trajectory.attempts", "experiments.trajectory.skips",
+        "experiments.trajectory.failures")} == {
+        "caching.cache_fill.calls": 139, "caching.cache_drain.calls": 206,
+        "experiments.simulate_trajectory.calls": 34,
+        "experiments.trajectory.crossings": 223,
+        "experiments.trajectory.attempts": 152,
+        "experiments.trajectory.skips": 71,
+        "experiments.trajectory.failures": 7}
